@@ -94,6 +94,7 @@ void ScpNode::start() {
   }
   started_ = true;
   nom_voted_.insert(own_value_);
+  nom_open_.insert(own_value_);
   emit_nomination();
   advance();
   flush_counters();
@@ -104,25 +105,31 @@ bool ScpNode::handle(ProcessId from, const sim::Message& msg) {
   if (env == nullptr) return false;
   if (env->sender != from) return true;  // forged sender field: drop
 
-  auto& stream = is_ballot_statement(env->statement) ? latest_ballot_
-                                                     : latest_nom_;
+  const bool ballot = is_ballot_statement(env->statement);
+  auto& stream = ballot ? latest_ballot_ : latest_nom_;
   const auto it = stream.find(from);
   if (it != stream.end() && it->second.seq >= env->seq) return true;  // stale
   stream.insert_or_assign(from, *env);
-  note_statement_update(from);
+  note_statement_update(from, ballot);
 
-  if (!started_) return true;  // buffered; acted on at start
-
-  // Echo-all nomination: vote for every value we see nominated (until we
-  // have decided — echoes are pointless afterwards).
-  if (const auto* nom = std::get_if<NominateStmt>(&env->statement)) {
-    if (!decided_) {
-      bool grew = false;
-      for (Value v : nom->voted) grew |= nom_voted_.insert(v).second;
-      for (Value v : nom->accepted) grew |= nom_voted_.insert(v).second;
-      if (grew) emit_nomination();
+  // Every value a NOMINATE names joins the work list (until we have decided
+  // — nomination stops there). Before start() it is only buffered there;
+  // after, echo-all nomination also votes for it, and a value we already
+  // vote for is already listed or a candidate.
+  const auto* nom = std::get_if<NominateStmt>(&env->statement);
+  if (nom != nullptr && !decided_) {
+    bool grew = false;
+    for (const std::set<Value>* values : {&nom->voted, &nom->accepted}) {
+      for (Value v : *values) {
+        if (!started_ || nom_voted_.insert(v).second) {
+          nom_open_.insert(v);
+          grew = true;
+        }
+      }
     }
+    if (started_ && grew) emit_nomination();
   }
+  if (!started_) return true;  // buffered; acted on at start
   advance();
   flush_counters();
   return true;
@@ -158,37 +165,35 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
 }
 
 const NodeSet& ScpNode::support_view(const PredKey& key) const {
-  const auto it = support_.find(key);
-  if (it != support_.end()) return it->second;
-  // First query of this predicate: one scan over both streams (a sender
-  // supports it if any of its current statements implies it), then the view
-  // stays fresh via note_statement_update().
+  const bool nomination = is_nomination_pred(key.cls);
+  auto& table = nomination ? nom_support_ : ballot_support_;
+  const auto it = table.find(key);
+  if (it != table.end()) return it->second;
+  // First query of this predicate: one scan over its stream (a sender
+  // supports it if its current statement there implies it; the other
+  // stream never does), then the view stays fresh via
+  // note_statement_update().
   NodeSet s(peers_.universe_size());
-  for (const auto& [id, env] : latest_nom_) {
-    if (pred_holds(key, env.statement)) s.add(id);
-  }
-  for (const auto& [id, env] : latest_ballot_) {
+  for (const auto& [id, env] : nomination ? latest_nom_ : latest_ballot_) {
     if (pred_holds(key, env.statement)) s.add(id);
   }
   engine_->count_support_rebuild();
-  return support_.emplace(key, std::move(s)).first->second;
+  return table.emplace(key, std::move(s)).first->second;
 }
 
-void ScpNode::note_statement_update(ProcessId id) {
+void ScpNode::note_statement_update(ProcessId id, bool ballot) {
   const auto nom_it = latest_nom_.find(id);
   const auto bal_it = latest_ballot_.find(id);
-  const Statement* nom =
-      nom_it == latest_nom_.end() ? nullptr : &nom_it->second.statement;
-  const Statement* bal =
-      bal_it == latest_ballot_.end() ? nullptr : &bal_it->second.statement;
-  if (support_.size() > kMaxTrackedPredicates) {
-    support_.clear();  // rebuilt lazily; counted per-view as rebuilds
+  if (nom_support_.size() + ballot_support_.size() > kMaxTrackedPredicates) {
+    // Rebuilt lazily; counted per-view as rebuilds.
+    nom_support_.clear();
+    ballot_support_.clear();
   }
-  // scup-lint: order-insensitive(each entry is updated independently from this sender's statements; no cross-entry reads or emissions)
-  for (auto& [key, view] : support_) {
-    const bool in = (nom != nullptr && pred_holds(key, *nom)) ||
-                    (bal != nullptr && pred_holds(key, *bal));
-    if (in) {
+  const Statement& s = ballot ? bal_it->second.statement
+                              : nom_it->second.statement;
+  // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
+  for (auto& [key, view] : ballot ? ballot_support_ : nom_support_) {
+    if (pred_holds(key, s)) {
       view.add(id);
     } else {
       view.remove(id);
@@ -226,15 +231,47 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
 
 bool ScpNode::support_views_consistent() const {
   // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
-  for (const auto& [key, view] : support_) {
-    NodeSet fresh(peers_.universe_size());
-    for (const auto& [id, env] : latest_nom_) {
-      if (pred_holds(key, env.statement)) fresh.add(id);
+  for (const auto* table : {&nom_support_, &ballot_support_}) {
+    for (const auto& [key, view] : *table) {
+      if (is_nomination_pred(key.cls) != (table == &nom_support_)) {
+        return false;
+      }
+      NodeSet fresh(peers_.universe_size());
+      for (const auto& [id, env] : latest_nom_) {
+        if (pred_holds(key, env.statement)) fresh.add(id);
+      }
+      for (const auto& [id, env] : latest_ballot_) {
+        if (pred_holds(key, env.statement)) fresh.add(id);
+      }
+      if (!(fresh == view)) return false;
     }
-    for (const auto& [id, env] : latest_ballot_) {
-      if (pred_holds(key, env.statement)) fresh.add(id);
+  }
+  return true;
+}
+
+bool ScpNode::nomination_worklist_consistent() const {
+  if (decided_) return nom_open_.empty();
+  // The per-step rebuild the work list replaces.
+  std::set<Value> seen = nom_voted_;
+  for (const auto& [id, env] : latest_nom_) {
+    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
+      seen.insert(nom->voted.begin(), nom->voted.end());
+      seen.insert(nom->accepted.begin(), nom->accepted.end());
     }
-    if (!(fresh == view)) return false;
+  }
+  for (Value v : seen) {
+    if (candidates_.count(v) == 0 && nom_open_.count(v) == 0) return false;
+  }
+  for (Value v : nom_open_) {
+    if (candidates_.count(v) > 0) return false;
+    if (seen.count(v) > 0) continue;
+    // Listed but outside the rebuild: nobody may vote for or accept it.
+    const PredKey votes{PredClass::kNomVote, 0, v};
+    for (const auto* map : {&latest_nom_, &latest_ballot_}) {
+      for (const auto& [id, env] : *map) {
+        if (pred_holds(votes, env.statement)) return false;
+      }
+    }
   }
   return true;
 }
@@ -295,15 +332,10 @@ void ScpNode::advance() {
 
 bool ScpNode::step_nomination() {
   bool changed = false;
-  // Candidate values: everything anyone has mentioned.
-  std::set<Value> seen = nom_voted_;
-  for (const auto& [id, env] : latest_nom_) {
-    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
-      seen.insert(nom->voted.begin(), nom->voted.end());
-      seen.insert(nom->accepted.begin(), nom->accepted.end());
-    }
-  }
-  for (Value v : seen) {
+  // Candidate values: everything anyone has mentioned that is not yet
+  // confirmed (the work list; see the class comment).
+  for (auto it = nom_open_.begin(); it != nom_open_.end();) {
+    const Value v = *it;
     if (nom_accepted_.count(v) == 0) {
       const bool accepted =
           federated_accept(PredKey{PredClass::kNomVote, 0, v},
@@ -314,11 +346,13 @@ bool ScpNode::step_nomination() {
         changed = true;
       }
     }
-    if (nom_accepted_.count(v) > 0 && candidates_.count(v) == 0) {
-      if (federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) {
-        candidates_.insert(v);
-        changed = true;
-      }
+    if (nom_accepted_.count(v) > 0 &&
+        federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) {
+      candidates_.insert(v);
+      it = nom_open_.erase(it);
+      changed = true;
+    } else {
+      ++it;
     }
   }
   if (changed) emit_nomination();
@@ -409,6 +443,11 @@ bool ScpNode::attempt_accept_prepared() {
       p_ = beta;
     } else if (!compatible(beta, p_) && (!p_prime_.valid() || p_prime_ < beta)) {
       p_prime_ = beta;
+    } else {
+      // Below p and p' and incompatible with both: every commit vote it
+      // aborts is already aborted by p or p'. Counting it as a change would
+      // re-run advance() on an unchanged state forever.
+      continue;
     }
     changed = true;
   }
@@ -541,8 +580,11 @@ bool ScpNode::attempt_confirm_commit() {
   decided_ = x;
   emit_ballot();
   // No federated check runs after externalization (nomination and ballot
-  // steps are both gated on !decided_ / phase); drop the support views.
-  support_.clear();
+  // steps are both gated on !decided_ / phase); drop the support views and
+  // the nomination work list.
+  nom_support_.clear();
+  ballot_support_.clear();
+  nom_open_.clear();
   if (on_decide) on_decide(x);
   return true;
 }
@@ -589,7 +631,7 @@ void ScpNode::emit_nomination() {
   Envelope env(host_.self(), seq_, qset_,
                Statement{NominateStmt{nom_voted_, nom_accepted_}});
   latest_nom_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
+  note_statement_update(host_.self(), /*ballot=*/false);
   const auto msg = sim::make_message<Envelope>(std::move(env));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
@@ -598,7 +640,7 @@ void ScpNode::emit_ballot() {
   ++seq_;
   Envelope env(host_.self(), seq_, qset_, ballot_statement());
   latest_ballot_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
+  note_statement_update(host_.self(), /*ballot=*/true);
   const auto msg = sim::make_message<Envelope>(std::move(env));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }

@@ -25,6 +25,26 @@
 // Algorithm-1 closure on the support-set fingerprint, so the many
 // predicates of one advance() fixpoint (candidate ballots × vote/accept
 // classes) are answered by a handful of closure runs.
+//
+// Support views live in two tables, one per message stream: nomination
+// predicates (nominate(x) votes/accepts) and ballot predicates (prepare,
+// commit, ballot-stream membership). A NOMINATE never implies a ballot
+// predicate and a ballot statement never implies a nomination one, so a
+// stream's update re-evaluates only its own table, exactly.
+//
+// Nomination keeps its work list as state: `nom_open_` holds every value
+// named by a stored NOMINATE, plus our own proposal, that is not yet a
+// confirmed candidate. handle() and start() add to it, and each
+// step_nomination() walks it in ascending order and drops a value once it
+// is ratified. It equals the non-candidate part of "our votes plus every
+// value any stored NOMINATE names", which the step used to rebuild from
+// the envelope maps every time, so the walk issues the same engine queries
+// in the same order: values are only removed once confirmed, correct
+// senders' NOMINATEs only grow, and every value named after start() is
+// echoed into our own votes. The one exception is a Byzantine sender whose
+// later NOMINATE drops a value we only saw before start(): it stays listed,
+// but no stored statement supports it any more, so it can never be
+// accepted (nomination_worklist_consistent() checks both properties).
 #pragma once
 
 #include <functional>
@@ -127,18 +147,30 @@ class ScpNode {
     return latest_ballot_;
   }
 
-  /// Debug: rebuilds every materialized support view from scratch and
-  /// compares against the incrementally maintained one. True iff all agree
-  /// (the from-scratch equivalence the unit suite pins).
+  /// Debug: rebuilds every materialized support view from scratch (over
+  /// both streams, so it also checks that a view's table is the only one
+  /// its predicate can depend on) and compares against the incrementally
+  /// maintained one. True iff all agree (the from-scratch equivalence the
+  /// unit suite pins).
   bool support_views_consistent() const;
 
+  /// Debug: recomputes the per-step candidate rebuild that `nom_open_`
+  /// replaces (our votes plus every value a stored NOMINATE names) from the
+  /// envelope maps, without touching the support views. True iff every
+  /// rebuilt value that is not a candidate is listed, no candidate is
+  /// listed, and every listed value outside the rebuild has no supporter
+  /// in either stream (so it can never be accepted). The list is empty
+  /// once decided: nomination stops there.
+  bool nomination_worklist_consistent() const;
+
   /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the
-  /// support index's bucket order. Behaviour must be unchanged — the loops
-  /// over support_ are annotated order-insensitive and the determinism
-  /// regression suite pins it. const because support_ is a mutable cache
+  /// support tables' bucket order. Behaviour must be unchanged — the loops
+  /// over them are annotated order-insensitive and the determinism
+  /// regression suite pins it. const because the tables are a mutable cache
   /// and the ledger hands out const slot pointers.
   void debug_rehash(std::size_t bucket_count) const {
-    support_.rehash(bucket_count);
+    nom_support_.rehash(bucket_count);
+    ballot_support_.rehash(bucket_count);
   }
 
  private:
@@ -166,6 +198,9 @@ class ScpNode {
   };
 
   static bool pred_holds(const PredKey& key, const Statement& s);
+  static bool is_nomination_pred(PredClass cls) {
+    return cls == PredClass::kNomVote || cls == PredClass::kNomAccept;
+  }
 
   bool is_quorum_satisfying(const PredKey& pred) const;
   bool is_vblocking(const PredKey& pred) const;
@@ -174,16 +209,19 @@ class ScpNode {
   bool federated_ratify(const PredKey& accepts) const;
 
   /// The materialized support set for a predicate: which senders' current
-  /// statements (either stream) imply it. Built by one scan on first query,
-  /// then kept fresh by note_statement_update().
+  /// statements imply it. Built by one scan of the predicate's stream on
+  /// first query, then kept fresh by note_statement_update().
   const NodeSet& support_view(const PredKey& key) const;
 
-  /// Refreshes all support views and the effective qset id after sender
-  /// `id`'s latest statement (in either stream) changed.
-  void note_statement_update(ProcessId id);
+  /// Refreshes the support views of the stream whose latest statement from
+  /// sender `id` changed (`ballot` selects the stream), then the sender's
+  /// effective qset id.
+  void note_statement_update(ProcessId id, bool ballot);
 
-  /// Re-binds the sender's effective qset (ballot stream wins) and clears
-  /// the closure cache when the interned id actually changes.
+  /// Re-binds the sender's effective qset (ballot stream wins) when it
+  /// differs structurally from the bound one. Nothing is cleared: the
+  /// engine's closure memo validates each entry against the current qset
+  /// assignment (see fbqs::QuorumEngine::quorum_contains).
   void bind_qset(ProcessId id, const fbqs::QSet& q);
 
   void advance();          // run protocol steps to fixpoint
@@ -217,6 +255,9 @@ class ScpNode {
   std::set<Value> nom_voted_;
   std::set<Value> nom_accepted_;
   std::set<Value> candidates_;
+  /// step_nomination()'s work list: values named by a stored NOMINATE, plus
+  /// our own proposal, that are not yet candidates (ascending, as walked).
+  std::set<Value> nom_open_;
 
   // Ballot state.
   Phase phase_ = Phase::kNominate;
@@ -246,9 +287,11 @@ class ScpNode {
   std::vector<fbqs::QSetId> sender_qset_id_;
   /// Rebinds consumed per sender, capped at kMaxQsetRebinds (fits a byte).
   std::vector<std::uint8_t> qset_rebinds_;
-  /// Materialized support views; `mutable` because they are a cache over
-  /// the envelope maps, lazily extended by const query paths.
-  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> support_;
+  /// Materialized support views, one table per stream (nomination
+  /// predicates / everything else); `mutable` because they are a cache
+  /// over the envelope maps, lazily extended by const query paths.
+  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> nom_support_;
+  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> ballot_support_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).
   fbqs::QuorumEngineStats flushed_;
 };

@@ -2,7 +2,8 @@
 // evaluation equivalence on randomized nested qsets, closure memoization
 // (hits, invalidation), and — at the ScpNode level — from-scratch
 // equivalence of the incrementally maintained support views against the
-// historical gather path, plus the PREPARE commit-range statement
+// historical gather path and of the nomination work list against the
+// per-step rebuild it replaced, plus the PREPARE commit-range statement
 // invariant (c_n != 0 ⇒ c_n ≤ h_n).
 #include "fbqs/quorum_engine.hpp"
 
@@ -330,6 +331,83 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
       << "qset change must invalidate the closure cache";
 }
 
+TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
+  // With a 4-of-5 qset any two peers are v-blocking. Peers 1 and 2 make the
+  // node accept prepared (1,103) and (1,102); peers 3 and 4 then make it
+  // accept (1,101), which is below and incompatible with both. (p, p')
+  // already covers everything it aborts, so handle() must return with
+  // (p, p') unchanged instead of spinning in advance().
+  constexpr std::size_t kN = 5;
+  const fbqs::QSet q =
+      fbqs::QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3, 4});
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, q, /*own_value=*/42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  for (ProcessId p = 1; p <= 2; ++p) {
+    PrepareStmt s;
+    s.b = Ballot{1, 103};
+    s.p = Ballot{1, 103};
+    s.p_prime = Ballot{1, 102};
+    node.handle(p, Envelope(p, 1, q, Statement{s}));
+  }
+  ASSERT_EQ(node.phase(), ScpNode::Phase::kPrepare);
+  for (ProcessId p = 3; p <= 4; ++p) {
+    PrepareStmt s;
+    s.b = Ballot{1, 101};
+    s.p = Ballot{1, 101};
+    node.handle(p, Envelope(p, 1, q, Statement{s}));
+  }
+  const auto& self = node.ballot_envelopes().at(0);
+  const auto& prep = std::get<PrepareStmt>(self.statement);
+  EXPECT_EQ(prep.p, (Ballot{1, 103}));
+  EXPECT_EQ(prep.p_prime, (Ballot{1, 102}));
+  EXPECT_TRUE(node.support_views_consistent());
+  EXPECT_TRUE(node.nomination_worklist_consistent());
+}
+
+/// A random statement of either stream over values 100..103 (ballot
+/// counters 1..3), for the envelope fuzz below.
+Statement random_statement(Rng& rng) {
+  switch (rng.uniform(4)) {
+    case 0: {
+      NominateStmt s;
+      const std::size_t k = 1 + rng.uniform(3);
+      for (std::size_t i = 0; i < k; ++i) {
+        const Value v = 100 + rng.uniform(4);
+        if (rng.uniform(2) == 0) s.voted.insert(v); else s.accepted.insert(v);
+      }
+      return s;
+    }
+    case 1: {
+      PrepareStmt s;
+      s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
+                   100 + rng.uniform(4)};
+      if (rng.uniform(2) == 0) s.p = s.b;
+      if (rng.uniform(3) == 0) {
+        s.c_n = 1;
+        s.h_n = s.b.n;
+      }
+      return s;
+    }
+    case 2: {
+      ConfirmStmt s;
+      s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
+                   100 + rng.uniform(4)};
+      s.p_n = s.b.n;
+      s.c_n = 1;
+      s.h_n = s.b.n;
+      return s;
+    }
+    default: {
+      ExternalizeStmt s;
+      s.commit = Ballot{1, 100 + rng.uniform(4)};
+      s.h_n = 1 + static_cast<std::uint32_t>(rng.uniform(2));
+      return s;
+    }
+  }
+}
+
 TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
   constexpr std::size_t kN = 6;
   const fbqs::QSet qa =
@@ -342,58 +420,43 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
     FakeHost host(0, kN);
     ScpNode node(host, kN, qa, 100 + seed);
     for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
-    node.start();
-
     std::vector<std::uint64_t> seq(kN, 0);
+    const auto check = [&node, seed](const char* phase, int step) {
+      ASSERT_TRUE(node.support_views_consistent())
+          << "seed=" << seed << " " << phase << " step=" << step;
+      ASSERT_TRUE(node.nomination_worklist_consistent())
+          << "seed=" << seed << " " << phase << " step=" << step;
+    };
+
+    // Buffered before start(): random envelopes of both streams, and a
+    // Byzantine sender whose later NOMINATE drops a value nobody else ever
+    // names. That value stays on the work list with no supporter — the
+    // one input where the list is a strict superset of the old rebuild.
+    for (int step = 0; step < 12; ++step) {
+      const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
+      node.handle(p, Envelope(p, ++seq[p], qa, random_statement(rng)));
+      ASSERT_NO_FATAL_FAILURE(check("pre-start", step));
+    }
+    constexpr Value kDropped = 200;
+    NominateStmt wide;
+    wide.voted = {100, kDropped};
+    wide.accepted = {kDropped};
+    node.handle(1, Envelope(1, ++seq[1], qa, Statement{wide}));
+    ASSERT_NO_FATAL_FAILURE(check("pre-start wide", 0));
+    NominateStmt narrow;
+    narrow.voted = {100};
+    node.handle(1, Envelope(1, ++seq[1], qa, Statement{narrow}));
+    ASSERT_NO_FATAL_FAILURE(check("pre-start narrow", 0));
+
+    node.start();
+    ASSERT_NO_FATAL_FAILURE(check("start", 0));
     for (int step = 0; step < 120; ++step) {
       const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
       const fbqs::QSet& q = rng.uniform(4) == 0 ? qb : qa;
-      Statement stmt;
-      switch (rng.uniform(4)) {
-        case 0: {
-          NominateStmt s;
-          const std::size_t k = 1 + rng.uniform(3);
-          for (std::size_t i = 0; i < k; ++i) {
-            const Value v = 100 + rng.uniform(4);
-            if (rng.uniform(2) == 0) s.voted.insert(v); else s.accepted.insert(v);
-          }
-          stmt = s;
-          break;
-        }
-        case 1: {
-          PrepareStmt s;
-          s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
-                       100 + rng.uniform(4)};
-          if (rng.uniform(2) == 0) s.p = s.b;
-          if (rng.uniform(3) == 0) {
-            s.c_n = 1;
-            s.h_n = s.b.n;
-          }
-          stmt = s;
-          break;
-        }
-        case 2: {
-          ConfirmStmt s;
-          s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
-                       100 + rng.uniform(4)};
-          s.p_n = s.b.n;
-          s.c_n = 1;
-          s.h_n = s.b.n;
-          stmt = s;
-          break;
-        }
-        default: {
-          ExternalizeStmt s;
-          s.commit = Ballot{1, 100 + rng.uniform(4)};
-          s.h_n = 1 + static_cast<std::uint32_t>(rng.uniform(2));
-          stmt = s;
-          break;
-        }
-      }
-      node.handle(p, Envelope(p, ++seq[p], q, std::move(stmt)));
-      ASSERT_TRUE(node.support_views_consistent())
-          << "seed=" << seed << " step=" << step;
+      node.handle(p, Envelope(p, ++seq[p], q, random_statement(rng)));
+      ASSERT_NO_FATAL_FAILURE(check("run", step));
     }
+    EXPECT_EQ(node.candidates().count(kDropped), 0u);
     expect_prepare_invariant(host);
   }
 }
