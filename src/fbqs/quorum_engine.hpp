@@ -20,9 +20,12 @@
 //     the support-set fingerprint. Different predicates that gather the same
 //     support set (the common case inside one ScpNode::advance() fixpoint —
 //     many candidate ballots, one set of believers) share a single closure
-//     run. The cache is owned by the caller (one per slot) because the
-//     verdict also depends on the caller's per-sender qset assignment; the
-//     caller clears it whenever any tracked qset id changes.
+//     run. The memo is engine-wide, shared by every slot of a replica, and
+//     self-validating: the verdict also depends on the caller's per-sender
+//     qset assignment, so each entry carries a fingerprint of its members'
+//     qset ids and a lookup only matches under the same assignment. A
+//     sender that rebinds its qset simply stops matching old entries;
+//     nothing is ever cleared.
 //
 // All work is counted in QuorumEngineStats, E11-style: `qset_evals` is what
 // we actually paid, `qset_evals_baseline` is what the rescan-everything
