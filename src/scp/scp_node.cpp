@@ -251,7 +251,7 @@ bool ScpNode::support_views_consistent() const {
 
 bool ScpNode::nomination_worklist_consistent() const {
   if (decided_) return nom_open_.empty();
-  // The per-step rebuild the work list replaces.
+  // S: our votes plus every value a stored NOMINATE names.
   std::set<Value> seen = nom_voted_;
   for (const auto& [id, env] : latest_nom_) {
     if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
@@ -265,7 +265,7 @@ bool ScpNode::nomination_worklist_consistent() const {
   for (Value v : nom_open_) {
     if (candidates_.count(v) > 0) return false;
     if (seen.count(v) > 0) continue;
-    // Listed but outside the rebuild: nobody may vote for or accept it.
+    // Listed but outside S: nobody may vote for or accept it.
     const PredKey votes{PredClass::kNomVote, 0, v};
     for (const auto* map : {&latest_nom_, &latest_ballot_}) {
       for (const auto& [id, env] : *map) {

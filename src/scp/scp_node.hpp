@@ -36,15 +36,15 @@
 // named by a stored NOMINATE, plus our own proposal, that is not yet a
 // confirmed candidate. handle() and start() add to it, and each
 // step_nomination() walks it in ascending order and drops a value once it
-// is ratified. It equals the non-candidate part of "our votes plus every
-// value any stored NOMINATE names", which the step used to rebuild from
-// the envelope maps every time, so the walk issues the same engine queries
-// in the same order: values are only removed once confirmed, correct
-// senders' NOMINATEs only grow, and every value named after start() is
-// echoed into our own votes. The one exception is a Byzantine sender whose
-// later NOMINATE drops a value we only saw before start(): it stays listed,
-// but no stored statement supports it any more, so it can never be
-// accepted (nomination_worklist_consistent() checks both properties).
+// is ratified. It equals the non-candidate part of S = our votes plus
+// every value any stored NOMINATE names, so the walk issues the same engine
+// queries in the same order as a walk over S recomputed from the envelope
+// maps: values are only removed once confirmed, correct senders'
+// NOMINATEs only grow, and every value named after start() is echoed into
+// our own votes. The one exception is a Byzantine sender whose later
+// NOMINATE drops a value we only saw before start(): it stays listed, but
+// no stored statement supports it any more, so it can never be accepted
+// (nomination_worklist_consistent() checks both properties).
 #pragma once
 
 #include <functional>
@@ -154,13 +154,12 @@ class ScpNode {
   /// unit suite pins).
   bool support_views_consistent() const;
 
-  /// Debug: recomputes the per-step candidate rebuild that `nom_open_`
-  /// replaces (our votes plus every value a stored NOMINATE names) from the
-  /// envelope maps, without touching the support views. True iff every
-  /// rebuilt value that is not a candidate is listed, no candidate is
-  /// listed, and every listed value outside the rebuild has no supporter
-  /// in either stream (so it can never be accepted). The list is empty
-  /// once decided: nomination stops there.
+  /// Debug: recomputes from the envelope maps the set S that `nom_open_`
+  /// stands for (our votes plus every value a stored NOMINATE names),
+  /// without touching the support views. True iff every value of S that is
+  /// not a candidate is listed, no candidate is listed, and every listed
+  /// value outside S has no supporter in either stream (so it can never be
+  /// accepted). The list is empty once decided: nomination stops there.
   bool nomination_worklist_consistent() const;
 
   /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the

@@ -3,8 +3,8 @@
 // (hits, invalidation), and — at the ScpNode level — from-scratch
 // equivalence of the incrementally maintained support views against the
 // historical gather path and of the nomination work list against the
-// per-step rebuild it replaced, plus the PREPARE commit-range statement
-// invariant (c_n != 0 ⇒ c_n ≤ h_n).
+// value set recomputed from the envelope maps, plus the PREPARE
+// commit-range statement invariant (c_n != 0 ⇒ c_n ≤ h_n).
 #include "fbqs/quorum_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -431,7 +431,7 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
     // Buffered before start(): random envelopes of both streams, and a
     // Byzantine sender whose later NOMINATE drops a value nobody else ever
     // names. That value stays on the work list with no supporter — the
-    // one input where the list is a strict superset of the old rebuild.
+    // one input where the list holds a value outside the set it stands for.
     for (int step = 0; step < 12; ++step) {
       const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
       node.handle(p, Envelope(p, ++seq[p], qa, random_statement(rng)));
