@@ -202,7 +202,8 @@ inline bool write_bench_summary(const std::string& id,
 
 /// Drop-in replacement for BENCHMARK_MAIN(): runs the registered benchmarks
 /// through a SummaryReporter and writes the canonical BENCH_<id>.json
-/// artifact next to the console output.
+/// artifact next to the console output. Exits 1 if any row reported an
+/// error (SkipWithError), so a failing self-check fails the run.
 #define SCUP_BENCH_MAIN(experiment_id)                                     \
   int main(int argc, char** argv) {                                        \
     benchmark::Initialize(&argc, argv);                                    \
@@ -212,6 +213,9 @@ inline bool write_bench_summary(const std::string& id,
     benchmark::Shutdown();                                                 \
     scup::bench::write_bench_summary(experiment_id, reporter.rows, argc,   \
                                      argv);                                \
+    for (const auto& row : reporter.rows) {                                \
+      if (row.error) return 1;                                             \
+    }                                                                      \
     return 0;                                                              \
   }                                                                        \
   int main(int, char**)

@@ -12,6 +12,8 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       pd_(std::move(pd)),
       f_(host.fault_threshold()),
       config_(config),
+      cert_rows_(pd_.universe_size()),
+      cert_owners_(pd_.universe_size()),
       cert_graph_(pd_.universe_size()),
       new_edge_heads_(pd_.universe_size()),
       admitted_(pd_.universe_size()),
@@ -23,7 +25,7 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       prev_reachable_(pd_.universe_size()) {}
 
 void SinkDiscovery::start() {
-  merge_certificate(own_cert());
+  merge_certificate(host_.self(), pd_);
   update();
   if (config_.requery_interval > 0) {
     host_.host_set_timer(kDiscoveryRequeryTimerId, config_.requery_interval);
@@ -60,7 +62,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
 
 bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
   if (const auto* discover = dynamic_cast<const DiscoverMsg*>(&msg)) {
-    merge_certificate(discover->cert);
+    merge_certificate(discover->cert.owner, discover->cert.pd);
     responded_.add(from);
     // Reply with everything we hold (knowledge flows backward along the
     // query; certificates are forwardable because they are signed).
@@ -91,41 +93,47 @@ sim::MessagePtr SinkDiscovery::gossip_reply() {
   // The reply is immutable and identical for every requester until the next
   // certificate change (merge_certificate resets the cache), so one shared
   // message serves all of them — one construction *and one byte_size walk*
-  // per certificate state; the per-DISCOVER map copy used to dominate
-  // large-n discovery cost.
+  // per certificate state; the per-DISCOVER copy used to dominate
+  // large-n discovery cost. Owners are listed in ascending order, as the
+  // canonical frame requires.
   return shared_payload(cached_gossip_, [this] {
-    return sim::make_message<CertGossipMsg>(certs_);
+    std::map<ProcessId, NodeSet> certs;
+    for (ProcessId owner : cert_owners_) {
+      certs.emplace_hint(certs.end(), owner, cert_rows_[owner]);
+    }
+    return sim::make_message<CertGossipMsg>(std::move(certs));
   });
 }
 
-void SinkDiscovery::merge_certificate(const PdCertificate& cert) {
-  if (cert.owner == kInvalidProcess || cert.owner >= host_.universe() ||
-      cert.pd.universe_size() != host_.universe()) {
+void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
+  if (owner == kInvalidProcess || owner >= cert_rows_.size() ||
+      pd.universe_size() != host_.universe()) {
     return;  // malformed; ignore
   }
-  auto [it, inserted] = certs_.emplace(cert.owner, cert.pd);
-  if (!inserted) {
+  NodeSet& row = cert_rows_[owner];
+  if (!cert_owners_.contains(owner)) {
+    cert_owners_.add(owner);
+    row = pd;
+  } else if (pd.subset_of(row)) {
+    return;  // nothing new: the common case, and allocation-free
+  } else {
     // Union-merge: a Byzantine owner issuing conflicting certificates
     // converges to the union at every correct receiver (deterministic).
-    const NodeSet merged = it->second | cert.pd;
-    if (merged == it->second) return;  // nothing new
-    it->second = merged;
+    row |= pd;
   }
   cached_gossip_.reset();
-  for (ProcessId target : it->second) {
-    if (!cert_graph_.has_edge(cert.owner, target)) {
-      cert_graph_.add_edge(cert.owner, target);
+  for (ProcessId target : row) {
+    if (!cert_graph_.has_edge(owner, target)) {
+      cert_graph_.add_edge(owner, target);
       new_edge_heads_.add(target);
-      new_edges_.emplace_back(cert.owner, target);
+      new_edges_.emplace_back(owner, target);
     }
   }
 }
 
 void SinkDiscovery::merge_certificates(
     const std::map<ProcessId, NodeSet>& certs) {
-  for (const auto& [owner, pd] : certs) {
-    merge_certificate({owner, pd});
-  }
+  for (const auto& [owner, pd] : certs) merge_certificate(owner, pd);
 }
 
 void SinkDiscovery::update() {

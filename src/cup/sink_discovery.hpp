@@ -134,7 +134,6 @@ class SinkDiscovery {
   bool probably_non_sink() const { return probably_non_sink_; }
 
   const NodeSet& candidate_set() const { return candidate_; }
-  const std::map<ProcessId, NodeSet>& certificates() const { return certs_; }
   const graph::Digraph& certified_graph() const { return cert_graph_; }
   const DiscoveryStats& stats() const { return stats_; }
 
@@ -142,7 +141,7 @@ class SinkDiscovery {
   std::function<void()> on_complete;
 
  private:
-  void merge_certificate(const PdCertificate& cert);
+  void merge_certificate(ProcessId owner, const NodeSet& pd);
   void merge_certificates(const std::map<ProcessId, NodeSet>& certs);
   /// Queries newly reachable nodes, re-evaluates admission for nodes the
   /// new-edge batch can affect, and re-evaluates steps 2-3.
@@ -175,8 +174,14 @@ class SinkDiscovery {
   std::size_t f_;
   DiscoveryConfig config_;
 
-  std::map<ProcessId, NodeSet> certs_;  // owner -> claimed PD (union-merged)
-  graph::Digraph cert_graph_;           // the certified knowledge graph
+  /// Certificate table: row `owner` is owner's claimed PD, union-merged
+  /// (DESIGN.md §4.1); only rows of owners in `cert_owners_` are set.
+  /// merge_certificate() rejects owners outside the table, so a validated
+  /// owner always indexes in range, and merges in place, so a certificate
+  /// that adds nothing allocates nothing.
+  std::vector<NodeSet> cert_rows_;
+  NodeSet cert_owners_;        // owners with a stored row
+  graph::Digraph cert_graph_;  // the certified knowledge graph
   /// Heads (targets) of edges added since the last admission recheck; the
   /// nodes they can reach are exactly the nodes whose verdict may change.
   NodeSet new_edge_heads_;
@@ -209,10 +214,10 @@ class SinkDiscovery {
   // ---- (and size-accounts) one immutable message per *state change*, not
   // ---- per destination; sends reuse the cache until the state moves.
 
-  /// Gossip replies carry the whole certificate map; the map only changes
-  /// when a certificate merge does (which resets this), so one immutable
-  /// message per certificate state is shared by every reply instead of
-  /// re-copying the map per DISCOVER.
+  /// Gossip replies carry every stored certificate; the table only changes
+  /// when a certificate merge grows it (which resets this), so one
+  /// immutable message per certificate state is shared by every reply
+  /// instead of re-copying the table per DISCOVER.
   sim::MessagePtr cached_gossip_;
   /// DISCOVER carries own_cert(), which is frozen at construction (pd_
   /// never changes), so one message serves every query and retransmission

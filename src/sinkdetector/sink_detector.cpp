@@ -14,7 +14,8 @@ SinkDetector::SinkDetector(sim::ProtocolHost& host, NodeSet pd,
       f_(host.fault_threshold()),
       discovery_(host, pd_, discovery_config),
       asked_(pd_.universe_size()),
-      forwarded_for_(pd_.universe_size()) {
+      forwarded_for_(pd_.universe_size()),
+      voted_(pd_.universe_size()) {
   discovery_.on_complete = [this] {
     // Direct path (Algorithm 3 lines 7-9): SINK returned ⟨true, V_sink⟩.
     if (!sink_) complete(discovery_.sink());
@@ -64,8 +65,12 @@ bool SinkDetector::handle(ProcessId from, const sim::Message& msg) {
 
   if (const auto* value = dynamic_cast<const SinkValueMsg*>(&msg)) {
     if (value->sink.universe_size() != host_.universe()) return true;
-    // Line 22: values ← values ∪ {V}, keyed by sender so a Byzantine
-    // process cannot vote twice for the same value.
+    // Line 22: values ← values ∪ {V}, one vote per sender: its first
+    // well-formed value counts and later ones are ignored. Correct sink
+    // members always send the same V, so this only bounds what a
+    // Byzantine sender naming ever-new values can make the table hold.
+    if (voted_.contains(from)) return true;
+    voted_.add(from);
     auto [it, _] =
         value_senders_.emplace(value->sink, NodeSet(host_.universe()));
     it->second.add(from);

@@ -61,6 +61,10 @@ class SinkDetector {
   /// Message counts of the underlying discovery, for experiments.
   const cup::SinkDiscovery& discovery() const { return discovery_; }
 
+  /// Distinct ⟨SINK, V⟩ values voted for so far (at most one per sender),
+  /// for tests.
+  std::size_t vote_values() const { return value_senders_.size(); }
+
  private:
   void complete(NodeSet sink);
   void answer_pending_requests();
@@ -73,6 +77,7 @@ class SinkDetector {
   NodeSet asked_;          // processes that asked us for the sink (line 2)
   NodeSet forwarded_for_;  // GET_SINK origins already flooded (dedup)
   std::map<NodeSet, NodeSet> value_senders_;  // value -> senders (line 3)
+  NodeSet voted_;                             // senders already counted
   std::optional<NodeSet> sink_;               // line 1
   std::optional<GetSinkResult> result_;
 };

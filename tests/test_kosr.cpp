@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
 
@@ -88,6 +91,64 @@ TEST(KosrTest, InsufficientPathsFromNonSink) {
   EXPECT_TRUE(r.sink_k_connected);
   EXPECT_FALSE(r.paths_to_sink);
   EXPECT_TRUE(check_kosr(g, 1).ok());
+}
+
+TEST(KosrTest, PathsToSinkMatchesFreshNetworkPerPair) {
+  // check_kosr answers clause (4) from one flow network shared by every
+  // (non-sink, sink) pair. The reference builds a fresh network per pair
+  // and, unlike check_kosr, keeps querying after a failed pair, so the
+  // shared network is also checked for reuse after a failed query.
+  std::vector<Digraph> graphs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    graphs.push_back(random_digraph(8 + seed % 4, 0.25 + 0.05 * (seed % 3),
+                                    seed));
+    KosrGenParams params;
+    params.sink_size = 4 + seed % 3;
+    params.non_sink_size = 3 + seed % 3;
+    params.k = 1 + seed % 3;
+    params.seed = seed;
+    graphs.push_back(random_kosr_graph(params));
+  }
+  Rng rng(77);
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  std::size_t queries_after_failure = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Digraph& g = graphs[gi];
+    const std::size_t n = g.node_count();
+    // The full set, then the complements of random 1- and 2-node failures.
+    std::vector<NodeSet> actives{NodeSet::full(n)};
+    for (const std::size_t failures : {1, 1, 2, 2}) {
+      actives.push_back(NodeSet(n, rng.sample_ids(n, failures)).complement());
+    }
+    for (const NodeSet& active : actives) {
+      for (std::size_t k = 1; k <= 3; ++k) {
+        const KosrReport r = check_kosr(g, k, active);
+        if (!r.single_sink) continue;
+        DisjointPathEngine shared;
+        shared.prepare(g, active);
+        bool expected = true;
+        for (ProcessId i : active) {
+          if (r.sink.contains(i)) continue;
+          for (ProcessId j : r.sink) {
+            const bool fresh = has_k_vertex_disjoint_paths(g, i, j, k, active);
+            if (!expected) ++queries_after_failure;
+            ASSERT_EQ(shared.has_k_paths(i, j, k), fresh)
+                << "graph=" << gi << " k=" << k << " active=" << active
+                << " pair=" << i << "->" << j;
+            expected = expected && fresh;
+          }
+        }
+        EXPECT_EQ(r.paths_to_sink, expected)
+            << "graph=" << gi << " k=" << k << " active=" << active;
+        ++(expected ? holds : fails);
+      }
+    }
+  }
+  // The sample must exercise both verdicts of clause (4).
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(fails, 0u);
+  EXPECT_GT(queries_after_failure, 0u);
 }
 
 TEST(KosrGeneratorTest, GeneratedGraphsPassChecker) {

@@ -193,6 +193,61 @@ TEST(SinkDetectorTest, DiscoveryLiarCannotPolluteTheSink) {
   }
 }
 
+/// ProtocolHost fake for driving one SinkDetector by hand: sends are
+/// dropped, timers never fire.
+class DetachedHost : public sim::ProtocolHost {
+ public:
+  DetachedHost(ProcessId self, std::size_t n, std::size_t f)
+      : self_(self), n_(n), f_(f) {}
+
+  ProcessId self() const override { return self_; }
+  std::size_t universe() const override { return n_; }
+  std::size_t fault_threshold() const override { return f_; }
+  void host_send(ProcessId, sim::MessagePtr) override {}
+  void host_set_timer(int, SimTime) override {}
+  SimTime host_now() const override { return 0; }
+  std::uint64_t host_sign(std::uint64_t) const override { return 0; }
+  bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
+    return true;
+  }
+
+ private:
+  ProcessId self_;
+  std::size_t n_;
+  std::size_t f_;
+};
+
+TEST(SinkDetectorTest, OneVotePerSenderBoundsTheValueTable) {
+  // Byzantine memory: a sender naming ever-new ⟨SINK, V⟩ values must not
+  // grow the vote table. Its first value is its vote; the rest are noise.
+  const std::size_t n = 16;
+  const std::size_t f = 1;
+  DetachedHost host(0, n, f);
+  SinkDetector detector(host, NodeSet(n, {1, 2}));
+  const NodeSet sink(n, {1, 2, 3, 4});
+  const ProcessId liar = 9;
+  for (std::uint32_t bits = 1; bits <= 10'000; ++bits) {
+    // Distinct subsets of {2, ..., 15}; none contains 1, so none is `sink`.
+    NodeSet value(n);
+    for (ProcessId b = 0; b < 14; ++b) {
+      if ((bits >> b) & 1U) value.add(b + 2);
+    }
+    detector.handle(liar, cup::SinkValueMsg(value));
+  }
+  EXPECT_EQ(detector.vote_values(), 1u);
+  EXPECT_FALSE(detector.has_result());
+
+  // f+1 honest senders naming the sink still complete detection.
+  for (ProcessId honest = 1; honest <= f + 1; ++honest) {
+    EXPECT_FALSE(detector.has_result());
+    detector.handle(honest, cup::SinkValueMsg(sink));
+  }
+  ASSERT_TRUE(detector.has_result());
+  EXPECT_EQ(detector.result().sink, sink);
+  EXPECT_FALSE(detector.result().is_sink_member);
+  EXPECT_EQ(detector.vote_values(), 2u);
+}
+
 // Property sweep: random k-OSR graphs, random safe failure placements,
 // silent adversaries — Theorem 6 must hold on every run.
 class SinkDetectorPropertyTest

@@ -44,6 +44,17 @@ class FakeHost : public sim::ProtocolHost {
   std::size_t f_;
 };
 
+/// Every gossip reply `host` has sent so far, in send order.
+std::vector<const CertGossipMsg*> gossip_replies(const FakeHost& host) {
+  std::vector<const CertGossipMsg*> replies;
+  for (const auto& [to, msg] : host.sent) {
+    if (const auto* g = dynamic_cast<const CertGossipMsg*>(msg.get())) {
+      replies.push_back(g);
+    }
+  }
+  return replies;
+}
+
 /// Builds a discovery at process 0 over a triangle {0,1,2} (f = 1) and
 /// brings it to the published-KNOWN state.
 struct TriangleFixture {
@@ -103,30 +114,48 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
   discovery.start();
 
-  const auto gossip_replies = [&] {
-    std::vector<const CertGossipMsg*> replies;
-    for (const auto& [to, msg] : host.sent) {
-      if (const auto* g = dynamic_cast<const CertGossipMsg*>(msg.get())) {
-        replies.push_back(g);
-      }
-    }
-    return replies;
-  };
-
   // Two DISCOVERs carrying already-known certificates: the replies must be
   // the same shared immutable object, not two map copies.
   discovery.handle(1, DiscoverMsg({0, NodeSet(n, {1, 2})}));
   discovery.handle(2, DiscoverMsg({0, NodeSet(n, {1, 2})}));
-  auto replies = gossip_replies();
+  auto replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[0], replies[1]);
 
   // A certificate that adds knowledge invalidates the cached reply.
   discovery.handle(3, DiscoverMsg({3, NodeSet(n, {0})}));
-  replies = gossip_replies();
+  replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_NE(replies[1], replies[2]);
   EXPECT_EQ(replies[2]->certs.count(3), 1u);
+}
+
+TEST(SinkDiscoveryGossip, ConflictingCertificatesUnionMerge) {
+  // A Byzantine owner may mint conflicting certificates for itself;
+  // receivers merge them by union (DESIGN.md §4.1).
+  const std::size_t n = 8;
+  FakeHost host(0, n, 1);
+  SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
+  discovery.start();
+
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {4})}));
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {5})}));
+  EXPECT_TRUE(discovery.certified_graph().has_edge(3, 4));
+  EXPECT_TRUE(discovery.certified_graph().has_edge(3, 5));
+  auto replies = gossip_replies(host);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_NE(replies[0], replies[1]);
+  ASSERT_EQ(replies[1]->certs.count(3), 1u);
+  EXPECT_EQ(replies[1]->certs.at(3), NodeSet(n, {4, 5}));
+
+  // A certificate the union already covers changes nothing: the reply
+  // stays shared and no admission recheck runs.
+  const auto dirty_before = discovery.stats().dirty_updates;
+  discovery.handle(3, DiscoverMsg({3, NodeSet(n, {4})}));
+  replies = gossip_replies(host);
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[2], replies[1]);
+  EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
 }
 
 /// Recompute-from-scratch reference for the candidate set: self, own PD,
