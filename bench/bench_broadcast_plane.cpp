@@ -151,7 +151,7 @@ BENCHMARK(BM_AllocRatio)->Unit(benchmark::kMillisecond);
 
 scp::Envelope broadcast_envelope() {
   scp::NominateStmt nom;
-  for (Value v = 1000; v < 1016; ++v) nom.voted.insert(v);
+  for (Value v = 1000; v < 1016; ++v) nom.voted.push_back(v);
   const fbqs::QSet qset = fbqs::QSet::threshold_of(
       5, std::vector<ProcessId>{0, 1, 2, 3, 4, 5, 6});
   return scp::Envelope(1, 7, qset, scp::Statement{nom});

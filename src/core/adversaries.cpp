@@ -70,7 +70,7 @@ void ScpEquivocatorNode::on_sink(const sinkdetector::GetSinkResult& result) {
   for (ProcessId peer : audience) {
     if (peer == id()) continue;
     scp::NominateStmt stmt;
-    stmt.voted.insert(peer % 2 == 0 ? value_a_ : value_b_);
+    stmt.voted = {peer % 2 == 0 ? value_a_ : value_b_};
     send(peer, sim::make_message<scp::Envelope>(id(), /*seq=*/1, qset,
                                                 scp::Statement{stmt}));
   }

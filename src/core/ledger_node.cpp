@@ -55,7 +55,7 @@ void LedgerNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
     if (get_sink->origin < universe()) ledger_.add_peer(get_sink->origin);
   }
   if (detector_.handle(from, *msg)) return;
-  if (ledger_.handle(from, *msg)) return;
+  if (ledger_.handle(from, msg)) return;
 }
 
 void LedgerNode::on_timer(int timer_id) {

@@ -55,7 +55,7 @@ void StellarCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
     if (get_sink->origin < universe()) learn_peer(get_sink->origin);
   }
   if (detector_.handle(from, *msg)) return;
-  if (scp_.handle(from, *msg)) {
+  if (scp_.handle(from, msg)) {
     if (scp_.decided()) note_decided();
     return;
   }

@@ -1,5 +1,6 @@
 #include "scp/envelope.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace scup::scp {
@@ -89,14 +90,15 @@ bool accepts_commit(const Statement& s, std::uint32_t n, Value x) {
 
 bool votes_nominate(const Statement& s, Value v) {
   if (const auto* nom = std::get_if<NominateStmt>(&s)) {
-    return nom->voted.count(v) > 0 || nom->accepted.count(v) > 0;
+    return std::binary_search(nom->voted.begin(), nom->voted.end(), v) ||
+           std::binary_search(nom->accepted.begin(), nom->accepted.end(), v);
   }
   return false;
 }
 
 bool accepts_nominate(const Statement& s, Value v) {
   if (const auto* nom = std::get_if<NominateStmt>(&s)) {
-    return nom->accepted.count(v) > 0;
+    return std::binary_search(nom->accepted.begin(), nom->accepted.end(), v);
   }
   return false;
 }
@@ -175,29 +177,29 @@ Ballot get_ballot(sim::WireReader& r) {
   return b;
 }
 
-void put_value_set(sim::WireWriter& w, const std::set<Value>& values) {
+void put_value_list(sim::WireWriter& w, const std::vector<Value>& values) {
   w.u32(static_cast<std::uint32_t>(values.size()));
   for (Value v : values) w.u64(v);
 }
 
-std::set<Value> get_value_set(sim::WireReader& r) {
+std::vector<Value> get_value_list(sim::WireReader& r) {
   const std::uint32_t count = r.u32();
   if (!r.fits(count, 8)) {
     r.fail();
     return {};
   }
-  std::set<Value> values;
-  Value prev = 0;
+  std::vector<Value> values;
+  values.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const Value v = r.u64();
-    // Canonical frames list values in ascending std::set order; enforcing
-    // it makes decode(encode(m)) re-encode byte-identically.
-    if (!r.ok() || (i > 0 && v <= prev)) {
+    // Canonical frames list values strictly ascending (the NominateStmt
+    // invariant); enforcing it makes decode(encode(m)) re-encode
+    // byte-identically.
+    if (!r.ok() || (i > 0 && v <= values.back())) {
       r.fail();
       return {};
     }
-    values.insert(values.end(), v);
-    prev = v;
+    values.push_back(v);
   }
   return values;
 }
@@ -211,8 +213,8 @@ void wire_put_envelope(sim::WireWriter& w, const Envelope& env) {
   w.u8(static_cast<std::uint8_t>(env.statement.index()));
   std::visit(Overloaded{
                  [&](const NominateStmt& nom) {
-                   put_value_set(w, nom.voted);
-                   put_value_set(w, nom.accepted);
+                   put_value_list(w, nom.voted);
+                   put_value_list(w, nom.accepted);
                  },
                  [&](const PrepareStmt& p) {
                    put_ballot(w, p.b);
@@ -245,8 +247,8 @@ std::optional<Envelope> wire_get_envelope(sim::WireReader& r) {
   switch (tag) {
     case 0: {
       NominateStmt nom;
-      nom.voted = get_value_set(r);
-      nom.accepted = get_value_set(r);
+      nom.voted = get_value_list(r);
+      nom.accepted = get_value_list(r);
       statement = std::move(nom);
       break;
     }

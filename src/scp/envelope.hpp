@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <variant>
+#include <vector>
 
 #include "fbqs/qset.hpp"
 #include "scp/ballot.hpp"
@@ -28,10 +28,13 @@ inline constexpr std::uint16_t kWireTypeSlotEnvelope = 17;
 inline constexpr std::size_t kWireMaxQsetDepth = 8;
 
 /// Nomination: x ∈ voted means "I vote to nominate x"; x ∈ accepted means
-/// "I accept that x is nominated".
+/// "I accept that x is nominated". Both lists are strictly ascending (the
+/// wire codec rejects any other order, and ScpNode::handle drops in-memory
+/// NOMINATEs that break it), so membership is a binary search and two
+/// statements diff in one merge walk.
 struct NominateStmt {
-  std::set<Value> voted;
-  std::set<Value> accepted;
+  std::vector<Value> voted;
+  std::vector<Value> accepted;
 };
 
 /// PREPARE(b, p, p', c.n, h.n): votes prepare(b); has accepted prepare(p)

@@ -125,8 +125,8 @@ void LedgerMultiplexer::on_decided(std::uint64_t slot, Value value) {
   }
 }
 
-bool LedgerMultiplexer::handle(ProcessId from, const sim::Message& msg) {
-  const auto* wrapped = dynamic_cast<const SlotEnvelope*>(&msg);
+bool LedgerMultiplexer::handle(ProcessId from, const sim::MessagePtr& msg) {
+  const auto* wrapped = dynamic_cast<const SlotEnvelope*>(msg.get());
   if (wrapped == nullptr) return false;
   if (wrapped->slot == 0 ||
       (target_slots_ != 0 && wrapped->slot > target_slots_)) {
@@ -140,7 +140,7 @@ bool LedgerMultiplexer::handle(ProcessId from, const sim::Message& msg) {
     return true;
   }
   Slot& s = ensure_slot(wrapped->slot);
-  s.node->handle(from, wrapped->envelope);
+  s.node->handle(from, sim::MessagePtr(msg, &wrapped->envelope));
   flush_counters();
   return true;
 }

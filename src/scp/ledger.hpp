@@ -100,7 +100,10 @@ class LedgerMultiplexer {
   void start();
   bool started() const { return started_; }
 
-  bool handle(ProcessId from, const sim::Message& msg);
+  /// Feeds a received message; returns true if consumed (it was a
+  /// SlotEnvelope). The slot's ScpNode stores an aliasing pointer to the
+  /// inner envelope, which keeps `msg` alive.
+  bool handle(ProcessId from, const sim::MessagePtr& msg);
 
   /// Routes ledger timer ids; returns true iff the id mapped to an existing
   /// slot (ids in the ledger range with no matching slot are NOT claimed,

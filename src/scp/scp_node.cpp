@@ -1,7 +1,11 @@
 #include "scp/scp_node.hpp"
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 
@@ -12,6 +16,52 @@ namespace {
 /// dropped and rebuilt on demand (bounds memory against ballot churn; never
 /// hit in healthy runs).
 constexpr std::size_t kMaxTrackedPredicates = 4096;
+
+/// True iff both lists of `nom` are strictly ascending (the NominateStmt
+/// invariant the merge walk below relies on).
+bool well_formed(const NominateStmt& nom) {
+  const auto ascending = [](const std::vector<Value>& values) {
+    return std::adjacent_find(values.begin(), values.end(),
+                              std::greater_equal<>()) == values.end();
+  };
+  return ascending(nom.voted) && ascending(nom.accepted);
+}
+
+/// What one NOMINATE says about one value: it names it (votes for or
+/// accepts it: the kNomVote predicate), and whether it accepts it
+/// (kNomAccept).
+struct Naming {
+  bool named = false;
+  bool accepted = false;
+};
+
+/// Walks the union of the values two NOMINATEs name in one ascending merge
+/// of their four strictly ascending lists, calling visit(x, what `was` says
+/// about x, what `now` says). A null `was` names nothing.
+template <class Visit>
+void diff_nominations(const NominateStmt* was, const NominateStmt& now,
+                      Visit visit) {
+  std::array<std::span<const Value>, 4> lists{};
+  if (was != nullptr) lists = {was->voted, was->accepted, {}, {}};
+  lists[2] = now.voted;
+  lists[3] = now.accepted;
+  while (true) {
+    const std::span<const Value>* lowest = nullptr;
+    for (const auto& list : lists) {
+      if (!list.empty() && (lowest == nullptr || list[0] < (*lowest)[0])) {
+        lowest = &list;
+      }
+    }
+    if (lowest == nullptr) return;
+    const Value x = (*lowest)[0];
+    std::array<bool, 4> in{};
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      in[i] = !lists[i].empty() && lists[i][0] == x;
+      if (in[i]) lists[i] = lists[i].subspan(1);
+    }
+    visit(x, Naming{in[0] || in[1], in[1]}, Naming{in[2] || in[3], in[3]});
+  }
+}
 }  // namespace
 
 void flush_quorum_counters(sim::ProtocolHost& host,
@@ -43,6 +93,7 @@ ScpNode::ScpNode(sim::ProtocolHost& host, std::size_t universe,
       own_value_(own_value),
       config_(config),
       peers_(universe),
+      nom_unechoed_(universe),
       owned_engine_(engine == nullptr
                         ? std::make_unique<fbqs::QuorumEngine>()
                         : nullptr),
@@ -80,7 +131,7 @@ void ScpNode::add_peer(ProcessId peer) {
   for (const auto* map : {&latest_nom_, &latest_ballot_}) {
     const auto it = map->find(host_.self());
     if (it != map->end()) {
-      host_.host_send(peer, sim::make_message<Envelope>(it->second));
+      host_.host_send(peer, sim::make_message<Envelope>(*it->second));
     }
   }
 }
@@ -100,34 +151,50 @@ void ScpNode::start() {
   flush_counters();
 }
 
-bool ScpNode::handle(ProcessId from, const sim::Message& msg) {
-  const auto* env = dynamic_cast<const Envelope*>(&msg);
+bool ScpNode::handle(ProcessId from, const sim::MessagePtr& msg) {
+  const auto* env = dynamic_cast<const Envelope*>(msg.get());
   if (env == nullptr) return false;
   if (env->sender != from) return true;  // forged sender field: drop
+  const auto* nom = std::get_if<NominateStmt>(&env->statement);
+  // Malformed NOMINATE: drop before it can touch any state.
+  if (nom != nullptr && !well_formed(*nom)) return true;
 
-  const bool ballot = is_ballot_statement(env->statement);
-  auto& stream = ballot ? latest_ballot_ : latest_nom_;
+  const auto& stream = nom == nullptr ? latest_ballot_ : latest_nom_;
   const auto it = stream.find(from);
-  if (it != stream.end() && it->second.seq >= env->seq) return true;  // stale
-  stream.insert_or_assign(from, *env);
-  note_statement_update(from, ballot);
+  if (it != stream.end() && it->second->seq >= env->seq) return true;  // stale
+  // scup-sanitize: msg holds env, whose sender was checked against from
+  const EnvelopePtr prev = store_statement(EnvelopePtr(msg, env));
 
   // Every value a NOMINATE names joins the work list (until we have decided
   // — nomination stops there). Before start() it is only buffered there;
   // after, echo-all nomination also votes for it, and a value we already
-  // vote for is already listed or a candidate.
-  const auto* nom = std::get_if<NominateStmt>(&env->statement);
-  if (nom != nullptr && !decided_) {
-    bool grew = false;
-    for (const std::set<Value>* values : {&nom->voted, &nom->accepted}) {
-      for (Value v : *values) {
+  // vote for is already listed or a candidate. So only values the sender
+  // did not name before can change anything: the rest were listed, and
+  // voted for if we had started, when its previous NOMINATE arrived. The
+  // exception is a previous NOMINATE buffered before start(): its values
+  // were never voted for, so the first one after start() walks them all.
+  if (nom != nullptr) {
+    const bool walk_all = started_ && nom_unechoed_.contains(from);
+    if (started_) {
+      nom_unechoed_.remove(from);
+    } else {
+      nom_unechoed_.add(from);
+    }
+    if (!decided_) {
+      const NominateStmt* seen = nullptr;
+      if (prev != nullptr && !walk_all) {
+        seen = &std::get<NominateStmt>(prev->statement);
+      }
+      bool grew = false;
+      diff_nominations(seen, *nom, [&](Value v, Naming before, Naming after) {
+        if (!after.named || before.named) return;
         if (!started_ || nom_voted_.insert(v).second) {
           nom_open_.insert(v);
           grew = true;
         }
-      }
+      });
+      if (started_ && grew) emit_nomination();
     }
-    if (started_ && grew) emit_nomination();
   }
   if (!started_) return true;  // buffered; acted on at start
   advance();
@@ -172,41 +239,65 @@ const NodeSet& ScpNode::support_view(const PredKey& key) const {
   // First query of this predicate: one scan over its stream (a sender
   // supports it if its current statement there implies it; the other
   // stream never does), then the view stays fresh via
-  // note_statement_update().
+  // store_statement().
   NodeSet s(peers_.universe_size());
   for (const auto& [id, env] : nomination ? latest_nom_ : latest_ballot_) {
-    if (pred_holds(key, env.statement)) s.add(id);
+    if (pred_holds(key, env->statement)) s.add(id);
   }
   engine_->count_support_rebuild();
   return table.emplace(key, std::move(s)).first->second;
 }
 
-void ScpNode::note_statement_update(ProcessId id, bool ballot) {
-  const auto nom_it = latest_nom_.find(id);
-  const auto bal_it = latest_ballot_.find(id);
+ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
+  const Envelope& stored = *env;  // owned by its map entry from here on
+  const ProcessId id = stored.sender;
+  const bool ballot = is_ballot_statement(stored.statement);
+  auto& entry = (ballot ? latest_ballot_ : latest_nom_)[id];
+  EnvelopePtr prev = std::exchange(entry, std::move(env));
   if (nom_support_.size() + ballot_support_.size() > kMaxTrackedPredicates) {
     // Rebuilt lazily; counted per-view as rebuilds.
     nom_support_.clear();
     ballot_support_.clear();
   }
-  const Statement& s = ballot ? bal_it->second.statement
-                              : nom_it->second.statement;
-  // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
-  for (auto& [key, view] : ballot ? ballot_support_ : nom_support_) {
-    if (pred_holds(key, s)) {
+  const auto set_member = [id](NodeSet& view, bool member) {
+    if (member) {
       view.add(id);
     } else {
       view.remove(id);
     }
+  };
+  if (ballot) {
+    // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
+    for (auto& [key, view] : ballot_support_) {
+      set_member(view, pred_holds(key, stored.statement));
+    }
+  } else {
+    // A nomination view's membership for this sender can only change at a
+    // value its previous or new NOMINATE names.
+    const NominateStmt* was = nullptr;
+    if (prev != nullptr) was = &std::get<NominateStmt>(prev->statement);
+    const auto& now = std::get<NominateStmt>(stored.statement);
+    diff_nominations(was, now, [&](Value x, Naming before, Naming after) {
+      if (before.named != after.named) {
+        const auto it = nom_support_.find({PredClass::kNomVote, 0, x});
+        if (it != nom_support_.end()) set_member(it->second, after.named);
+      }
+      if (before.accepted != after.accepted) {
+        const auto it = nom_support_.find({PredClass::kNomAccept, 0, x});
+        if (it != nom_support_.end()) set_member(it->second, after.accepted);
+      }
+    });
   }
   engine_->count_support_update();
   // Effective qset: the ballot-stream envelope wins when both exist (they
   // are the same for correct senders anyway).
-  if (bal_it != latest_ballot_.end()) {
-    bind_qset(id, bal_it->second.qset);
-  } else if (nom_it != latest_nom_.end()) {
-    bind_qset(id, nom_it->second.qset);
+  const Envelope* effective = &stored;
+  if (!ballot) {
+    const auto it = latest_ballot_.find(id);
+    if (it != latest_ballot_.end()) effective = it->second.get();
   }
+  bind_qset(id, effective->qset);
+  return prev;
 }
 
 void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
@@ -237,11 +328,10 @@ bool ScpNode::support_views_consistent() const {
         return false;
       }
       NodeSet fresh(peers_.universe_size());
-      for (const auto& [id, env] : latest_nom_) {
-        if (pred_holds(key, env.statement)) fresh.add(id);
-      }
-      for (const auto& [id, env] : latest_ballot_) {
-        if (pred_holds(key, env.statement)) fresh.add(id);
+      for (const auto* map : {&latest_nom_, &latest_ballot_}) {
+        for (const auto& [id, env] : *map) {
+          if (pred_holds(key, env->statement)) fresh.add(id);
+        }
       }
       if (!(fresh == view)) return false;
     }
@@ -251,12 +341,19 @@ bool ScpNode::support_views_consistent() const {
 
 bool ScpNode::nomination_worklist_consistent() const {
   if (decided_) return nom_open_.empty();
-  // S: our votes plus every value a stored NOMINATE names.
+  // S: our votes plus every value a stored NOMINATE names. A NOMINATE
+  // handled after start() has been echoed: all it names is in our votes.
   std::set<Value> seen = nom_voted_;
   for (const auto& [id, env] : latest_nom_) {
-    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
-      seen.insert(nom->voted.begin(), nom->voted.end());
-      seen.insert(nom->accepted.begin(), nom->accepted.end());
+    const auto& nom = std::get<NominateStmt>(env->statement);
+    for (const auto* values : {&nom.voted, &nom.accepted}) {
+      for (Value v : *values) {
+        if (started_ && !nom_unechoed_.contains(id) &&
+            nom_voted_.count(v) == 0) {
+          return false;
+        }
+        seen.insert(v);
+      }
     }
   }
   for (Value v : seen) {
@@ -269,7 +366,7 @@ bool ScpNode::nomination_worklist_consistent() const {
     const PredKey votes{PredClass::kNomVote, 0, v};
     for (const auto* map : {&latest_nom_, &latest_ballot_}) {
       for (const auto& [id, env] : *map) {
-        if (pred_holds(votes, env.statement)) return false;
+        if (pred_holds(votes, env->statement)) return false;
       }
     }
   }
@@ -287,9 +384,9 @@ bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
 }
 
 bool ScpNode::is_vblocking(const PredKey& pred) const {
-  NodeSet blockers = support_view(pred);
-  blockers.remove(host_.self());
-  return engine_->blocked_for(own_qset_id_, blockers);
+  vblock_scratch_ = support_view(pred);
+  vblock_scratch_.remove(host_.self());
+  return engine_->blocked_for(own_qset_id_, vblock_scratch_);
 }
 
 bool ScpNode::federated_accept(const PredKey& votes_or_accepts,
@@ -379,7 +476,7 @@ bool ScpNode::maybe_start_ballot() {
     Ballot best;
     for (const auto& [id, env] : latest_ballot_) {
       if (id == host_.self()) continue;
-      const Ballot wb = working_ballot(env.statement);
+      const Ballot wb = working_ballot(env->statement);
       if (wb.valid() && best < wb) best = wb;
     }
     if (!best.valid()) return false;
@@ -409,15 +506,15 @@ std::vector<Ballot> ScpNode::candidate_ballots() const {
   };
   push(b_);
   for (const auto& [id, env] : latest_ballot_) {
-    if (const auto* p = std::get_if<PrepareStmt>(&env.statement)) {
+    if (const auto* p = std::get_if<PrepareStmt>(&env->statement)) {
       push(p->b);
       push(p->p);
       push(p->p_prime);
-    } else if (const auto* c = std::get_if<ConfirmStmt>(&env.statement)) {
+    } else if (const auto* c = std::get_if<ConfirmStmt>(&env->statement)) {
       push(c->b);
       push(Ballot{c->p_n, c->b.x});
       push(Ballot{c->h_n, c->b.x});
-    } else if (const auto* e = std::get_if<ExternalizeStmt>(&env.statement)) {
+    } else if (const auto* e = std::get_if<ExternalizeStmt>(&env->statement)) {
       push(e->commit);
       push(Ballot{e->h_n, e->commit.x});
     }
@@ -507,17 +604,17 @@ std::vector<std::uint32_t> ScpNode::commit_boundaries(Value x) const {
     push(h_.n);
   }
   for (const auto& [id, env] : latest_ballot_) {
-    if (const auto* p = std::get_if<PrepareStmt>(&env.statement)) {
+    if (const auto* p = std::get_if<PrepareStmt>(&env->statement)) {
       if (p->b.x == x) {
         push(p->c_n);
         push(p->h_n);
       }
-    } else if (const auto* c = std::get_if<ConfirmStmt>(&env.statement)) {
+    } else if (const auto* c = std::get_if<ConfirmStmt>(&env->statement)) {
       if (c->b.x == x) {
         push(c->c_n);
         push(c->h_n);
       }
-    } else if (const auto* e = std::get_if<ExternalizeStmt>(&env.statement)) {
+    } else if (const auto* e = std::get_if<ExternalizeStmt>(&env->statement)) {
       if (e->commit.x == x) {
         push(e->commit.n);
         push(e->h_n);
@@ -628,20 +725,19 @@ Statement ScpNode::ballot_statement() const {
 
 void ScpNode::emit_nomination() {
   ++seq_;
-  Envelope env(host_.self(), seq_, qset_,
-               Statement{NominateStmt{nom_voted_, nom_accepted_}});
-  latest_nom_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self(), /*ballot=*/false);
-  const auto msg = sim::make_message<Envelope>(std::move(env));
+  NominateStmt nom{{nom_voted_.begin(), nom_voted_.end()},
+                   {nom_accepted_.begin(), nom_accepted_.end()}};
+  const auto msg = sim::make_message<Envelope>(host_.self(), seq_, qset_,
+                                               Statement{std::move(nom)});
+  store_statement(std::static_pointer_cast<const Envelope>(msg));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
 
 void ScpNode::emit_ballot() {
   ++seq_;
-  Envelope env(host_.self(), seq_, qset_, ballot_statement());
-  latest_ballot_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self(), /*ballot=*/true);
-  const auto msg = sim::make_message<Envelope>(std::move(env));
+  const auto msg = sim::make_message<Envelope>(host_.self(), seq_, qset_,
+                                               ballot_statement());
+  store_statement(std::static_pointer_cast<const Envelope>(msg));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
 

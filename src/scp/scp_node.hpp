@@ -45,6 +45,17 @@
 // NOMINATE drops a value we only saw before start(): it stays listed, but
 // no stored statement supports it any more, so it can never be accepted
 // (nomination_worklist_consistent() checks both properties).
+//
+// A received NOMINATE costs what it changes. Stored envelopes are shared
+// pointers to the delivered messages (our own: to the message we send), not
+// copies. A NOMINATE's lists are strictly ascending, so the sender's
+// previous and new statement diff in one merge walk: only the nomination
+// views whose membership changed are touched, and only values the sender
+// did not name before are echoed. Views depend only on each sender's latest
+// statement, so this leaves every view, and hence every engine query,
+// exactly as a full re-test would. The echo is exact because every value of
+// a NOMINATE handled after start() is already in our votes; a sender whose
+// stored NOMINATE was buffered before start() gets one full walk instead.
 #pragma once
 
 #include <functional>
@@ -83,6 +94,9 @@ void flush_quorum_counters(sim::ProtocolHost& host,
 
 class ScpNode {
  public:
+  /// A stored statement: shares the delivered (or sent) message.
+  using EnvelopePtr = std::shared_ptr<const Envelope>;
+
   /// `universe` is the total number of process ids (needed at construction
   /// time, before the host is attached to a simulation). `engine` is the
   /// shared quorum-evaluation layer; when null the node owns a private one
@@ -110,8 +124,10 @@ class ScpNode {
   bool started() const { return started_; }
 
   /// Feeds a received message; returns true if consumed (it was an SCP
-  /// envelope).
-  bool handle(ProcessId from, const sim::Message& msg);
+  /// envelope). A consumed envelope is stored by sharing `msg` (an aliasing
+  /// pointer to an envelope nested in a larger message works too), never
+  /// copied. A NOMINATE whose lists are not strictly ascending is dropped.
+  bool handle(ProcessId from, const sim::MessagePtr& msg);
 
   /// Must be called by the host when kScpBallotTimerId fires.
   void on_ballot_timer();
@@ -143,8 +159,12 @@ class ScpNode {
   /// Latest ballot-protocol envelopes by sender (self included) — lets
   /// tests audit every statement this node currently believes / has
   /// emitted (e.g. the PREPARE commit-range invariant).
-  const std::map<ProcessId, Envelope>& ballot_envelopes() const {
+  const std::map<ProcessId, EnvelopePtr>& ballot_envelopes() const {
     return latest_ballot_;
+  }
+  /// Latest NOMINATE envelopes by sender (self included).
+  const std::map<ProcessId, EnvelopePtr>& nomination_envelopes() const {
+    return latest_nom_;
   }
 
   /// Debug: rebuilds every materialized support view from scratch (over
@@ -157,9 +177,11 @@ class ScpNode {
   /// Debug: recomputes from the envelope maps the set S that `nom_open_`
   /// stands for (our votes plus every value a stored NOMINATE names),
   /// without touching the support views. True iff every value of S that is
-  /// not a candidate is listed, no candidate is listed, and every listed
-  /// value outside S has no supporter in either stream (so it can never be
-  /// accepted). The list is empty once decided: nomination stops there.
+  /// not a candidate is listed, no candidate is listed, every listed value
+  /// outside S has no supporter in either stream (so it can never be
+  /// accepted), and every value named by a stored NOMINATE that was handled
+  /// after start() is in our votes (the echo). The list is empty once
+  /// decided: nomination stops there.
   bool nomination_worklist_consistent() const;
 
   /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the
@@ -209,13 +231,15 @@ class ScpNode {
 
   /// The materialized support set for a predicate: which senders' current
   /// statements imply it. Built by one scan of the predicate's stream on
-  /// first query, then kept fresh by note_statement_update().
+  /// first query, then kept fresh by store_statement().
   const NodeSet& support_view(const PredKey& key) const;
 
-  /// Refreshes the support views of the stream whose latest statement from
-  /// sender `id` changed (`ballot` selects the stream), then the sender's
-  /// effective qset id.
-  void note_statement_update(ProcessId id, bool ballot);
+  /// Makes `env` its sender's latest statement of its stream, refreshes
+  /// that stream's support views, then the sender's effective qset id.
+  /// Returns the statement it replaced (null on the sender's first). A
+  /// NOMINATE touches only the views of values where it differs from the
+  /// one it replaced; a ballot statement re-tests every ballot view.
+  EnvelopePtr store_statement(EnvelopePtr env);
 
   /// Re-binds the sender's effective qset (ballot stream wins) when it
   /// differs structurally from the bound one. Nothing is cleared: the
@@ -271,11 +295,15 @@ class ScpNode {
   std::uint32_t ext_h_n_ = 0;
   std::optional<Value> decided_;
 
+  /// Senders whose stored NOMINATE was handled before start(), so was never
+  /// echoed into our votes; their next NOMINATE echoes every value it names.
+  NodeSet nom_unechoed_;
+
   // Nomination and ballot protocols are separate message streams (as in
   // stellar-core): a sender's latest envelope of each kind is stored
   // independently, so progress on one never erases evidence for the other.
-  std::map<ProcessId, Envelope> latest_nom_;
-  std::map<ProcessId, Envelope> latest_ballot_;
+  std::map<ProcessId, EnvelopePtr> latest_nom_;
+  std::map<ProcessId, EnvelopePtr> latest_ballot_;
 
   // -- quorum evaluation layer --
   std::unique_ptr<fbqs::QuorumEngine> owned_engine_;  // null when shared
@@ -291,6 +319,8 @@ class ScpNode {
   /// over the envelope maps, lazily extended by const query paths.
   mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> nom_support_;
   mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> ballot_support_;
+  /// is_vblocking()'s scratch copy of a support view without ourselves.
+  mutable NodeSet vblock_scratch_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).
   fbqs::QuorumEngineStats flushed_;
 };

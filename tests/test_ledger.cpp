@@ -161,13 +161,14 @@ class LedgerFakeHost : public sim::ProtocolHost {
   std::size_t n_;
 };
 
-scp::Envelope nominate_envelope(ProcessId sender, std::uint64_t seq,
-                                Value v) {
+/// A NOMINATE of `v` from sender 1, wrapped for `slot`.
+sim::MessagePtr slot_nominate(std::uint64_t slot, std::uint64_t seq, Value v) {
   const fbqs::QSet q =
       fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2});
   scp::NominateStmt nom;
-  nom.voted.insert(v);
-  return scp::Envelope(sender, seq, q, scp::Statement{nom});
+  nom.voted = {v};
+  return sim::make_message<scp::SlotEnvelope>(
+      slot, scp::Envelope(1, seq, q, scp::Statement{nom}));
 }
 
 TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
@@ -187,14 +188,12 @@ TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
     const std::size_t before = mux.allocated_slots();
 
     const std::uint64_t huge = 1'000'000'000'000'000'000ull;  // 10^18
-    EXPECT_TRUE(mux.handle(
-        1, scp::SlotEnvelope(huge, nominate_envelope(1, 1, 7))));
+    EXPECT_TRUE(mux.handle(1, slot_nominate(huge, 1, 7)));
     EXPECT_EQ(mux.slot_node(huge), nullptr);
 
     // Flood: 10k distinct far-future slots from the same Byzantine peer.
     for (std::uint64_t i = 0; i < 10'000; ++i) {
-      mux.handle(1, scp::SlotEnvelope(scp::kDefaultSlotWindow + 2 + i,
-                                      nominate_envelope(1, 2 + i, 7)));
+      mux.handle(1, slot_nominate(scp::kDefaultSlotWindow + 2 + i, 2 + i, 7));
     }
     EXPECT_EQ(mux.allocated_slots(), before)
         << "target=" << target << ": flood must allocate nothing";
@@ -206,9 +205,8 @@ TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
 
     // Near-future slots inside the window still buffer (fast peers must
     // not be cut off): the last admissible slot is next_to_start_+W-1.
-    EXPECT_TRUE(mux.handle(
-        1, scp::SlotEnvelope(scp::kDefaultSlotWindow + 1,
-                             nominate_envelope(1, 50'000, 7))));
+    EXPECT_TRUE(
+        mux.handle(1, slot_nominate(scp::kDefaultSlotWindow + 1, 50'000, 7)));
     if (target == 0) {
       EXPECT_NE(mux.slot_node(scp::kDefaultSlotWindow + 1), nullptr);
       EXPECT_EQ(mux.allocated_slots(), before + 1);
@@ -217,6 +215,42 @@ TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
       EXPECT_EQ(mux.slot_node(scp::kDefaultSlotWindow + 1), nullptr);
     }
   }
+}
+
+TEST(LedgerMultiplexerTest, StoredEnvelopeAliasesTheDeliveredSlotEnvelope) {
+  // A slot stores a received envelope as an aliasing pointer into the
+  // delivered SlotEnvelope, not a copy: the entry points at the wrapper's
+  // inner envelope and keeps the wrapper alive after the caller lets go.
+  LedgerFakeHost host(0, 3);
+  const fbqs::QSet q =
+      fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2});
+  scp::LedgerMultiplexer mux(host, 3, q, /*target_slots=*/0);
+  mux.value_provider = [](std::uint64_t slot) { return 1000 + slot; };
+  mux.add_peer(1);
+  mux.add_peer(2);
+  mux.start();
+
+  scp::PrepareStmt prep;
+  prep.b = scp::Ballot{2, 77};
+  prep.p = scp::Ballot{1, 77};
+  sim::MessagePtr msg = sim::make_message<scp::SlotEnvelope>(
+      1, scp::Envelope(1, 9, q, scp::Statement{prep}));
+  const auto* wrapped = dynamic_cast<const scp::SlotEnvelope*>(msg.get());
+  ASSERT_NE(wrapped, nullptr);
+  const scp::Envelope* inner = &wrapped->envelope;
+  ASSERT_EQ(msg.use_count(), 1);
+  EXPECT_TRUE(mux.handle(1, msg));
+  msg.reset();  // the slot's stored pointer is now the only owner
+
+  const scp::ScpNode* node = mux.slot_node(1);
+  ASSERT_NE(node, nullptr);
+  const auto& stored = node->ballot_envelopes().at(1);
+  EXPECT_EQ(stored.get(), inner);
+  EXPECT_EQ(stored->sender, 1u);
+  EXPECT_EQ(stored->seq, 9u);
+  const auto& read = std::get<scp::PrepareStmt>(stored->statement);
+  EXPECT_EQ(read.b, (scp::Ballot{2, 77}));
+  EXPECT_EQ(read.p, (scp::Ballot{1, 77}));
 }
 
 TEST(LedgerMultiplexerTest, OnTimerClaimsOnlyExistingSlots) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -251,9 +252,10 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
   // Peers nominate 42: node accepts, ratifies, moves to PREPARE.
   for (ProcessId p = 1; p < kN; ++p) {
     NominateStmt nom;
-    nom.voted.insert(42);
-    nom.accepted.insert(42);
-    node.handle(p, Envelope(p, 1, majority4(), Statement{nom}));
+    nom.voted = {42};
+    nom.accepted = {42};
+    node.handle(p, sim::make_message<Envelope>(p, 1, majority4(),
+                                               Statement{nom}));
     EXPECT_TRUE(node.support_views_consistent()) << "after nominate from " << p;
   }
   EXPECT_EQ(node.phase(), ScpNode::Phase::kPrepare);
@@ -263,7 +265,8 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
     PrepareStmt prep;
     prep.b = Ballot{1, 42};
     prep.p = Ballot{1, 42};
-    node.handle(p, Envelope(p, 2, majority4(), Statement{prep}));
+    node.handle(p, sim::make_message<Envelope>(p, 2, majority4(),
+                                               Statement{prep}));
     EXPECT_TRUE(node.support_views_consistent()) << "after prepare from " << p;
   }
   for (ProcessId p = 1; p < kN; ++p) {
@@ -272,7 +275,8 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
     prep.p = Ballot{1, 42};
     prep.c_n = 1;
     prep.h_n = 1;
-    node.handle(p, Envelope(p, 3, majority4(), Statement{prep}));
+    node.handle(p, sim::make_message<Envelope>(p, 3, majority4(),
+                                               Statement{prep}));
     EXPECT_TRUE(node.support_views_consistent());
   }
   for (ProcessId p = 1; p < kN; ++p) {
@@ -281,7 +285,8 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
     conf.p_n = 1;
     conf.c_n = 1;
     conf.h_n = 1;
-    node.handle(p, Envelope(p, 4, majority4(), Statement{conf}));
+    node.handle(p, sim::make_message<Envelope>(p, 4, majority4(),
+                                               Statement{conf}));
     EXPECT_TRUE(node.support_views_consistent());
   }
   ASSERT_TRUE(node.decided());
@@ -311,10 +316,11 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   node.start();
 
   NominateStmt nom;
-  nom.voted.insert(42);
-  nom.accepted.insert(42);
+  nom.voted = {42};
+  nom.accepted = {42};
   for (ProcessId p = 1; p < kN; ++p) {
-    node.handle(p, Envelope(p, 1, majority4(), Statement{nom}));
+    node.handle(p, sim::make_message<Envelope>(p, 1, majority4(),
+                                               Statement{nom}));
   }
   const auto runs_before = node.engine().stats().closure_runs;
 
@@ -324,8 +330,8 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   const fbqs::QSet other =
       fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2, 3});
   NominateStmt nom2 = nom;
-  nom2.voted.insert(43);  // grow the statement so the envelope is fresh
-  node.handle(1, Envelope(1, 5, other, Statement{nom2}));
+  nom2.voted.push_back(43);  // grow the statement so the envelope is fresh
+  node.handle(1, sim::make_message<Envelope>(1, 5, other, Statement{nom2}));
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_GT(node.engine().stats().closure_runs, runs_before)
       << "qset change must invalidate the closure cache";
@@ -349,19 +355,65 @@ TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
     s.b = Ballot{1, 103};
     s.p = Ballot{1, 103};
     s.p_prime = Ballot{1, 102};
-    node.handle(p, Envelope(p, 1, q, Statement{s}));
+    node.handle(p, sim::make_message<Envelope>(p, 1, q, Statement{s}));
   }
   ASSERT_EQ(node.phase(), ScpNode::Phase::kPrepare);
   for (ProcessId p = 3; p <= 4; ++p) {
     PrepareStmt s;
     s.b = Ballot{1, 101};
     s.p = Ballot{1, 101};
-    node.handle(p, Envelope(p, 1, q, Statement{s}));
+    node.handle(p, sim::make_message<Envelope>(p, 1, q, Statement{s}));
   }
   const auto& self = node.ballot_envelopes().at(0);
-  const auto& prep = std::get<PrepareStmt>(self.statement);
+  const auto& prep = std::get<PrepareStmt>(self->statement);
   EXPECT_EQ(prep.p, (Ballot{1, 103}));
   EXPECT_EQ(prep.p_prime, (Ballot{1, 102}));
+  EXPECT_TRUE(node.support_views_consistent());
+  EXPECT_TRUE(node.nomination_worklist_consistent());
+}
+
+TEST(ScpNodeEngineTest, MalformedNominateIsDroppedBeforeAnyStateChanges) {
+  // A NOMINATE whose voted or accepted list is not strictly ascending is
+  // dropped by handle() before it touches any state. It must not even reach
+  // the stale-seq check: had it been stored, its high seq would make the
+  // sender's later, lower-seq NOMINATE stale.
+  constexpr std::size_t kN = 4;
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, majority4(), /*own_value=*/42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  const auto stored = sim::make_message<Envelope>(
+      1, 5, majority4(), Statement{NominateStmt{{42, 50}, {42}}});
+  node.handle(1, stored);
+  ASSERT_EQ(node.nomination_envelopes().at(1), stored);
+  const std::size_t emitted = node.envelopes_emitted();
+  const std::size_t sent = host.sent.size();
+
+  const std::vector<NominateStmt> malformed = {
+      NominateStmt{{77, 60}, {}},       // voted unsorted
+      NominateStmt{{60, 77, 77}, {}},   // voted duplicate
+      NominateStmt{{60}, {77, 60}},     // accepted unsorted
+      NominateStmt{{60, 77}, {77, 77}}  // accepted duplicate
+  };
+  std::uint64_t seq = 100;
+  for (const NominateStmt& nom : malformed) {
+    const auto msg =
+        sim::make_message<Envelope>(1, ++seq, majority4(), Statement{nom});
+    EXPECT_TRUE(node.handle(1, msg));
+    EXPECT_EQ(node.nomination_envelopes().at(1), stored) << "seq=" << seq;
+    EXPECT_EQ(node.envelopes_emitted(), emitted) << "seq=" << seq;
+    EXPECT_EQ(host.sent.size(), sent) << "seq=" << seq;
+    EXPECT_TRUE(node.support_views_consistent()) << "seq=" << seq;
+    EXPECT_TRUE(node.nomination_worklist_consistent()) << "seq=" << seq;
+  }
+
+  // A well-formed NOMINATE with a seq below every dropped one is stored,
+  // and its new values are echoed.
+  const auto later = sim::make_message<Envelope>(
+      1, 6, majority4(), Statement{NominateStmt{{42, 50, 60}, {42}}});
+  node.handle(1, later);
+  EXPECT_EQ(node.nomination_envelopes().at(1), later);
+  EXPECT_GT(node.envelopes_emitted(), emitted);
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_TRUE(node.nomination_worklist_consistent());
 }
@@ -371,13 +423,16 @@ TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
 Statement random_statement(Rng& rng) {
   switch (rng.uniform(4)) {
     case 0: {
-      NominateStmt s;
+      // Drawn as sets, sent as the strictly ascending lists handle() needs.
+      std::set<Value> voted;
+      std::set<Value> accepted;
       const std::size_t k = 1 + rng.uniform(3);
       for (std::size_t i = 0; i < k; ++i) {
         const Value v = 100 + rng.uniform(4);
-        if (rng.uniform(2) == 0) s.voted.insert(v); else s.accepted.insert(v);
+        if (rng.uniform(2) == 0) voted.insert(v); else accepted.insert(v);
       }
-      return s;
+      return NominateStmt{{voted.begin(), voted.end()},
+                          {accepted.begin(), accepted.end()}};
     }
     case 1: {
       PrepareStmt s;
@@ -408,6 +463,15 @@ Statement random_statement(Rng& rng) {
   }
 }
 
+/// One sender's successive NOMINATEs around value `v`: it votes v, moves v
+/// from voted to accepted, drops v, then names it again. Each step changes
+/// the nomination views of v, so the diff update must add and remove.
+std::vector<NominateStmt> churn_nominations(Value v) {
+  constexpr Value kOther = 101;
+  return {NominateStmt{{v}, {}}, NominateStmt{{}, {v}},
+          NominateStmt{{kOther}, {}}, NominateStmt{{kOther, v}, {v}}};
+}
+
 TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
   constexpr std::size_t kN = 6;
   const fbqs::QSet qa =
@@ -434,26 +498,44 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
     // one input where the list holds a value outside the set it stands for.
     for (int step = 0; step < 12; ++step) {
       const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
-      node.handle(p, Envelope(p, ++seq[p], qa, random_statement(rng)));
+      node.handle(p, sim::make_message<Envelope>(p, ++seq[p], qa,
+                                                 random_statement(rng)));
       ASSERT_NO_FATAL_FAILURE(check("pre-start", step));
     }
     constexpr Value kDropped = 200;
     NominateStmt wide;
     wide.voted = {100, kDropped};
     wide.accepted = {kDropped};
-    node.handle(1, Envelope(1, ++seq[1], qa, Statement{wide}));
+    node.handle(1, sim::make_message<Envelope>(1, ++seq[1], qa,
+                                               Statement{wide}));
     ASSERT_NO_FATAL_FAILURE(check("pre-start wide", 0));
     NominateStmt narrow;
     narrow.voted = {100};
-    node.handle(1, Envelope(1, ++seq[1], qa, Statement{narrow}));
+    node.handle(1, sim::make_message<Envelope>(1, ++seq[1], qa,
+                                               Statement{narrow}));
     ASSERT_NO_FATAL_FAILURE(check("pre-start narrow", 0));
+
+    // Sender 2 churns a value nobody else names, before and after start().
+    // The first churn step after start() names a value its buffered
+    // NOMINATE already named, so only the one-time full walk echoes it.
+    constexpr Value kChurned = 300;
+    const auto churn = [&](const char* phase) {
+      for (const NominateStmt& nom : churn_nominations(kChurned)) {
+        node.handle(2, sim::make_message<Envelope>(2, ++seq[2], qa,
+                                                   Statement{nom}));
+        ASSERT_NO_FATAL_FAILURE(check(phase, 0));
+      }
+    };
+    ASSERT_NO_FATAL_FAILURE(churn("pre-start churn"));
 
     node.start();
     ASSERT_NO_FATAL_FAILURE(check("start", 0));
+    ASSERT_NO_FATAL_FAILURE(churn("churn"));
     for (int step = 0; step < 120; ++step) {
       const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
       const fbqs::QSet& q = rng.uniform(4) == 0 ? qb : qa;
-      node.handle(p, Envelope(p, ++seq[p], q, random_statement(rng)));
+      node.handle(p, sim::make_message<Envelope>(p, ++seq[p], q,
+                                                 random_statement(rng)));
       ASSERT_NO_FATAL_FAILURE(check("run", step));
     }
     EXPECT_EQ(node.candidates().count(kDropped), 0u);

@@ -22,7 +22,7 @@ class ScpOnlyNode : public sim::ComposedNode {
     scp_.start();
   }
   void on_message(ProcessId from, const sim::MessagePtr& msg) override {
-    scp_.handle(from, *msg);
+    scp_.handle(from, msg);
   }
   void on_timer(int timer_id) override {
     if (timer_id == kScpBallotTimerId) scp_.on_ballot_timer();
@@ -41,7 +41,7 @@ class NominationEquivocator : public sim::ComposedNode {
     for (ProcessId p = 0; p < universe_n_; ++p) {
       if (p == id()) continue;
       NominateStmt stmt;
-      stmt.voted.insert(p % 2 == 0 ? 71 : 72);
+      stmt.voted = {p % 2 == 0 ? Value{71} : Value{72}};
       send(p, std::make_shared<const Envelope>(id(), 1, qset_,
                                                Statement{stmt}));
     }
@@ -158,15 +158,33 @@ TEST(ScpTest, RotatingQsetsAreBoundedByTheRebindBudget) {
   const std::size_t before = node.scp_.engine().interned_count();
   for (std::uint64_t i = 0; i < 32; ++i) {
     NominateStmt stmt;
-    stmt.voted.insert(42);
+    stmt.voted = {42};
     const std::vector<ProcessId> members{static_cast<ProcessId>(i)};
-    const Envelope env(/*sender=*/2, /*seq=*/i + 1,
-                       fbqs::QSet::threshold_of(1, members), Statement{stmt});
+    const auto env = sim::make_message<Envelope>(
+        /*sender=*/2, /*seq=*/i + 1, fbqs::QSet::threshold_of(1, members),
+        Statement{stmt});
     EXPECT_TRUE(node.scp_.handle(2, env));
   }
   const std::size_t grown = node.scp_.engine().interned_count() - before;
   EXPECT_GE(grown, 1u);  // the first binding is always accepted
   EXPECT_LE(grown, ScpNode::kMaxQsetRebinds + 1);
+}
+
+TEST(ScpTest, StoredBallotEnvelopeIsTheDeliveredMessage) {
+  // handle() stores the delivered message itself, not a copy, and the
+  // stored pointer keeps it alive once the caller drops its own.
+  ScpOnlyNode node(/*universe=*/4, /*f=*/1, majority_qset(4, 1),
+                   /*value=*/7);
+  PrepareStmt prep;
+  prep.b = Ballot{1, 42};
+  sim::MessagePtr msg = sim::make_message<Envelope>(
+      /*sender=*/2, /*seq=*/3, majority_qset(4, 1), Statement{prep});
+  const sim::Message* delivered = msg.get();
+  EXPECT_TRUE(node.scp_.handle(2, msg));
+  msg.reset();
+  const auto& stored = node.scp_.ballot_envelopes().at(2);
+  EXPECT_EQ(static_cast<const sim::Message*>(stored.get()), delivered);
+  EXPECT_EQ(std::get<PrepareStmt>(stored->statement).b, (Ballot{1, 42}));
 }
 
 TEST(ScpTest, DecidesUnderPreGstAsynchrony) {
