@@ -20,14 +20,9 @@
 //     wire_encodes + wire_cached_sends == messages_sent, and broadcast
 //     amortization means cached sends dominate encodes.
 //
-//  4. PoolIdentity/shape:k — the contract row: on every E12 shape, for
-//     shards in {0, 1, 2, 3, 8}, the pooled run is bit-identical to the
-//     pre-pool path (Notary fingerprint, full SimMetrics, decision times,
-//     end time), and fingerprints/decisions agree across all shard counts.
-//
-//  5. BarrierProfile — the barrier-replay profile: where a sharded window's
-//     wall-clock goes (parallel drain vs. the serialized merge/replay/reset
-//     barrier phases), per shard, via NetworkConfig::shard_timing.
+//  4. PoolIdentity/shape:k — the contract row: on every E12 shape, the
+//     pooled run is bit-identical to the pre-pool path (Notary
+//     fingerprint, full SimMetrics, decision times, end time).
 #include "bench_common.hpp"
 
 #include <atomic>
@@ -251,7 +246,7 @@ BENCHMARK(BM_ScenarioAB)
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
-// ---- 4. the contract row: pooled == pre-pool, every shape x shard count ----
+// ---- 4. the contract row: pooled == pre-pool, every shape -----------------
 
 void BM_PoolIdentity(benchmark::State& state) {
   const int shape = static_cast<int>(state.range(0));
@@ -259,51 +254,20 @@ void BM_PoolIdentity(benchmark::State& state) {
   for (auto _ : state) {
     for (core::ProtocolKind protocol :
          {core::ProtocolKind::kStellarSd, core::ProtocolKind::kBftCup}) {
-      core::ScenarioReport first_legacy;
-      bool have_first = false;
-      core::ScenarioReport windowed_base;
-      bool have_windowed = false;
-      for (std::size_t shards : {0u, 1u, 2u, 3u, 8u}) {
-        core::ScenarioConfig cfg = e12_shape(shape, protocol, 3);
-        cfg.shards = shards;
-        cfg.net.message_pool = false;
-        const core::ScenarioReport legacy = core::run_scenario(cfg);
-        cfg.net.message_pool = true;
-        const core::ScenarioReport pooled = core::run_scenario(cfg);
-        // Pool on vs. off at the same shard count: bit-identical report.
-        if (!legacy.all_decided ||
-            pooled.notary_fingerprint != legacy.notary_fingerprint ||
-            !(pooled.metrics == legacy.metrics) ||
-            pooled.decision_times != legacy.decision_times ||
-            pooled.end_time != legacy.end_time) {
-          state.SkipWithError("pool on/off identity violated");
-          return;
-        }
-        // Across shard counts: fingerprints and decisions always agree;
-        // full metrics agree across the windowed engine's counts (the
-        // legacy loop's ShardStats-adjacent counters are compared by the
-        // E12/E14 suites).
-        if (!have_first) {
-          first_legacy = legacy;
-          have_first = true;
-        } else if (legacy.notary_fingerprint !=
-                       first_legacy.notary_fingerprint ||
-                   legacy.decision_times != first_legacy.decision_times ||
-                   legacy.end_time != first_legacy.end_time) {
-          state.SkipWithError("shard-count identity violated");
-          return;
-        }
-        if (shards >= 1) {
-          if (!have_windowed) {
-            windowed_base = legacy;
-            have_windowed = true;
-          } else if (!(legacy.metrics == windowed_base.metrics)) {
-            state.SkipWithError("windowed metrics identity violated");
-            return;
-          }
-        }
-        checks += 2;
+      core::ScenarioConfig cfg = e12_shape(shape, protocol, 3);
+      cfg.net.message_pool = false;
+      const core::ScenarioReport legacy = core::run_scenario(cfg);
+      cfg.net.message_pool = true;
+      const core::ScenarioReport pooled = core::run_scenario(cfg);
+      if (!legacy.all_decided ||
+          pooled.notary_fingerprint != legacy.notary_fingerprint ||
+          !(pooled.metrics == legacy.metrics) ||
+          pooled.decision_times != legacy.decision_times ||
+          pooled.end_time != legacy.end_time) {
+        state.SkipWithError("pool on/off identity violated");
+        return;
       }
+      checks += 2;
     }
   }
   state.counters["identity_checks"] = static_cast<double>(checks);
@@ -314,86 +278,6 @@ BENCHMARK(BM_PoolIdentity)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
-// ---- 5. barrier-replay profile: where the window wall-clock goes -----------
-
-struct ProfileMsg final : sim::Message {
-  explicit ProfileMsg(std::uint64_t p) : payload(p) {}
-  std::uint64_t payload;
-  std::string type_name() const override { return "bench.profile"; }
-  std::size_t byte_size() const override { return 40; }
-};
-
-/// A sustained gossip plane (the E14 workload shape, smaller): every
-/// delivery forwards one pooled message after a slice of hash work.
-class ProfileNode : public sim::Process {
- public:
-  ProfileNode(std::size_t n, bool seeds) : n_(n), seeds_(seeds) {}
-
-  void start() override {
-    if (seeds_) send((id() + 1) % n_, sim::make_message<ProfileMsg>(id()));
-  }
-
-  void on_message(ProcessId from, const sim::MessagePtr& msg) override {
-    const auto& m = dynamic_cast<const ProfileMsg&>(*msg);
-    std::uint64_t h = m.payload;
-    for (int round = 0; round < 32; ++round) h = hash_mix(h, from, id());
-    digest_ ^= h;
-    send((id() + 1 + h % 5) % n_, sim::make_message<ProfileMsg>(h));
-  }
-
-  std::uint64_t digest_ = 0;
-
- private:
-  std::size_t n_;
-  bool seeds_;
-};
-
-void BM_BarrierProfile(benchmark::State& state) {
-  const std::size_t n = 256;
-  const std::size_t shards = 4;
-  sim::ShardStats stats;
-  std::uint64_t digest = 0;
-  for (auto _ : state) {
-    sim::NetworkConfig net;
-    net.min_delay = 2;
-    net.max_delay = 12;
-    net.seed = 21;
-    net.shard_timing = true;  // readings land in ShardStats, not SimMetrics
-    sim::Simulation sim(n, net);
-    std::vector<ProfileNode*> nodes;
-    nodes.reserve(n);
-    for (ProcessId i = 0; i < n; ++i) {
-      nodes.push_back(&sim.emplace_process<ProfileNode>(i, n, i % 4 == 0));
-    }
-    sim.set_shards(shards);
-    sim.start();
-    sim.run_for(1'000);
-    for (const auto* node : nodes) digest ^= node->digest_;
-    stats = sim.shard_stats();
-  }
-  benchmark::DoNotOptimize(digest);
-  if (!stats.timing_enabled) {
-    state.SkipWithError("shard_timing produced no readings");
-    return;
-  }
-  const auto ms = [](std::uint64_t ns) {
-    return static_cast<double>(ns) / 1e6;
-  };
-  state.counters["windows"] = static_cast<double>(stats.windows);
-  state.counters["window_ms"] = ms(stats.window_ns);
-  state.counters["merge_ms"] = ms(stats.merge_ns);
-  state.counters["replay_ms"] = ms(stats.replay_ns);
-  state.counters["reset_ms"] = ms(stats.reset_ns);
-  state.counters["drain_ms"] = ms(stats.drain_ns);
-  for (std::size_t s = 0; s < stats.shard_drain_ns.size(); ++s) {
-    state.counters["drain_s" + std::to_string(s) + "_ms"] =
-        ms(stats.shard_drain_ns[s]);
-  }
-}
-BENCHMARK(BM_BarrierProfile)
-    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -14,7 +14,11 @@
 //  - messages/kilobytes   discovery traffic (~quadratic, DESIGN.md E5),
 // plus memoized/degree-pruned skip counts. The FullStack rows run the same
 // large_scale_scenario family end to end (BFT-CUP: discovery -> PBFT ->
-// decide) to show the pipeline, not just the oracle, at large n.
+// decide) to show the pipeline, not just the oracle, at large n. The
+// PayloadSharing rows report the shared-payload counters of the discovery
+// broadcast plane on E12 scenario shapes: payload_shared / (payload_builds
+// + payload_shared) is the fraction of sends served by a cached message
+// instead of a fresh construction + size walk.
 #include "bench_common.hpp"
 
 #include "core/adversaries.hpp"
@@ -191,6 +195,47 @@ BENCHMARK(BM_ScaleDiscovery_FullStack)
     ->Args({64, 1})
     ->Args({64, 8})
     ->Args({96, 8})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DiscoveryPayloadSharing(benchmark::State& state) {
+  // E12 scenario shapes through the shared-payload discovery plane. The
+  // requery shape retransmits DISCOVER/KNOWN on a timer, which is where
+  // payload sharing pays: every retransmission hits the cache.
+  const auto protocol = static_cast<core::ProtocolKind>(state.range(0));
+  const bool with_loss = state.range(1) != 0;
+  double builds = 0;
+  double shared = 0;
+  std::size_t decided = 0;
+  for (auto _ : state) {
+    core::ChurnPartitionParams p;
+    p.protocol = protocol;
+    p.seed = 3;
+    p.with_partition = true;
+    if (with_loss) p.pre_gst_drop = 0.2;
+    const core::ScenarioReport r =
+        core::run_scenario(core::churn_partition_scenario(p));
+    if (!r.all_decided) {
+      state.SkipWithError("scenario failed to decide");
+      return;
+    }
+    builds = static_cast<double>(
+        r.metrics.protocol_counter(sim::ProtoCounter::kDiscoveryPayloadBuilds));
+    shared = static_cast<double>(
+        r.metrics.protocol_counter(sim::ProtoCounter::kDiscoveryPayloadShared));
+    ++decided;
+  }
+  state.counters["payload_builds"] = builds;
+  state.counters["payload_shared"] = shared;
+  state.counters["sharing_ratio"] =
+      builds + shared == 0 ? 0.0 : shared / (builds + shared);
+  state.counters["decided_runs"] = static_cast<double>(decided);
+}
+BENCHMARK(BM_DiscoveryPayloadSharing)
+    ->ArgNames({"proto", "loss"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

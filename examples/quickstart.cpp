@@ -9,30 +9,14 @@
 //
 // and all of them decide the same value (Theorem 5).
 //
-// Build & run:  cmake --build build && ./build/examples/quickstart
-//
-// Pass --shards=N to run the simulation on the windowed sharded engine
-// (DESIGN.md §4.6) instead of the serial loop — the report is bit-identical
-// for every N >= 1, and the program verifies that against an N=1 run.
+// Build & run:  cmake --build build && ./build/quickstart
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/experiment.hpp"
 #include "graph/generators.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace scup;
-
-  std::size_t shards = 0;  // 0 = legacy serial loop
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-    } else {
-      std::fprintf(stderr, "usage: %s [--shards=N]\n", argv[0]);
-      return 2;
-    }
-  }
 
   core::ScenarioConfig cfg;
   cfg.graph = graph::fig1_graph();
@@ -41,7 +25,6 @@ int main(int argc, char** argv) {
   cfg.protocol = core::ProtocolKind::kStellarSd;
   cfg.adversary = core::AdversaryKind::kSilent;
   cfg.net.seed = 2023;
-  cfg.shards = shards;
 
   std::printf("Fig. 1 knowledge connectivity graph (0-based ids):\n");
   for (ProcessId i = 0; i < cfg.graph.node_count(); ++i) {
@@ -49,27 +32,7 @@ int main(int argc, char** argv) {
                 cfg.faulty.contains(i) ? "   <- Byzantine (silent)" : "");
   }
 
-  if (shards > 0) {
-    std::printf("\nRunning on the sharded engine with %zu shard%s.\n", shards,
-                shards == 1 ? "" : "s");
-  }
   const core::ScenarioReport report = core::run_scenario(cfg);
-
-  if (shards > 1) {
-    // The engine's contract: every shard count yields the same run, bit
-    // for bit. Check this execution against the single-shard baseline.
-    core::ScenarioConfig baseline = cfg;
-    baseline.shards = 1;
-    const core::ScenarioReport ref = core::run_scenario(baseline);
-    const bool identical =
-        report.notary_fingerprint == ref.notary_fingerprint &&
-        report.metrics == ref.metrics &&
-        report.decision_times == ref.decision_times;
-    std::printf("Shard-count invariance vs 1 shard: %s (fingerprint %016llx)\n",
-                identical ? "bit-identical" : "DIVERGED",
-                static_cast<unsigned long long>(report.notary_fingerprint));
-    if (!identical) return 1;
-  }
 
   std::printf("\nTrue sink component: %s\n",
               report.true_sink.to_string().c_str());

@@ -60,17 +60,7 @@ bool Rng::chance(double p) {
 
 Rng Rng::split() { return Rng(next_u64()); }
 
-std::uint64_t StreamRng::next_u64() {
-  ++position_;
-  return splitmix64(state_);
-}
-
-void StreamRng::discard(std::uint64_t k) {
-  // splitmix64 advances its state by a fixed odd increment per draw; k
-  // draws therefore advance it by k increments, one multiply-add.
-  state_ += 0x9E3779B97F4A7C15ULL * k;
-  position_ += k;
-}
+std::uint64_t StreamRng::next_u64() { return splitmix64(state_); }
 
 std::uint64_t StreamRng::uniform(std::uint64_t bound) {
   if (bound == 0) {

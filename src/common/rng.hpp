@@ -52,15 +52,11 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// Counter-based splitmix64 stream with O(1) jump-ahead. Unlike Rng (whose
+/// Counter-based splitmix64 stream: the simulator's per-sender network
+/// stream (sim::Simulation seeds one per process). Unlike Rng (whose
 /// rejection-sampling uniform consumes a data-dependent number of raw
 /// draws), every StreamRng method consumes exactly ONE raw draw, so the
-/// position after any call sequence is the call count — a *draw plan* a
-/// caller can state up front. That is what lets the sharded simulator
-/// evaluate NetworkModel verdicts in parallel: each sender's stream
-/// position is a pure function of how many sends it has made, and
-/// discard(k) jumps to any position in constant time (state advances by a
-/// fixed increment per draw, so k draws are one multiply-add).
+/// stream a seeded run sees never depends on the values it drew.
 ///
 /// Statistical quality is splitmix64's: fine for simulation delays and
 /// fault coin flips, not cryptographic. uniform() maps one draw by modulo;
@@ -71,13 +67,6 @@ class StreamRng {
   explicit StreamRng(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next_u64();
-
-  /// Skips `k` draws in O(1): equivalent to, but cheaper than, calling
-  /// next_u64() k times and ignoring the results.
-  void discard(std::uint64_t k);
-
-  /// Draws consumed so far (every method below consumes exactly one).
-  std::uint64_t position() const { return position_; }
 
   /// Uniform integer in [0, bound). bound must be > 0. One draw.
   std::uint64_t uniform(std::uint64_t bound);
@@ -90,12 +79,11 @@ class StreamRng {
 
   /// True with probability p (clamped to [0,1]). Always one draw, even for
   /// p <= 0 or p >= 1 — the draw count must not depend on the outcome or
-  /// the parameter, or positions would stop being predictable.
+  /// the parameter.
   bool chance(double p);
 
  private:
   std::uint64_t state_;
-  std::uint64_t position_ = 0;
 };
 
 /// Stateless 64-bit mix; used for hash-based deterministic tie-breaking

@@ -118,7 +118,6 @@ ScenarioReport run_scenario(const ScenarioConfig& config) {
     return true;
   };
 
-  sim.set_shards(config.shards);
   sim.start();
   sim.run_until(all_decided, config.deadline);
 

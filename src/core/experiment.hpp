@@ -51,10 +51,6 @@ struct ScenarioConfig {
   /// cup::DiscoveryConfig (0 = off). Required for liveness when
   /// net.pre_gst_drop > 0.
   SimTime discovery_requery = 0;
-  /// Simulator shard count (sim::Simulation::set_shards): 0 = legacy serial
-  /// loop, >= 1 = windowed sharded engine. Every shards >= 1 value yields a
-  /// bit-identical report (fingerprint, metrics, decisions).
-  std::size_t shards = 0;
 };
 
 struct ScenarioReport {
@@ -76,7 +72,8 @@ struct ScenarioReport {
 
   sim::SimMetrics metrics;
   /// Order-sensitive hash of the Notary sign log (sim::Notary::fingerprint)
-  /// — the determinism witness the shard/parallel identity suites compare.
+  /// — the determinism witness the golden pins and the serial==parallel
+  /// matrix suites compare.
   std::uint64_t notary_fingerprint = 0;
   SimTime end_time = 0;
 

@@ -155,7 +155,7 @@ class SinkDiscovery {
   /// Shared-payload access with sharing accounting: returns `cache`,
   /// building it with `build()` on a miss. Every call counts — a miss into
   /// kDiscoveryPayloadBuilds, a hit into kDiscoveryPayloadShared — so
-  /// shared / (builds + shared) is the broadcast sharing ratio the E15
+  /// shared / (builds + shared) is the broadcast sharing ratio the E11
   /// bench reports. Call once per send.
   template <typename Build>
   const sim::MessagePtr& shared_payload(sim::MessagePtr& cache,

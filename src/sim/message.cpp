@@ -95,8 +95,8 @@ bool Message::encode_frame_once() const {
     wire_state_.store(kWireReady, std::memory_order_release);
     return true;
   }
-  // Another thread won the race (a cross-shard resend of a shared message
-  // object); wait out its few-hundred-nanosecond encode.
+  // Another thread won the race on a shared message object; wait out its
+  // few-hundred-nanosecond encode.
   while (wire_state_.load(std::memory_order_acquire) != kWireReady) {
     std::this_thread::yield();
   }

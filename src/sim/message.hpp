@@ -129,10 +129,12 @@ class Message {
   static constexpr std::uint32_t kUninternedTypeId = 0xffffffffu;
   static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
   // Encode states: a single winner CASes kWireEmpty -> kWireBuilding,
-  // fills the frame storage, then release-stores kWireReady; concurrent
-  // senders of a shared message spin on the acquire load (the window is a
-  // few hundred nanoseconds and cross-shard resends of one message object
-  // are rare).
+  // fills the frame storage, then release-stores kWireReady; a concurrent
+  // sender of the same message would spin on the acquire load. The
+  // simulator runs one thread per Simulation, so no such race occurs
+  // today; whether these atomics can go waits on the message-pool
+  // decision (ROADMAP item 2) and on a check that no message object
+  // crosses ScenarioMatrix threads.
   static constexpr std::uint32_t kWireEmpty = 0;
   static constexpr std::uint32_t kWireBuilding = 1;
   static constexpr std::uint32_t kWireReady = 2;
@@ -140,11 +142,11 @@ class Message {
   /// lives in the pool slab); larger frames overflow to one heap buffer.
   static constexpr std::size_t kWireInlineCapacity = 104;
 
-  // The caches are per-object state invisible to message semantics. A
-  // broadcast message is shared across shard threads in the sharded
-  // engine, so the lazy fills are atomics: racing metrics_type_id fills
-  // intern the same name and store the same id (the registry is
-  // idempotent); racing frame encodes are serialized by wire_state_.
+  // The caches are per-object state invisible to message semantics. The
+  // lazy fills are atomics so that a message shared across threads would
+  // stay safe: racing metrics_type_id fills intern the same name and store
+  // the same id (the registry is idempotent); racing frame encodes are
+  // serialized by wire_state_ (see the encode states above).
   mutable std::atomic<std::uint32_t> metrics_type_id_{kUninternedTypeId};
   mutable std::atomic<std::uint32_t> size_cache_{kNoCachedSize};
   mutable std::atomic<std::uint32_t> wire_state_{kWireEmpty};

@@ -41,9 +41,11 @@ struct MessagePool::State {
   };
 
   // One mutex for the whole pool: allocation happens on whichever thread
-  // runs the owning Simulation's loop (one at a time), release can happen
-  // on any shard thread, and the critical sections are a handful of
-  // pointer writes — contention is not a concern at window granularity.
+  // runs the owning Simulation's loop (one at a time), and the critical
+  // sections are a handful of pointer writes. The simulator no longer
+  // releases blocks from other threads; whether the mutex can go waits on
+  // the message-pool decision (ROADMAP item 2) and on a check that no
+  // message object crosses ScenarioMatrix threads.
   mutable std::mutex mutex;
   // Everything below is guarded by `mutex`.
   std::array<Slab*, kNumClasses> partial{};

@@ -47,7 +47,7 @@ class MessagePool {
   Stats stats() const;
 
   /// The pool bound to the calling thread, or nullptr. make_message reads
-  /// this; Simulation run loops and shard drains bind their pool via Scope.
+  /// this; Simulation run loops bind their pool via Scope.
   static MessagePool* current();
 
   /// RAII thread-local binding. Scopes nest; each restores the previous

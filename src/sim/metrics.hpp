@@ -1,6 +1,6 @@
-// Simulation-level metrics, split out of simulation.hpp so the sharded
-// engine (sim/sharded_engine.hpp) can hold per-shard SimMetrics deltas
-// without a header cycle through the Simulation class itself.
+// Simulation-level metrics: the deterministic totals every run reports.
+// Two runs of one seeded simulation produce equal SimMetrics; the golden
+// pins and the serial==parallel matrix suites compare them.
 #pragma once
 
 #include <array>

@@ -27,32 +27,6 @@ UniformModel::UniformModel(const NetworkConfig& config) : config_(config) {
                                   "starts");
     }
   }
-  if (config_.lookahead_quantum < 0) {
-    throw std::invalid_argument("UniformModel: negative lookahead_quantum");
-  }
-  min_latency_ = config_.min_delay;
-  for (const LinkOverride& o : config_.link_overrides) {
-    min_latency_ = std::min(min_latency_, o.min_delay);
-  }
-}
-
-SimTime UniformModel::min_latency(ProcessId from, ProcessId to) const {
-  if (!overrides_.empty()) {
-    const auto it = overrides_.find({from, to});
-    if (it != overrides_.end()) return it->second.first;
-  }
-  return config_.min_delay;
-}
-
-std::vector<NetworkModel::LatencyOverride> UniformModel::latency_overrides()
-    const {
-  std::vector<LatencyOverride> out;
-  out.reserve(overrides_.size());
-  // overrides_ dedupes (from, to) with first-entry-wins, matching bounds().
-  for (const auto& [link, delays] : overrides_) {
-    out.push_back(LatencyOverride{link.first, link.second, delays.first});
-  }
-  return out;
 }
 
 std::pair<SimTime, SimTime> UniformModel::bounds(ProcessId from, ProcessId to,
@@ -78,15 +52,6 @@ SimTime UniformModel::crossing_heal(ProcessId from, ProcessId to,
   return heal;
 }
 
-std::uint64_t UniformModel::draws_per_send(SimTime now) const {
-  std::uint64_t draws = 1;  // the base delay
-  if (now < config_.gst) {
-    if (config_.pre_gst_drop > 0.0) draws += 1;       // the drop coin
-    if (config_.pre_gst_duplicate > 0.0) draws += 2;  // coin + dup delay
-  }
-  return draws;
-}
-
 NetworkModel::Verdict UniformModel::on_send(ProcessId from, ProcessId to,
                                             SimTime now, StreamRng& rng) {
   const auto [lo, hi] = bounds(from, to, now);
@@ -101,9 +66,9 @@ NetworkModel::Verdict UniformModel::on_send(ProcessId from, ProcessId to,
     heal = crossing_heal(from, to, now);
     if (heal >= 0) v.deliver_at = heal + delay;
   }
-  // Draw-plan discipline: every enabled pre-GST feature consumes its draws
-  // unconditionally (a drop must not shorten the stream, or the sender's
-  // position would depend on past outcomes and jump-ahead replay breaks).
+  // Every enabled pre-GST feature consumes its draws unconditionally: a
+  // drop must not shorten the stream, so each seeded run keeps the draw
+  // sequence it has always had.
   const bool pre_gst = now < config_.gst;
   if (pre_gst && config_.pre_gst_drop > 0.0) {
     v.dropped = rng.chance(config_.pre_gst_drop);

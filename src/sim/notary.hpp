@@ -29,24 +29,12 @@ class Notary {
   /// fingerprint for determinism checks.
   Token sign(ProcessId signer, std::uint64_t statement) const;
 
-  /// Pure token computation — no log append. The sharded engine computes
-  /// tokens inside a window and replays the log entries at the barrier (in
-  /// the deterministic merge order) via append(), so the combined effect is
-  /// exactly a serial sign() stream.
-  Token compute(ProcessId signer, std::uint64_t statement) const {
-    return token_for(signer, statement);
-  }
-
-  /// Barrier-side half of compute(): appends one entry to the sign log.
-  void append(ProcessId signer, std::uint64_t statement) const {
-    log_.emplace_back(signer, statement);
-  }
-
   /// Signature check; does not log (verification is a read).
   bool verify(ProcessId signer, std::uint64_t statement, Token token) const;
 
   /// Order-sensitive hash of the sign log — the determinism fingerprint
-  /// the shard-invariance suites compare (cheaper to pin than the log).
+  /// the golden pins and the serial==parallel matrix suites compare
+  /// (cheaper to pin than the log).
   std::uint64_t fingerprint() const;
 
   /// Every (signer, statement) pair signed so far, in order. Two runs of

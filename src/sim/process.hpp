@@ -11,15 +11,6 @@ namespace scup::sim {
 
 class Simulation;
 
-/// One message delivery inside a batched upcall (see Process::on_messages).
-struct Delivery {
-  ProcessId from = kInvalidProcess;
-  MessagePtr msg;
-  /// Engine bookkeeping handle identifying the underlying delivery event;
-  /// opaque to processes, forwarded through begin_delivery().
-  std::uint64_t cookie = 0;
-};
-
 /// A simulated process (participant). Subclasses implement protocol logic in
 /// start() / on_message() / on_timer(); the base class provides the actions
 /// a process may take (send, timers). Correct processes follow their
@@ -41,16 +32,6 @@ class Process {
 
   /// Invoked on message delivery. `from` is the authenticated sender id.
   virtual void on_message(ProcessId from, const MessagePtr& msg) = 0;
-
-  /// Invoked with every message the process receives in one simulated tick
-  /// (the sharded engine amortizes one upcall across the whole tick; the
-  /// legacy serial loop delivers one message at a time through
-  /// on_message). The default unpacks the batch in order through
-  /// on_message. Overrides MUST call begin_delivery(batch[i]) before
-  /// consuming delivery i, and MUST consume deliveries in index order —
-  /// the engine uses the call to attribute the handler's sends, timers and
-  /// signatures to the right event in the deterministic barrier merge.
-  virtual void on_messages(Delivery* batch, std::size_t count);
 
   /// Invoked when a timer armed with set_timer fires.
   virtual void on_timer(int timer_id) { (void)timer_id; }
@@ -90,10 +71,6 @@ class Process {
   /// Adds to one of the simulation's protocol instrumentation counters
   /// (SimMetrics::protocol_counters).
   void counter_add(ProtoCounter counter, std::uint64_t delta);
-
-  /// Marks `d` as the delivery whose effects the caller is about to
-  /// produce (see on_messages). No-op outside sharded execution.
-  void begin_delivery(const Delivery& d);
 
  private:
   friend class Simulation;

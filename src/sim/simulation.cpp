@@ -1,6 +1,5 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace scup::sim {
@@ -56,11 +55,9 @@ std::map<std::string, std::uint64_t> SimMetrics::protocol_counters_by_name()
 Simulation::Simulation(std::size_t n, NetworkConfig config)
     : Simulation(n, config, std::make_unique<UniformModel>(config)) {}
 
-// scup-analyze: owner-ok(construction: shard threads do not exist yet)
 Simulation::Simulation(std::size_t n, NetworkConfig config,
                        std::unique_ptr<NetworkModel> model)
     : n_(n),
-      config_(config),
       model_(std::move(model)),
       notary_(n, config.seed),
       processes_(n),
@@ -75,14 +72,13 @@ Simulation::Simulation(std::size_t n, NetworkConfig config,
   process_rngs_.reserve(n);
   Rng seeder(config.seed ^ 0x5eedULL);
   for (std::size_t i = 0; i < n; ++i) process_rngs_.push_back(seeder.split());
-  // drawplan begin(stream construction: one substream per sender, seeded
-  // independently of every other stream so send interleavings across
-  // senders cannot perturb any sender's draw sequence)
+  // One substream per sender, seeded independently of every other stream
+  // so send interleavings across senders cannot perturb any sender's draw
+  // sequence.
   net_streams_.reserve(n);
   for (ProcessId i = 0; i < n; ++i) {
     net_streams_.emplace_back(net_stream_seed(config.seed, i));
   }
-  // drawplan end
 }
 
 Simulation::~Simulation() = default;
@@ -116,18 +112,6 @@ void Simulation::activate(ProcessId id, SimTime t) {
   activation_time_[id] = t;
 }
 
-void Simulation::set_shards(std::size_t shards) {
-  if (started_) throw std::logic_error("set_shards after start");
-  if (shards > 0) {
-    // Validates the lookahead up front (and with it the model): throws,
-    // naming the offending link, when any cross-shard pair under the
-    // p % shards partition has a latency floor below one tick.
-    shard_window_widths(*model_, n_, shards, config_.lookahead_global_min);
-  }
-  shards_requested_ = shards;
-}
-
-// scup-analyze: owner-ok(pre-run serial phase; in-shard `start` calls resolve to SinkDiscovery::start, a name collision)
 void Simulation::start() {
   if (started_) throw std::logic_error("Simulation::start called twice");
   for (ProcessId id = 0; id < n_; ++id) {
@@ -169,126 +153,71 @@ void Simulation::start() {
       processes_[id]->start();
     }
   }
-  if (shards_requested_ > 0) {
-    // The pre-start phase above ran serially (no shard context), so its
-    // sends drew network verdicts and seqs exactly as the legacy loop
-    // would; the engine takes over from the seeded queue.
-    engine_ = std::make_unique<ShardEngine>(*this, shards_requested_);
-    engine_->seed_from(queue_);
-  }
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
 void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   if (to >= n_) throw std::out_of_range("send: bad destination");
   if (from >= n_) throw std::out_of_range("send: bad sender");
   if (!msg) throw std::invalid_argument("send: null message");
   if (crashed_[from]) return;  // a crashed process sends nothing
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  SimMetrics& m = ctx ? ctx->metrics : metrics_;
-  m.messages_sent += 1;
+  metrics_.messages_sent += 1;
   // Wire-once accounting: codec-bearing messages are charged their exact
   // encoded frame size, built once per message object and read from the
   // cache on every further send; codec-less types use the memoized
-  // byte_size() estimate. The encode/cached split is deterministic (it
-  // depends only on which sends a message object fans out to), so the
-  // counters survive the cross-mode SimMetrics identity check.
+  // byte_size() estimate. The encode/cached split is deterministic: it
+  // depends only on which sends a message object fans out to.
   const Message::SendSize sized = msg->send_size();
   const std::size_t bytes = sized.bytes;
-  m.bytes_sent += bytes;
+  metrics_.bytes_sent += bytes;
   if (sized.encoded_now) {
-    m.protocol_counters[static_cast<std::size_t>(
+    metrics_.protocol_counters[static_cast<std::size_t>(
         ProtoCounter::kWireEncodes)] += 1;
   } else if (sized.from_codec) {
-    m.protocol_counters[static_cast<std::size_t>(
+    metrics_.protocol_counters[static_cast<std::size_t>(
         ProtoCounter::kWireCachedSends)] += 1;
   }
   const std::uint32_t type = msg->metrics_type_id();
-  if (type >= m.messages_by_type_id.size()) {
-    m.messages_by_type_id.resize(type + 1, 0);
-    m.bytes_by_type_id.resize(type + 1, 0);
+  if (type >= metrics_.messages_by_type_id.size()) {
+    metrics_.messages_by_type_id.resize(type + 1, 0);
+    metrics_.bytes_by_type_id.resize(type + 1, 0);
   }
-  m.messages_by_type_id[type] += 1;
-  m.bytes_by_type_id[type] += bytes;
+  metrics_.messages_by_type_id[type] += 1;
+  metrics_.bytes_by_type_id[type] += bytes;
 
-  // The verdict is drawn at send time in every execution mode, from the
-  // sender's private substream. Inside a window this runs on the sending
-  // shard's thread with no synchronization: sender `from`'s events all
-  // live on shard from % S and are drained in (time, seq) order, so its
-  // send sequence — and with it the substream position — is identical in
-  // the legacy loop and under every shard count.
-  const SimTime send_time = ctx ? ctx->now : now_;
-  // drawplan begin(the audited verdict site: the draw-plan check below is
-  // what licenses every other access)
-  StreamRng& stream = net_streams_[from];
-  const std::uint64_t pos_before = stream.position();
+  // The verdict is drawn at send time from the sender's private substream,
+  // so it depends only on the sender's own send sequence.
   const NetworkModel::Verdict verdict =
-      model_->on_send(from, to, send_time, stream);
-  const std::uint64_t consumed = stream.position() - pos_before;
-  // drawplan end
-  if (consumed != model_->draws_per_send(send_time)) {
-    throw std::logic_error(
-        "NetworkModel broke the draw-plan contract: on_send consumed " +
-        std::to_string(consumed) + " draw(s) where draws_per_send(now) "
-        "promises " + std::to_string(model_->draws_per_send(send_time)));
-  }
-  if (ctx) ctx->stats.inline_verdicts += 1;
+      model_->on_send(from, to, now_, net_streams_[from]);
   if (verdict.dropped) {
-    m.messages_dropped += 1;
+    metrics_.messages_dropped += 1;
     return;
   }
-  if (verdict.deliver_at < send_time ||
-      (verdict.duplicated && verdict.duplicate_at < send_time)) {
+  if (verdict.deliver_at < now_ ||
+      (verdict.duplicated && verdict.duplicate_at < now_)) {
     throw std::logic_error("NetworkModel: delivery scheduled in the past");
   }
-  // The original is routed before the duplicate and holds the smaller seq
-  // (dense or temporary), preserving the queue's seq-sorted-bucket
-  // invariant when both copies sample the same delay.
+  // The original is routed before the duplicate and holds the smaller seq,
+  // preserving the queue's seq-sorted-bucket invariant when both copies
+  // sample the same delay.
   MessagePtr dup_msg = verdict.duplicated ? msg : nullptr;
-  route_delivery(ctx, from, to, verdict.deliver_at, std::move(msg));
+  route_delivery(from, to, verdict.deliver_at, std::move(msg));
   if (verdict.duplicated) {
-    m.messages_duplicated += 1;
+    metrics_.messages_duplicated += 1;
     // Both copies share the immutable message.
-    route_delivery(ctx, from, to, verdict.duplicate_at, std::move(dup_msg));
+    route_delivery(from, to, verdict.duplicate_at, std::move(dup_msg));
   }
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
-void Simulation::route_delivery(ShardContext* ctx, ProcessId from,
-                                ProcessId to, SimTime at, MessagePtr msg) {
+void Simulation::route_delivery(ProcessId from, ProcessId to, SimTime at,
+                                MessagePtr msg) {
   Event e;
   e.time = at;
+  e.seq = next_seq_++;
   e.kind = EventKind::kDeliver;
   e.target = to;
   e.from = from;
   e.msg = std::move(msg);
-  if (ctx == nullptr) {
-    e.seq = next_seq_++;
-    queue_.push(std::move(e));
-    return;
-  }
-  if (at < engine_->window_end()) {
-    if (to % engine_->shards() != ctx->index) {
-      // Unreachable for honest models: a cross-shard verdict satisfies
-      // deliver_at >= send_time + min_latency(from, to) >= window_end by
-      // the window construction. Landing here means min_latency lied.
-      throw std::logic_error(
-          "NetworkModel delivered a cross-shard message inside the "
-          "conservative window; min_latency(from, to) must lower-bound "
-          "every verdict");
-    }
-    // Intra-shard and inside the window: run it provisionally on this
-    // shard under a temporary seq that sorts exactly where the serial
-    // run's window-assigned seq would (see sharded_engine.hpp header).
-    e.seq = kTempSeqBase + ctx->next_temp_seq++;
-    ctx->provisional_keys.emplace(e.seq, ctx->make_qkey());
-    ctx->stats.provisional_sends += 1;
-    ctx->queue.push(std::move(e));
-    return;
-  }
-  // At or past the window end: stage for the barrier, which assigns the
-  // dense seq in merged pedigree order and routes to the owning shard.
-  ctx->stage(std::move(e));
+  queue_.push(std::move(e));
 }
 
 std::uint64_t& Simulation::timer_generation(ProcessId target, int timer_id) {
@@ -308,7 +237,6 @@ const std::uint64_t* Simulation::find_timer_generation(ProcessId target,
   return nullptr;
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
 void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   if (delay < 0) throw std::invalid_argument("set_timer: negative delay");
   const std::uint64_t generation = ++timer_generation(target, timer_id);
@@ -317,81 +245,18 @@ void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   e.target = target;
   e.timer_id = timer_id;
   e.timer_generation = generation;
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  if (ctx) {
-    e.time = ctx->now + delay;
-    if (e.time < engine_->window_end()) {
-      // Fires inside the current window: run it provisionally on this
-      // shard (timers are always self-targeted, so the firing is
-      // shard-local) under a temporary seq that sorts exactly where the
-      // serial run's window-assigned seq would.
-      e.seq = kTempSeqBase + ctx->next_temp_seq++;
-      ctx->provisional_keys.emplace(e.seq, ctx->make_qkey());
-      ctx->queue.push(std::move(e));
-    } else {
-      ctx->stage(std::move(e));
-    }
-    return;
-  }
   e.time = now_ + delay;
   e.seq = next_seq_++;
   queue_.push(std::move(e));
 }
 
 void Simulation::cancel_timer(ProcessId target, int timer_id) {
-  // Bumping the generation invalidates any queued firing (including a
-  // provisional one sitting in the caller's own shard queue).
+  // Bumping the generation invalidates any queued firing.
   ++timer_generation(target, timer_id);
 }
 
-// scup-analyze: owner-ok(the token math is pure; when sharded, the log append is staged for the barrier replay)
-Notary::Token Simulation::sign_as(ProcessId signer, std::uint64_t statement) {
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  if (ctx == nullptr) return notary_.sign(signer, statement);
-  const Notary::Token token = notary_.compute(signer, statement);
-  const auto [off, len] = ctx->make_qkey();
-  StagedSign sg;
-  sg.key_off = off;
-  sg.key_len = len;
-  sg.signer = signer;
-  sg.statement = statement;
-  ctx->signs.push_back(sg);
-  return token;
-}
-
-void Simulation::note_delivery(const Delivery& d) {
-  if (engine_ == nullptr) return;
-  ShardContext* ctx = ShardEngine::current();
-  if (ctx == nullptr) return;
-  // The cookie carries the delivery event's seq through the batched
-  // upcall; D(delivery i of the batch) = [tick, 0, seq], except that a
-  // provisional (same-window intra-shard) delivery has only a temporary
-  // per-shard seq — not globally comparable — so its pedigree is its
-  // scheduling key, D = [tick, 1] ++ Q, exactly like a provisional timer.
-  ctx->current_key.clear();
-  ctx->current_key.push_back(static_cast<std::uint64_t>(ctx->now));
-  if (d.cookie >= kTempSeqBase) {
-    ctx->current_key.push_back(1);
-    const auto it = ctx->provisional_keys.find(d.cookie);
-    const auto [off, len] = it->second;
-    // Copy out of the arena now — later staging may reallocate it.
-    ctx->current_key.insert(ctx->current_key.end(),
-                            ctx->key_arena.begin() + off,
-                            ctx->key_arena.begin() + off + len);
-    ctx->provisional_keys.erase(it);
-    ctx->stats.provisional_events += 1;
-  } else {
-    ctx->current_key.push_back(0);
-    ctx->current_key.push_back(d.cookie);
-  }
-  ctx->intra = 0;
-}
-
-// scup-analyze: owner-ok(serial path adds to metrics_ directly; the sharded path adds to the shard's window delta)
 void Simulation::counter_add(ProtoCounter counter, std::uint64_t delta) {
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  SimMetrics& m = ctx ? ctx->metrics : metrics_;
-  m.protocol_counters[static_cast<std::size_t>(counter)] += delta;
+  metrics_.protocol_counters[static_cast<std::size_t>(counter)] += delta;
 }
 
 void Simulation::isolate(ProcessId id) {
@@ -416,14 +281,10 @@ void Simulation::crash_at(ProcessId id, SimTime t) {
   e.seq = next_seq_++;
   e.kind = EventKind::kCrash;
   e.target = id;
-  if (engine_) {
-    engine_->push_external(std::move(e));
-  } else {
-    queue_.push(std::move(e));
-  }
+  queue_.push(std::move(e));
 }
 
-void Simulation::dispatch(Event& event, SimMetrics& metrics) {
+void Simulation::dispatch(Event& event) {
   if (crashed_[event.target]) return;  // crashed: nothing fires, ever
   Process& p = *processes_[event.target];
   switch (event.kind) {
@@ -436,14 +297,7 @@ void Simulation::dispatch(Event& event, SimMetrics& metrics) {
                                               std::move(event.msg));
         return;
       }
-      {
-        // Route through the batched upcall (count 1) so on_messages
-        // overrides observe every delivery in both execution modes; the
-        // sharded engine batches whole-tick runs upstream and never
-        // reaches this line for deliverable targets.
-        Delivery d{event.from, std::move(event.msg), event.seq};
-        p.on_messages(&d, 1);
-      }
+      p.on_message(event.from, event.msg);
       return;
     case EventKind::kTimer: {
       // Drop if re-armed/cancelled since scheduling.
@@ -452,7 +306,7 @@ void Simulation::dispatch(Event& event, SimMetrics& metrics) {
       if (generation == nullptr || *generation != event.timer_generation) {
         return;
       }
-      metrics.timer_fires += 1;
+      metrics_.timer_fires += 1;
       p.on_timer(event.timer_id);
       return;
     }
@@ -473,57 +327,18 @@ void Simulation::dispatch(Event& event, SimMetrics& metrics) {
   }
 }
 
-void Simulation::absorb_metrics(SimMetrics& delta) {
-  metrics_.messages_sent += delta.messages_sent;
-  metrics_.bytes_sent += delta.bytes_sent;
-  if (delta.messages_by_type_id.size() > metrics_.messages_by_type_id.size()) {
-    metrics_.messages_by_type_id.resize(delta.messages_by_type_id.size(), 0);
-    metrics_.bytes_by_type_id.resize(delta.bytes_by_type_id.size(), 0);
-  }
-  for (std::size_t i = 0; i < delta.messages_by_type_id.size(); ++i) {
-    metrics_.messages_by_type_id[i] += delta.messages_by_type_id[i];
-    metrics_.bytes_by_type_id[i] += delta.bytes_by_type_id[i];
-  }
-  metrics_.timer_fires += delta.timer_fires;
-  metrics_.events_processed += delta.events_processed;
-  metrics_.messages_dropped += delta.messages_dropped;
-  metrics_.messages_duplicated += delta.messages_duplicated;
-  for (std::size_t i = 0; i < kProtoCounterCount; ++i) {
-    metrics_.protocol_counters[i] += delta.protocol_counters[i];
-  }
-  // Zero in place: the per-type vectors keep their size (their length only
-  // encodes the max interned id seen, which merging preserves) and their
-  // capacity, so steady-state windows allocate nothing here.
-  delta.messages_sent = 0;
-  delta.bytes_sent = 0;
-  std::fill(delta.messages_by_type_id.begin(),
-            delta.messages_by_type_id.end(), 0);
-  std::fill(delta.bytes_by_type_id.begin(), delta.bytes_by_type_id.end(), 0);
-  delta.timer_fires = 0;
-  delta.events_processed = 0;
-  delta.messages_dropped = 0;
-  delta.messages_duplicated = 0;
-  delta.protocol_counters.fill(0);
-}
-
 bool Simulation::step() {
   if (queue_.empty()) return false;
   Event event = queue_.pop();
   now_ = event.time;
   metrics_.events_processed += 1;
-  dispatch(event, metrics_);
+  dispatch(event);
   return true;
 }
 
 std::size_t Simulation::run_for(SimTime deadline) {
   if (!started_) throw std::logic_error("run_for before start");
   const MessagePool::Scope pool_scope(pool_.get());
-  if (engine_) {
-    const std::size_t before = metrics_.events_processed;
-    while (engine_->run_window(deadline)) {
-    }
-    return metrics_.events_processed - before;
-  }
   std::size_t processed = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     step();
@@ -557,7 +372,7 @@ Rng& Process::rng() { return sim_->process_rngs_[id_]; }
 std::size_t Process::universe_size() const { return sim_->size(); }
 
 std::uint64_t Process::sign(std::uint64_t statement) const {
-  return sim_->sign_as(id_, statement);
+  return sim_->notary().sign(id_, statement);
 }
 
 bool Process::verify(ProcessId signer, std::uint64_t statement,
@@ -568,16 +383,5 @@ bool Process::verify(ProcessId signer, std::uint64_t statement,
 void Process::counter_add(ProtoCounter counter, std::uint64_t delta) {
   sim_->counter_add(counter, delta);
 }
-
-void Process::on_messages(Delivery* batch, std::size_t count) {
-  // scup-sanitize: batch/count come from the deterministic event plane
-  for (std::size_t i = 0; i < count; ++i) {
-    begin_delivery(batch[i]);
-    // scup-sanitize: delivery slots were bounds-checked by the scheduler
-    on_message(batch[i].from, batch[i].msg);
-  }
-}
-
-void Process::begin_delivery(const Delivery& d) { sim_->note_delivery(d); }
 
 }  // namespace scup::sim

@@ -13,20 +13,13 @@
 // and a crash(id) fault primitive that silences a process in both
 // directions (no sends, no deliveries, no timer fires after the crash).
 //
-// Execution comes in two flavours. The default is the legacy serial loop:
-// one global calendar queue drained one event at a time. set_shards(S)
-// switches a simulation (before start) to the windowed ShardEngine
-// (sim/sharded_engine.hpp): processes are partitioned across S shards that
-// drain conservative time windows in parallel, with results bit-identical
-// across every shard count — shards == 1 is the windowed determinism
-// baseline, run on the calling thread with no pool threads.
+// Execution is one serial loop: a global calendar queue drained one event
+// at a time in (time, seq) order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -39,7 +32,6 @@
 #include "sim/network_model.hpp"
 #include "sim/notary.hpp"
 #include "sim/process.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace scup::sim {
 
@@ -78,30 +70,9 @@ class Simulation {
   void activate(ProcessId id, SimTime t);
   bool active(ProcessId id) const { return active_[id] != 0; }
 
-  /// Switches this simulation to the windowed sharded engine with `shards`
-  /// shards (0 = legacy serial loop, the default). Must be called before
-  /// start(). Requires every *cross-shard* pair under the p % shards
-  /// partition to promise a latency floor of at least one tick
-  /// (NetworkModel::min_latency(from, to)) — those floors are the
-  /// conservative lookahead; intra-shard links may be arbitrarily fast,
-  /// and shards == 1 (no cross-shard pairs) accepts any model. Throws
-  /// std::invalid_argument naming the offending link otherwise. Results
-  /// are bit-identical (Notary log, metrics, protocol state) for every
-  /// shards >= 1 value.
-  void set_shards(std::size_t shards);
-  /// The shard count this simulation runs with (0 = legacy serial loop).
-  std::size_t shards() const {
-    return engine_ ? engine_->shards() : shards_requested_;
-  }
-  /// Sharded-engine instrumentation (zeroed in legacy mode). Kept out of
-  /// SimMetrics so the metrics identity across shard counts stays exact.
-  ShardStats shard_stats() const {
-    return engine_ ? engine_->stats() : ShardStats{};
-  }
-
   /// Message-pool instrumentation (all-zero when the pool is disabled via
-  /// NetworkConfig::message_pool). Like ShardStats, kept out of SimMetrics:
-  /// allocation strategy is invisible to the identity contract.
+  /// NetworkConfig::message_pool). Kept out of SimMetrics: allocation
+  /// strategy is invisible to the identity contract.
   MessagePool::Stats pool_stats() const {
     return pool_ ? pool_->stats() : MessagePool::Stats{};
   }
@@ -110,53 +81,20 @@ class Simulation {
   /// order). Must be called once.
   void start();
 
-  /// Current simulated time. Inside a sharded window this is the timestamp
-  /// of the event the calling shard is dispatching; between runs (and in
-  /// the legacy loop) it is the time of the last processed event.
-  // scup-analyze: owner-ok(in-window callers take the ShardContext branch; now_ is read only on the serial path)
-  SimTime now() const {
-    if (engine_ != nullptr) {
-      if (const ShardContext* ctx = ShardEngine::current()) return ctx->now;
-    }
-    return now_;
-  }
+  /// Current simulated time: the time of the last processed event.
+  SimTime now() const { return now_; }
 
   /// Processes events until `predicate` holds, the event queue empties, or
   /// simulated time would exceed `deadline`. Returns true iff the predicate
   /// held. The predicate is checked after every `stride`-th event (default:
   /// every event); a larger stride trades up to stride-1 extra processed
-  /// events for not paying an expensive predicate per event. Sharded runs
-  /// check the predicate on a fixed checkpoint grid instead: windows are
-  /// clamped to multiples of the lookahead quantum
-  /// (NetworkConfig::lookahead_quantum) and the predicate runs at grid
-  /// points, where every shard count has processed the identical event
-  /// set — so the stop point, and with it the final metrics, is identical
-  /// for every shards >= 1 count, though not necessarily to the legacy
-  /// loop's per-event stop point.
+  /// events for not paying an expensive predicate per event.
   template <typename Pred>
   bool run_until(Pred&& predicate, SimTime deadline, std::size_t stride = 1) {
     if (!started_) throw std::logic_error("run_until before start");
-    // Bind this simulation's message pool for upcalls running on the
-    // calling thread (legacy loop, and the shards==1 in-thread window
-    // path); shard threads bind it themselves in ShardEngine::drain.
+    // Bind this simulation's message pool for the upcalls below.
     const MessagePool::Scope pool_scope(pool_.get());
     if (predicate()) return true;
-    if (engine_) {
-      deadline = std::min(deadline, kTimeInfinity - 1);
-      const SimTime q = engine_->quantum();
-      for (;;) {
-        const SimTime t = engine_->next_event_time();
-        if (t > deadline) return predicate();
-        // The next grid point strictly past t; events inside [t, check)
-        // run before the predicate does. Grid advancement depends only on
-        // the global event horizon, never on the shard partition.
-        const SimTime check = (t / q + 1) * q;
-        const SimTime cap = std::min(check, deadline + 1);
-        while (engine_->run_window(deadline, cap)) {
-        }
-        if (predicate()) return true;
-      }
-    }
     if (stride == 0) stride = 1;
     std::size_t since_check = 0;
     while (!queue_.empty() && queue_.next_time() <= deadline) {
@@ -170,26 +108,17 @@ class Simulation {
   }
 
   /// Processes all events with time <= deadline (or until the queue runs
-  /// dry). Returns the number of events processed. Drains the same event
-  /// set in every execution mode, so legacy and sharded runs agree here.
+  /// dry). Returns the number of events processed.
   std::size_t run_for(SimTime deadline);
 
   const SimMetrics& metrics() const { return metrics_; }
 
-  // scup-analyze: owner-ok(const view for verification; in-window signing goes through sign_as, which stages the log append)
   const Notary& notary() const { return notary_; }
 
   /// Cuts all future message deliveries *to* `id` (a partition-style fault:
   /// the process keeps running and sending). Messages already in flight are
   /// still counted but dropped at delivery. See crash() for a full stop.
   void isolate(ProcessId id);
-
-  /// Seed of process `sender`'s private network-RNG substream under run
-  /// seed `seed`. Exposed so the draw-plan differential test can replay a
-  /// sender's verdict stream from scratch with StreamRng::discard.
-  static std::uint64_t net_stream_seed(std::uint64_t seed, ProcessId sender) {
-    return hash_mix(seed, 0x6e657473ULL /* "nets" */, sender);
-  }
 
   /// Crash-stops `id` now: no sends, no deliveries, no timer fires from
   /// this point on. Crashed processes count against the fault threshold
@@ -202,57 +131,36 @@ class Simulation {
 
  private:
   friend class Process;
-  friend class ShardEngine;
+
+  /// Seed of process `sender`'s private network-RNG substream under run
+  /// seed `seed`.
+  static std::uint64_t net_stream_seed(std::uint64_t seed, ProcessId sender) {
+    return hash_mix(seed, 0x6e657473ULL /* "nets" */, sender);
+  }
 
   void enqueue_send(ProcessId from, ProcessId to, MessagePtr msg);
-  /// Routes one delivery copy whose verdict is already drawn: serial mode
-  /// pushes to the global queue; in-window it becomes a provisional
-  /// intra-shard event (deliver inside the window) or a staged op.
-  void route_delivery(ShardContext* ctx, ProcessId from, ProcessId to,
-                      SimTime at, MessagePtr msg);
+  /// Queues one delivery copy whose verdict is already drawn.
+  void route_delivery(ProcessId from, ProcessId to, SimTime at,
+                      MessagePtr msg);
   void enqueue_timer(ProcessId target, int timer_id, SimTime delay);
   void cancel_timer(ProcessId target, int timer_id);
   std::uint64_t& timer_generation(ProcessId target, int timer_id);
   const std::uint64_t* find_timer_generation(ProcessId target,
                                              int timer_id) const;
-  /// Signs as `signer`: direct Notary sign outside a window; inside a
-  /// window the token is computed immediately and the log append is staged
-  /// on the caller's shard for the barrier replay.
-  Notary::Token sign_as(ProcessId signer, std::uint64_t statement);
-  /// Shard-mode pedigree hook behind Process::begin_delivery.
-  void note_delivery(const Delivery& d);
   void counter_add(ProtoCounter counter, std::uint64_t delta);
-  bool deliverable(ProcessId id) const {
-    return active_[id] != 0 && isolated_[id] == 0 && crashed_[id] == 0;
-  }
-  /// Dispatches one event, attributing metrics to `metrics` (the global
-  /// struct in the legacy loop, a shard's window delta under the engine).
-  void dispatch(Event& event, SimMetrics& metrics);
-  /// Adds `delta` into metrics_ field-by-field, then zeroes `delta` in
-  /// place (keeping its vector capacity). Barrier-side shard merge.
-  void absorb_metrics(SimMetrics& delta);
-  bool step();  // legacy loop: processes one event; false if queue empty
+  void dispatch(Event& event);
+  bool step();  // processes one event; false if queue empty
 
   std::size_t n_;
-  NetworkConfig config_;
   std::unique_ptr<NetworkModel> model_;
-  // scup-owner: engine
   SimTime now_ = 0;
-  // scup-owner: engine
   std::uint64_t next_seq_ = 0;
-  // drawplan begin(owner declaration: one private StreamRng substream per
-  // sender, seeded from net_stream_seed; all draws go through the audited
-  // verdict site in enqueue_send)
-  // scup-owner: shard
+  /// One private StreamRng substream per sender, seeded from
+  /// net_stream_seed: a sender's verdicts depend only on its own sends.
   std::vector<StreamRng> net_streams_;
-  // drawplan end
-  // scup-owner: engine
   Notary notary_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Rng> process_rngs_;
-  // Byte-sized flags, not std::vector<bool>: shards read neighbouring
-  // entries concurrently, and vector<bool>'s bit packing would make those
-  // reads race on shared words.
   std::vector<std::uint8_t> isolated_;
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> active_;
@@ -264,12 +172,8 @@ class Simulation {
   /// a handful of distinct timer ids, so a flat (id, generation) vector
   /// with linear scan beats the old per-process std::map.
   std::vector<std::vector<std::pair<int, std::uint64_t>>> timer_generations_;
-  // scup-owner: engine
   CalendarQueue queue_;
-  // scup-owner: engine
   SimMetrics metrics_;
-  std::size_t shards_requested_ = 0;
-  std::unique_ptr<ShardEngine> engine_;
   /// Slab arena behind make_message (null when disabled). Declared after
   /// the queues/processes it outlives within this object is irrelevant:
   /// blocks survive the pool handle via the allocator's State keep-alive,

@@ -181,7 +181,7 @@ TEST(NetworkModelTest, ConfigValidation) {
 /// seam itself, not just UniformModel.
 struct FixedDelayModel final : NetworkModel {
   Verdict on_send(ProcessId, ProcessId, SimTime now, StreamRng&) override {
-    return {.deliver_at = now + 7};  // no draws: draws_per_send() == 0
+    return {.deliver_at = now + 7};  // draws nothing from the stream
   }
 };
 

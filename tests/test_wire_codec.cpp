@@ -10,8 +10,7 @@
 //  3. Pool + cache invariants: make_message inside a MessagePool::Scope
 //     draws from the slab arena with wholesale reuse, the frame cache
 //     encodes exactly once per message object, and pooling is invisible to
-//     the determinism contract (fingerprint/metrics identity, pool on/off
-//     x shard counts).
+//     the determinism contract (fingerprint/metrics identity, pool on/off).
 #include <array>
 #include <cstdint>
 #include <map>
@@ -337,47 +336,29 @@ TEST(MessagePoolTest, UnboundThreadsUsePlainMakeShared) {
   EXPECT_NE(msg, nullptr);
 }
 
-// ---- pool on/off x shard-count identity ----
+// ---- pool on/off identity ----
 
 TEST(MessagePoolTest, PoolingIsInvisibleToTheDeterminismContract) {
   core::ChurnPartitionParams params;
   params.n = 16;
   params.f = 1;
   params.seed = 11;
-  // For every execution mode (legacy serial, windowed, 2-way sharded):
-  // pool on vs. pool off must be bit-identical in every observable —
-  // fingerprint, full SimMetrics, decisions. Fingerprints and decisions
-  // are additionally invariant across the modes themselves (the full
-  // SimMetrics cross-mode identity lives in the E12 shard suites).
-  core::ScenarioReport first;
-  bool have_first = false;
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{2}}) {
-    core::ScenarioReport pooled_run;
-    for (const bool pooled : {true, false}) {
-      core::ScenarioConfig config = core::churn_partition_scenario(params);
-      config.net.message_pool = pooled;
-      config.shards = shards;
-      const core::ScenarioReport run = core::run_scenario(config);
-      EXPECT_TRUE(run.all_decided);
-      if (pooled) {
-        pooled_run = run;
-        continue;
-      }
-      EXPECT_EQ(run.notary_fingerprint, pooled_run.notary_fingerprint)
-          << "shards=" << shards;
-      EXPECT_EQ(run.metrics, pooled_run.metrics) << "shards=" << shards;
-      EXPECT_EQ(run.decision_times, pooled_run.decision_times);
-      EXPECT_EQ(run.end_time, pooled_run.end_time);
-      if (!have_first) {
-        first = run;
-        have_first = true;
-      } else {
-        EXPECT_EQ(run.notary_fingerprint, first.notary_fingerprint);
-        EXPECT_EQ(run.decision_times, first.decision_times);
-        EXPECT_EQ(run.end_time, first.end_time);
-      }
+  // Pool on vs. pool off must be bit-identical in every observable —
+  // fingerprint, full SimMetrics, decisions.
+  core::ScenarioReport pooled_run;
+  for (const bool pooled : {true, false}) {
+    core::ScenarioConfig config = core::churn_partition_scenario(params);
+    config.net.message_pool = pooled;
+    const core::ScenarioReport run = core::run_scenario(config);
+    EXPECT_TRUE(run.all_decided);
+    if (pooled) {
+      pooled_run = run;
+      continue;
     }
+    EXPECT_EQ(run.notary_fingerprint, pooled_run.notary_fingerprint);
+    EXPECT_EQ(run.metrics, pooled_run.metrics);
+    EXPECT_EQ(run.decision_times, pooled_run.decision_times);
+    EXPECT_EQ(run.end_time, pooled_run.end_time);
   }
 }
 

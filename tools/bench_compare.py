@@ -43,9 +43,8 @@ RATIO_FLOORS = {
 }
 
 # Counters that are measurements of the harness or the host rather than the
-# benched code; never gated. Any counter ending in "_ms" (the barrier-replay
-# wall-clock breakdown, including the per-shard drain_s<k>_ms series) is
-# host-dependent by construction and skipped too.
+# benched code; never gated. Any counter ending in "_ms" (a wall-clock
+# breakdown) is host-dependent by construction and skipped too.
 SKIP_COUNTERS = {
     "legacy_allocs",
     "pooled_allocs",

@@ -3,8 +3,8 @@
 #
 # Usage: tools/profile.sh <bench-binary> [bench args...]
 #
-#   tools/profile.sh build-profile/bench_lookahead_sim \
-#       --benchmark_filter=BM_Het
+#   tools/profile.sh build-profile/bench_broadcast_plane \
+#       --benchmark_filter=BM_ScenarioAB
 #
 # Builds nothing itself — point it at a binary from the
 # relwithdebinfo-profile preset (optimized + debug info + frame

@@ -4,20 +4,19 @@
 // pattern over comment-stripped lines. That runs out of road exactly where
 // the paper's protocols live: Byzantine-controlled message fields flow
 // through helper functions into allocations and indices far from any
-// handle() body, and the sharded engine's determinism contract (DESIGN
-// §4.6-4.7) was enforced only by lexical begin/end comment regions.
+// handle() body, and a mutex's coverage spans functions.
 //
 // scup-analyze adds a lightweight semantic layer on top of the same
 // comment/string-aware scanner: a per-TU parser recovers namespaces,
 // classes, fields, function bodies and call sites into a project-wide
-// symbol table and call graph over src/, and three interprocedural rule
+// symbol table and call graph over src/, and two interprocedural rule
 // families run on top.
 //
 // Rule families (ids are stable; annotations refer to them):
 //
 //   byzantine-input
 //     byz-taint             a value derived from a message handler's
-//                           parameters (handle(), on_message(s), handle_*)
+//                           parameters (handle(), on_message, handle_*)
 //                           reaches a growth or index sink — operator[] on
 //                           a member container, insert/emplace/push_back/
 //                           resize/reserve on a member, a narrowing
@@ -27,23 +26,6 @@
 //                           structural guard (comparison or validating
 //                           call in a branch condition; std::min/max/clamp
 //                           on assignment) or a `// scup-sanitize:` note.
-//
-//   shard-ownership (replaces the lexical det-shard-escape region hack
-//   with a checked model; the lexical regions are verified consistent)
-//     own-engine-access     a field annotated `// scup-owner: engine` is
-//                           touched by a function reachable from a
-//                           shard-entry point (code that runs on shard
-//                           threads inside a window).
-//     own-shard-access      a field annotated `// scup-owner: shard` is
-//                           touched outside both the shard region and the
-//                           barrier region.
-//     own-barrier-access    a field annotated `// scup-owner: barrier` is
-//                           touched outside the barrier region.
-//     own-lexical-mismatch  a `// shard-barrier` / `// drawplan` lexical
-//                           region (scup-lint's det-shard-escape /
-//                           det-drawplan-escape contract) overlaps a
-//                           function the call-graph model does not place
-//                           in the matching region.
 //
 //   lock-discipline
 //     lock-unguarded        a symbol annotated `// scup-guarded-by: M` is
@@ -65,12 +47,8 @@
 // line; like scup-lint annotations, a preceding-line annotation covers the
 // whole next *statement*, not just the next line):
 //
-//   // scup-owner: shard|barrier|engine      on a field declaration
 //   // scup-guarded-by: <mutex>              on a field / static / local
 //   // scup-sanitize: <reason>               on a statement (taint check)
-//   // scup-analyze: shard-entry(<why>)      on a function definition
-//   // scup-analyze: barrier-entry(<why>)    on a function definition
-//   // scup-analyze: owner-ok(<why>)         on a function definition
 //   // scup-analyze: requires-lock(<mutex>)  on a function definition
 //
 // Known unsoundness/incompleteness (documented, deliberate — DESIGN §4.8):
@@ -97,10 +75,6 @@ using scup::lint::Finding;
 
 // ---- rule ids ----
 inline constexpr std::string_view kRuleByzTaint = "byz-taint";
-inline constexpr std::string_view kRuleOwnEngine = "own-engine-access";
-inline constexpr std::string_view kRuleOwnShard = "own-shard-access";
-inline constexpr std::string_view kRuleOwnBarrier = "own-barrier-access";
-inline constexpr std::string_view kRuleOwnLexical = "own-lexical-mismatch";
 inline constexpr std::string_view kRuleLockUnguarded = "lock-unguarded";
 inline constexpr std::string_view kRuleLockCaller = "lock-caller-unguarded";
 inline constexpr std::string_view kRuleUnknownAnnotation =
@@ -120,18 +94,14 @@ struct Tok {
 };
 
 enum class AnnKind {
-  kOwner,         ///< scup-owner: shard|barrier|engine
   kGuardedBy,     ///< scup-guarded-by: <mutex>
   kSanitize,      ///< scup-sanitize: <reason>
-  kShardEntry,    ///< scup-analyze: shard-entry(<why>)
-  kBarrierEntry,  ///< scup-analyze: barrier-entry(<why>)
-  kOwnerOk,       ///< scup-analyze: owner-ok(<why>)
   kRequiresLock,  ///< scup-analyze: requires-lock(<mutex>)
 };
 
 struct Annotation {
   AnnKind kind;
-  std::string value;  ///< owner kind, mutex name, or reason text
+  std::string value;  ///< mutex name or reason text
   std::size_t comment_line = 0;
   /// The code-line range the annotation can bind to: its own line when
   /// that line has code, else the next statement (first code line through
@@ -165,8 +135,6 @@ struct CallSite {
   std::vector<std::vector<std::string>> args;
 };
 
-enum class Owner { kNone, kShard, kBarrier, kEngine };
-
 /// A data declaration the analyses care about: a class field, a
 /// namespace-scope variable, or an annotated function-local (static or
 /// plain — parallel_cells guards a plain local with a mutex).
@@ -176,10 +144,8 @@ struct FieldSym {
   std::string name;
   std::string file;
   std::size_t line = 0;
-  Owner owner = Owner::kNone;
   std::string guarded_by;  ///< mutex name, empty if none
-  int owner_ann = -1;      ///< index into the declaring TU's annotations
-  int guarded_ann = -1;
+  int guarded_ann = -1;    ///< index into the declaring TU's annotations
 };
 
 struct FunctionSym {
@@ -193,27 +159,13 @@ struct FunctionSym {
   std::vector<Stmt> stmts;
   std::vector<CallSite> calls;
   // Bound annotations.
-  bool shard_entry = false;
-  bool barrier_entry = false;
-  bool owner_ok = false;
-  int owner_ok_ann = -1;  ///< index into the declaring TU's annotations
   std::vector<std::string> requires_locks;
   std::vector<int> requires_lock_anns;  ///< parallel to requires_locks
   /// Mutex-name candidates: identifiers appearing in a statement that also
   /// constructs a lock_guard/unique_lock/scoped_lock/shared_lock.
   std::vector<std::string> locked_tokens;
   // Computed by analyze().
-  bool in_shard = false;
-  bool in_barrier = false;
   std::uint32_t sink_params = 0;  ///< bit i: param i reaches a sink
-};
-
-/// A lexical begin/end comment region (scup-lint's shard-barrier /
-/// drawplan contract), kept so the ownership model can be checked
-/// consistent with it. Lines are 1-based, inclusive.
-struct Region {
-  std::size_t begin = 0;
-  std::size_t end = 0;
 };
 
 /// Everything recovered from one translation unit.
@@ -222,8 +174,6 @@ struct TU {
   std::vector<Annotation> annotations;
   std::vector<FunctionSym> functions;
   std::vector<FieldSym> fields;
-  std::vector<Region> shard_barrier_regions;
-  std::vector<Region> drawplan_regions;
   std::vector<Finding> parse_findings;  ///< ana-unknown-annotation etc.
 };
 

@@ -1,6 +1,6 @@
 // Internals shared between the parser (model.cpp), the linker/driver
-// (project.cpp) and the rule families (taint.cpp, ownership.cpp,
-// locks.cpp). Not installed; tests go through analyze.hpp.
+// (project.cpp) and the rule families (taint.cpp, locks.cpp). Not
+// installed; tests go through analyze.hpp.
 #pragma once
 
 #include <string>
@@ -28,7 +28,7 @@ struct FieldRef {
 };
 
 /// Project-wide linking of the per-TU models: name indices for call
-/// resolution and the field universe the sinks/ownership/lock rules match
+/// resolution and the field universe the sink and lock rules match
 /// identifiers against.
 struct ProjectIndex {
   std::vector<TU>* tus = nullptr;
@@ -38,9 +38,6 @@ struct ProjectIndex {
   /// Names of every recovered class/namespace field ("member-shaped"
   /// identifiers, the sink receivers).
   std::unordered_set<std::string> field_names;
-  /// Owner-annotated fields by name (the annotation discipline requires
-  /// distinctive names, enforced at link time).
-  std::unordered_map<std::string, FieldRef> owner_fields;
   /// Guarded (scup-guarded-by) symbols, in declaration order.
   std::vector<FieldRef> guarded_fields;
   /// Functions carrying requires-lock annotations.
@@ -66,7 +63,6 @@ ProjectIndex build_index(std::vector<TU>& tus);
 
 // Rule families (each appends findings; the driver sorts).
 void run_taint(ProjectIndex& ix, std::vector<Finding>& out);
-void run_ownership(ProjectIndex& ix, std::vector<Finding>& out);
 void run_locks(ProjectIndex& ix, std::vector<Finding>& out);
 
 }  // namespace scup::analyze

@@ -19,6 +19,6 @@ bool Quiet::handle(unsigned from, unsigned slot) {
   return true;
 }
 
-// scup-owner: garbage
-// scup-analyze: shard-entry
+// scup-guarded-by: not-a-mutex
+// scup-analyze: requires-lock
 int no_reason_forms_ = 0;

@@ -91,7 +91,6 @@ std::vector<Tok> tokenize(const std::vector<ScannedLine>& lines) {
 
 // ---- annotations ----
 
-constexpr std::string_view kOwnerMarker = "scup-owner:";
 constexpr std::string_view kGuardedMarker = "scup-guarded-by:";
 constexpr std::string_view kSanitizeMarker = "scup-sanitize:";
 constexpr std::string_view kAnalyzeMarker = "scup-analyze:";
@@ -124,16 +123,6 @@ void bad_annotation(TU& out, std::size_t line, const std::string& what) {
 void parse_comment_annotations(const std::string& comment, std::size_t line,
                                TU& out) {
   std::size_t pos;
-  if ((pos = comment.find(kOwnerMarker)) != std::string::npos) {
-    const std::string kind = word_after(comment, pos + kOwnerMarker.size());
-    if (kind == "shard" || kind == "barrier" || kind == "engine") {
-      out.annotations.push_back(Annotation{AnnKind::kOwner, kind, line});
-    } else {
-      bad_annotation(out, line,
-                     "scup-owner expects shard|barrier|engine, got '" + kind +
-                         "'");
-    }
-  }
   if ((pos = comment.find(kGuardedMarker)) != std::string::npos) {
     const std::string mtx = word_after(comment, pos + kGuardedMarker.size());
     if (!mtx.empty() && mtx.find('-') == std::string::npos) {
@@ -154,22 +143,9 @@ void parse_comment_annotations(const std::string& comment, std::size_t line,
   pos = comment.find(kAnalyzeMarker);
   while (pos != std::string::npos) {
     const std::string name = word_after(comment, pos + kAnalyzeMarker.size());
-    AnnKind kind = AnnKind::kOwnerOk;
-    bool known = true;
-    if (name == "shard-entry") {
-      kind = AnnKind::kShardEntry;
-    } else if (name == "barrier-entry") {
-      kind = AnnKind::kBarrierEntry;
-    } else if (name == "owner-ok") {
-      kind = AnnKind::kOwnerOk;
-    } else if (name == "requires-lock") {
-      kind = AnnKind::kRequiresLock;
-    } else {
-      known = false;
-    }
-    // Require a non-empty, paren-balanced argument (the why / the mutex).
+    // Require a non-empty, paren-balanced argument (the mutex).
     std::string value;
-    bool ok = known;
+    bool ok = name == "requires-lock";
     if (ok) {
       std::size_t i = comment.find(name, pos) + name.size();
       while (i < comment.size() &&
@@ -189,42 +165,21 @@ void parse_comment_annotations(const std::string& comment, std::size_t line,
         if (ok) value = trim(comment.substr(i + 1, k - i - 1));
       }
     }
-    if (ok && kind == AnnKind::kRequiresLock) {
+    if (ok) {
       // The argument names a mutex; it must be identifier-shaped.
       for (char c : value) ok = ok && ident_char(c);
       ok = ok && !value.empty();
     }
     if (ok) {
-      out.annotations.push_back(Annotation{kind, value, line});
+      out.annotations.push_back(
+          Annotation{AnnKind::kRequiresLock, value, line});
     } else {
-      bad_annotation(
-          out, line,
-          "'" + name +
-              "' (expected shard-entry|barrier-entry|owner-ok|requires-lock, "
-              "each with a non-empty parenthesized argument)");
+      bad_annotation(out, line,
+                     "'" + name +
+                         "' (expected requires-lock with a non-empty "
+                         "parenthesized mutex name)");
     }
     pos = comment.find(kAnalyzeMarker, pos + kAnalyzeMarker.size());
-  }
-}
-
-/// Lexical begin/end regions kept from the scup-lint contract so the
-/// ownership model can be cross-checked against them.
-void collect_regions(const std::vector<ScannedLine>& lines,
-                     std::string_view marker, std::vector<Region>& out) {
-  std::size_t open = 0;
-  bool in_region = false;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& c = lines[i].comment;
-    const std::size_t pos = c.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::string word = word_after(c, pos + marker.size());
-    if (word == "begin" && !in_region) {
-      in_region = true;
-      open = i + 1;
-    } else if (word == "end" && in_region) {
-      in_region = false;
-      out.push_back(Region{open, i + 1});
-    }
   }
 }
 
@@ -742,25 +697,17 @@ void bind_annotations(TU& out) {
     Annotation& a = out.annotations[ai];
     if (a.applies_begin == 0) continue;
     switch (a.kind) {
-      case AnnKind::kOwner:
       case AnnKind::kGuardedBy: {
         bool bound = false;
         for (FieldSym& f : out.fields) {
           if (f.line >= a.applies_begin && f.line <= a.applies_end) {
-            if (a.kind == AnnKind::kOwner) {
-              f.owner = a.value == "shard"     ? Owner::kShard
-                        : a.value == "barrier" ? Owner::kBarrier
-                                               : Owner::kEngine;
-              f.owner_ann = static_cast<int>(ai);
-            } else {
-              f.guarded_by = a.value;
-              f.guarded_ann = static_cast<int>(ai);
-            }
+            f.guarded_by = a.value;
+            f.guarded_ann = static_cast<int>(ai);
             bound = true;
             break;
           }
         }
-        if (bound || a.kind == AnnKind::kOwner) break;
+        if (bound) break;
         // guarded-by may also cover a function-local declaration
         // (statics in accessors; parallel_cells' error slot).
         for (FunctionSym& f : out.functions) {
@@ -811,9 +758,6 @@ void bind_annotations(TU& out) {
       bound_sanitize:
         break;
       }
-      case AnnKind::kShardEntry:
-      case AnnKind::kBarrierEntry:
-      case AnnKind::kOwnerOk:
       case AnnKind::kRequiresLock: {
         FunctionSym* best = nullptr;
         for (FunctionSym& f : out.functions) {
@@ -823,26 +767,8 @@ void bind_annotations(TU& out) {
           }
         }
         if (best == nullptr) break;
-        switch (a.kind) {
-          case AnnKind::kShardEntry:
-            best->shard_entry = true;
-            a.consumed = true;  // entry points anchor the model
-            break;
-          case AnnKind::kBarrierEntry:
-            best->barrier_entry = true;
-            a.consumed = true;
-            break;
-          case AnnKind::kOwnerOk:
-            best->owner_ok = true;
-            best->owner_ok_ann = static_cast<int>(ai);
-            break;
-          case AnnKind::kRequiresLock:
-            best->requires_locks.push_back(a.value);
-            best->requires_lock_anns.push_back(static_cast<int>(ai));
-            break;
-          default:
-            break;
-        }
+        best->requires_locks.push_back(a.value);
+        best->requires_lock_anns.push_back(static_cast<int>(ai));
         break;
       }
     }
@@ -860,8 +786,6 @@ TU parse_tu(const std::string& rel_path, const std::string& content) {
       parse_comment_annotations(lines[i].comment, i + 1, out);
     }
   }
-  collect_regions(lines, "shard-barrier", out.shard_barrier_regions);
-  collect_regions(lines, "drawplan", out.drawplan_regions);
   Parser p(out);
   p.run(tokenize(lines));
   bind_annotation_ranges(lines, out);

@@ -54,11 +54,6 @@ ProjectIndex build_index(std::vector<TU>& tus) {
     for (std::size_t di = 0; di < tu.fields.size(); ++di) {
       FieldSym& d = tu.fields[di];
       if (d.func.empty()) ix.field_names.insert(d.name);
-      if (d.owner != Owner::kNone) {
-        // The discipline requires distinctive names; first declaration
-        // wins and duplicates surface as a finding in ownership.cpp.
-        ix.owner_fields.emplace(d.name, FieldRef{ti, di});
-      }
       if (!d.guarded_by.empty()) ix.guarded_fields.push_back(FieldRef{ti, di});
     }
   }
@@ -70,10 +65,8 @@ namespace {
 /// Meta pass: every annotation must have been consumed by the rule that
 /// reads it, or it is dead weight the next reader will trust wrongly.
 void run_stale(std::vector<TU>& tus, std::vector<Finding>& out) {
-  static const char* kKindName[] = {
-      "scup-owner",   "scup-guarded-by",      "scup-sanitize",
-      "shard-entry",  "barrier-entry",        "owner-ok",
-      "requires-lock"};
+  static const char* kKindName[] = {"scup-guarded-by", "scup-sanitize",
+                                    "requires-lock"};
   for (TU& tu : tus) {
     for (const Annotation& a : tu.annotations) {
       if (a.consumed) continue;
@@ -95,7 +88,6 @@ std::vector<Finding> analyze(std::vector<TU>& tus) {
   }
   ProjectIndex ix = build_index(tus);
   run_taint(ix, out);
-  run_ownership(ix, out);
   run_locks(ix, out);
   run_stale(tus, out);
   scup::lint::sort_findings(out);
@@ -107,33 +99,14 @@ std::string dump(const std::vector<TU>& tus) {
   for (const TU& tu : tus) {
     os << "== " << tu.path << "\n";
     for (const FieldSym& d : tu.fields) {
-      if (d.owner == Owner::kNone && d.guarded_by.empty()) continue;
-      os << "  field " << (d.cls.empty() ? d.func : d.cls) << "::" << d.name;
-      switch (d.owner) {
-        case Owner::kShard:
-          os << " owner=shard";
-          break;
-        case Owner::kBarrier:
-          os << " owner=barrier";
-          break;
-        case Owner::kEngine:
-          os << " owner=engine";
-          break;
-        case Owner::kNone:
-          break;
-      }
-      if (!d.guarded_by.empty()) os << " guarded-by=" << d.guarded_by;
-      os << "\n";
+      if (d.guarded_by.empty()) continue;
+      os << "  field " << (d.cls.empty() ? d.func : d.cls) << "::" << d.name
+         << " guarded-by=" << d.guarded_by << "\n";
     }
     for (const FunctionSym& f : tu.functions) {
       os << "  fn " << (f.cls.empty() ? "" : f.cls + "::") << f.name << " ("
          << f.params.size() << " params, " << f.stmts.size() << " stmts) @"
          << f.line;
-      if (f.shard_entry) os << " shard-entry";
-      if (f.barrier_entry) os << " barrier-entry";
-      if (f.in_shard) os << " [SHARD]";
-      if (f.in_barrier) os << " [BARRIER]";
-      if (f.owner_ok) os << " owner-ok";
       for (const std::string& m : f.requires_locks) {
         os << " requires-lock(" << m << ")";
       }

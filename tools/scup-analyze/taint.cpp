@@ -1,9 +1,9 @@
 // byz-taint: interprocedural Byzantine-input taint.
 //
 // Seeds: every parameter of a message handler (handle, handle_*,
-// on_message, on_messages) is attacker-influenced. Propagation: identifier-
-// granular through assignments (strong update), range-for bindings, and
-// call arguments via per-function summaries. Sinks: operator[] on a
+// on_message) is attacker-influenced. Propagation: identifier-granular
+// through assignments (strong update), range-for bindings, and call
+// arguments via per-function summaries. Sinks: operator[] on a
 // member-shaped container, growth calls (insert/emplace/push_back/...) on a
 // member, narrowing static_cast, non-range loop bounds, and arguments to
 // functions whose summary says that parameter reaches a sink. Sanitizers:
@@ -416,8 +416,8 @@ struct TaintEngine {
 };
 
 bool handler_name(const std::string& n) {
-  return n == "handle" || n == "on_message" || n == "on_messages" ||
-         n.rfind("handle_", 0) == 0 || n.rfind("on_message_", 0) == 0;
+  return n == "handle" || n == "on_message" || n.rfind("handle_", 0) == 0 ||
+         n.rfind("on_message_", 0) == 0;
 }
 
 }  // namespace

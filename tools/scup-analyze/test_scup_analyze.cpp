@@ -144,20 +144,6 @@ TEST(Parser, ConditionHeadersAreOwnStatements) {
   EXPECT_TRUE(f->stmts[2].is_range_for);
 }
 
-TEST(Parser, LexicalRegionsAreCollected) {
-  const TU tu = parse_tu("src/sim/x.cpp",
-                         "// shard-barrier begin\n"
-                         "int a;\n"
-                         "// shard-barrier end\n"
-                         "// drawplan begin\n"
-                         "int b;\n"
-                         "// drawplan end\n");
-  ASSERT_EQ(tu.shard_barrier_regions.size(), 1u);
-  EXPECT_EQ(tu.shard_barrier_regions[0].begin, 1u);
-  EXPECT_EQ(tu.shard_barrier_regions[0].end, 3u);
-  ASSERT_EQ(tu.drawplan_regions.size(), 1u);
-}
-
 // ---------------------------------------------------------------- byz-taint
 
 TEST(ByzTaint, FiresThroughHelperSummary) {
@@ -212,30 +198,6 @@ TEST(ByzTaint, ModuloSubscriptIsAStructuralBound) {
   const auto findings = analyze(tus);
   EXPECT_EQ(count_rule(findings, kRuleByzTaint), 1u) << render(findings);
   EXPECT_TRUE(has_finding(findings, kRuleByzTaint, 4)) << render(findings);
-}
-
-// ------------------------------------------------------------- ownership
-
-TEST(Ownership, EngineStateInShardClosureFires) {
-  const auto findings = analyze_fixture("owner_bad.cpp", "src/sim/fix.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleOwnEngine), 1u) << render(findings);
-  EXPECT_TRUE(has_finding(findings, kRuleOwnEngine, 24)) << render(findings);
-  EXPECT_EQ(count_rule(findings, kRuleOwnShard), 1u) << render(findings);
-  EXPECT_TRUE(has_finding(findings, kRuleOwnShard, 27)) << render(findings);
-  EXPECT_EQ(count_rule(findings, kRuleOwnLexical), 1u) << render(findings);
-  EXPECT_TRUE(has_finding(findings, kRuleOwnLexical, 26)) << render(findings);
-}
-
-TEST(Ownership, AuditedAndBarrierAccessesAreQuiet) {
-  const auto findings = analyze_fixture("owner_ok.cpp", "src/sim/fix.cpp");
-  EXPECT_TRUE(findings.empty()) << render(findings);
-}
-
-TEST(Ownership, ScopedToSimTree) {
-  const auto findings = analyze_fixture("owner_bad.cpp", "src/scp/fix.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleOwnEngine), 0u) << render(findings);
-  EXPECT_EQ(count_rule(findings, kRuleOwnShard), 0u) << render(findings);
-  EXPECT_EQ(count_rule(findings, kRuleOwnLexical), 0u) << render(findings);
 }
 
 // ----------------------------------------------------------------- locks

@@ -1,6 +1,6 @@
 // Fixture: perf-hot-alloc must fire on make_shared and `new` inside the
-// per-delivery handler bodies (on_message / on_messages / handle), and
-// stay quiet on allocations outside them.
+// per-delivery handler bodies (on_message / handle), and stay quiet on
+// allocations outside them.
 #include <cstdint>
 #include <memory>
 
@@ -11,23 +11,12 @@ struct Message {
 };
 using MessagePtr = std::shared_ptr<const Message>;
 
-struct Delivery {
-  ProcessId from = 0;
-  MessagePtr msg;
-};
-
 struct Node {
   void on_message(ProcessId from, const MessagePtr& msg) {
     auto echo = std::make_shared<const Message>(*msg);
     auto* scratch = new std::uint64_t[4];
     scratch[0] = from + echo->payload;
     delete[] scratch;
-  }
-
-  void on_messages(Delivery* batch, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      batch[i].msg = std::make_shared<const Message>();
-    }
   }
 
   bool handle(ProcessId from, const Message& msg) {

@@ -222,9 +222,6 @@ struct PathScope {
   bool in_bench = false;
   bool is_rng = false;           ///< src/common/rng.*
   bool is_matrix_runner = false; ///< src/core/scenario_matrix.*
-  bool in_sim = false;           ///< src/sim/
-  bool is_shard_file = false;    ///< src/sim/shard* (the sharded engine)
-  bool is_shard_pool = false;    ///< src/sim/shard_pool.*
 };
 
 PathScope classify(const std::string& rel_path) {
@@ -234,9 +231,6 @@ PathScope classify(const std::string& rel_path) {
   s.in_bench = starts_with(rel_path, "bench/");
   s.is_rng = starts_with(rel_path, "src/common/rng.");
   s.is_matrix_runner = starts_with(rel_path, "src/core/scenario_matrix.");
-  s.in_sim = starts_with(rel_path, "src/sim/");
-  s.is_shard_file = starts_with(rel_path, "src/sim/shard");
-  s.is_shard_pool = starts_with(rel_path, "src/sim/shard_pool.");
   return s;
 }
 
@@ -366,10 +360,7 @@ void rule_raw_random(const std::string& rel_path, ParsedFile& file,
 void rule_raw_thread(const std::string& rel_path, ParsedFile& file,
                      std::vector<Finding>& findings) {
   const PathScope scope = classify(rel_path);
-  // src/sim/ is det-shard-escape's territory (the sharded engine has its
-  // own sanctioned thread owner there); keeping the scopes disjoint means
-  // one finding, with the right message, per violation.
-  if (!scope.in_src || scope.is_matrix_runner || scope.in_sim) return;
+  if (!scope.in_src || scope.is_matrix_runner) return;
   static constexpr std::string_view kBanned[] = {"thread", "jthread",
                                                  "async"};
   for (std::size_t i = 0; i < file.lines.size(); ++i) {
@@ -390,126 +381,6 @@ void rule_raw_thread(const std::string& rel_path, ParsedFile& file,
         "raw threading primitive outside core/scenario_matrix; all "
         "parallelism must go through parallel_cells so the "
         "serial==parallel identity proof (E12) stays meaningful"});
-  }
-}
-
-// ---- rule: det-shard-escape ----
-
-/// 1-based inclusive line ranges marked `// shard-barrier begin(<why>)` ...
-/// `// shard-barrier end` — the regions where shard-engine code may touch
-/// engine-global state (every shard thread is parked at the barrier). An
-/// unterminated begin extends to end of file.
-std::vector<std::pair<std::size_t, std::size_t>> marker_regions(
-    const std::vector<ScannedLine>& lines, std::string_view begin_marker,
-    std::string_view end_marker) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  std::size_t open = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& comment = lines[i].comment;
-    if (comment.find(begin_marker) != std::string::npos) {
-      if (open == 0) open = i + 1;
-    } else if (comment.find(end_marker) != std::string::npos) {
-      if (open != 0) {
-        out.emplace_back(open, i + 1);
-        open = 0;
-      }
-    }
-  }
-  if (open != 0) out.emplace_back(open, lines.size());
-  return out;
-}
-
-bool in_barrier_region(
-    const std::vector<std::pair<std::size_t, std::size_t>>& regions,
-    std::size_t line) {
-  for (const auto& [begin, end] : regions) {
-    if (line >= begin && line <= end) return true;
-  }
-  return false;
-}
-
-void rule_shard_escape(const std::string& rel_path, ParsedFile& file,
-                       std::vector<Finding>& findings) {
-  const PathScope scope = classify(rel_path);
-  if (!scope.in_sim) return;
-  // (a) Raw threading inside the simulator belongs to sim/shard_pool alone:
-  // the pool's fork/join is what gives the engine its happens-before edges,
-  // so a stray thread or async task is a determinism hole by construction.
-  if (!scope.is_shard_pool) {
-    static constexpr std::string_view kSpawns[] = {"std::thread",
-                                                   "std::jthread",
-                                                   "std::async"};
-    for (std::size_t i = 0; i < file.lines.size(); ++i) {
-      const std::string& code = file.lines[i].code;
-      bool hit = false;
-      for (std::string_view token : kSpawns) {
-        if (code.find(token) != std::string::npos) {
-          hit = true;
-          break;
-        }
-      }
-      if (!hit && code.find(".detach(") != std::string::npos) hit = true;
-      if (!hit) continue;
-      findings.push_back(Finding{
-          rel_path, i + 1, std::string(kRuleShardEscape),
-          "raw threading primitive in src/sim/ outside sim/shard_pool; all "
-          "shard parallelism must go through ShardPool so the window-"
-          "barrier discipline (DESIGN.md §4.6) keeps sharded runs "
-          "bit-identical to serial"});
-    }
-  }
-  // (b) In shard-engine files, engine-global simulation state may only be
-  // touched between barrier markers. Any mention counts: shard-side code
-  // has no business even reading these while windows are in flight.
-  if (scope.is_shard_file) {
-    const auto regions =
-        marker_regions(file.lines, "shard-barrier begin", "shard-barrier end");
-    static constexpr std::string_view kGlobals[] = {
-        "next_seq_", "net_streams_", "notary_", "metrics_",
-        "now_",      "queue_",       "started_",
-    };
-    for (std::size_t i = 0; i < file.lines.size(); ++i) {
-      const std::string& code = file.lines[i].code;
-      for (std::string_view global : kGlobals) {
-        if (!contains_word(code, global)) continue;
-        if (in_barrier_region(regions, i + 1)) break;
-        findings.push_back(Finding{
-            rel_path, i + 1, std::string(kRuleShardEscape),
-            "engine-global state '" + std::string(global) +
-                "' touched outside a `// shard-barrier begin(<why>)` "
-                "region; shard code may only touch non-shard-local state "
-                "at the window barrier, where every shard thread is "
-                "parked"});
-        break;  // one finding per line is enough
-      }
-    }
-  }
-}
-
-// ---- rule: det-drawplan-escape ----
-
-void rule_drawplan_escape(const std::string& rel_path, ParsedFile& file,
-                          std::vector<Finding>& findings) {
-  const PathScope scope = classify(rel_path);
-  if (!scope.in_sim) return;
-  // The per-sender verdict streams may only be touched inside a marked
-  // drawplan region. The region brackets are where the position accounting
-  // lives (position before, on_send, draws_per_send check); a stream draw
-  // anywhere else desyncs a sender's position from the prefix sum of its
-  // draw plan, and with it the send-time parallel verdict path's identity
-  // with the serial stream. Any mention counts — reading a stream is as
-  // suspect as drawing from it.
-  const auto regions =
-      marker_regions(file.lines, "drawplan begin", "drawplan end");
-  for (std::size_t i = 0; i < file.lines.size(); ++i) {
-    if (!contains_word(file.lines[i].code, "net_streams_")) continue;
-    if (in_barrier_region(regions, i + 1)) continue;
-    findings.push_back(Finding{
-        rel_path, i + 1, std::string(kRuleDrawplanEscape),
-        "network verdict stream 'net_streams_' touched outside a "
-        "`// drawplan begin(<why>)` region; every draw must go through "
-        "the audited verdict site so sender stream positions stay the "
-        "prefix sum of the draw plan (DESIGN.md §4.7)"});
   }
 }
 
@@ -721,11 +592,10 @@ void rule_perf_hot_alloc(const std::string& rel_path, ParsedFile& file,
                          std::vector<Finding>& findings) {
   const PathScope scope = classify(rel_path);
   if (!scope.in_src) return;
-  // The per-delivery hot paths: the single-message upcall, the batch
-  // upcall, and the protocol-level handle() dispatchees.
+  // The per-delivery hot paths: the message upcall and the protocol-level
+  // handle() dispatchees.
   static constexpr HandlerSpec kHotPaths[] = {
       {"on_message", "void on_message", true},
-      {"on_messages", "void on_messages", false},
       {"handle", "bool handle", true},
   };
   for (const HandlerSpec& spec : kHotPaths) {
@@ -888,7 +758,6 @@ std::vector<std::string> collect_unordered_idents(const std::string& content) {
 
 bool rule_suppressible(std::string_view rule) {
   return rule == kRuleUnorderedIter || rule == kRuleRawRandom ||
-         rule == kRuleShardEscape || rule == kRuleDrawplanEscape ||
          rule == kRuleRawThread || rule == kRuleUnguardedStatic ||
          rule == kRuleNarrowingCast || rule == kRuleUnboundedMap ||
          rule == kRulePerfHotAlloc;
@@ -901,8 +770,6 @@ std::vector<Finding> lint_file(const std::string& rel_path,
   std::vector<Finding> findings = file.annotation_errors;
   rule_unordered_iter(rel_path, file, opts, findings);
   rule_raw_random(rel_path, file, findings);
-  rule_shard_escape(rel_path, file, findings);
-  rule_drawplan_escape(rel_path, file, findings);
   rule_raw_thread(rel_path, file, findings);
   rule_unguarded_static(rel_path, file, findings);
   rule_narrowing_cast(rel_path, file, findings);

@@ -20,33 +20,12 @@
 //                           `order-insensitive(<why>)` annotation.
 //     det-raw-random        std::rand / srand / random_device / mt19937 /
 //                           wall-clock time outside src/common/rng.
-//     det-shard-escape      in src/sim/: a raw thread primitive outside
-//                           sim/shard_pool (the sharded engine's one
-//                           sanctioned thread owner), or — in sim/shard*
-//                           files — engine-global simulation state
-//                           (next_seq_, net_streams_, notary_, metrics_,
-//                           now_, queue_, started_) touched outside a
-//                           `// shard-barrier begin(<why>)` ...
-//                           `// shard-barrier end` region. Shard code may
-//                           only touch global state at the window barrier,
-//                           where every shard thread is parked.
-//     det-drawplan-escape   in src/sim/: the per-sender network verdict
-//                           streams (net_streams_) touched outside a
-//                           `// drawplan begin(<why>)` ...
-//                           `// drawplan end` region. The draw-plan RNG
-//                           replay contract (DESIGN.md §4.7) holds only if
-//                           every stream draw goes through the audited
-//                           verdict site, where position accounting
-//                           brackets each on_send; a stray draw desyncs
-//                           the sender's stream position from the prefix
-//                           sum of its draw plan and breaks shard-count
-//                           identity.
 //
 //   concurrency
 //     conc-raw-thread       std::thread / std::jthread / std::async /
 //                           .detach() in src/ outside core/scenario_matrix
-//                           and outside src/sim/ (where det-shard-escape
-//                           owns the thread discipline).
+//                           (src/sim/ included: the simulator is one
+//                           serial event loop).
 //     conc-unguarded-static mutable static without a `guarded-by(<mutex>)`
 //                           or `thread-safe(<why>)` annotation.
 //
@@ -60,8 +39,8 @@
 //
 //   performance
 //     perf-hot-alloc        std::make_shared or a `new` expression inside a
-//                           message-handler body (on_message / on_messages /
-//                           handle) in src/ without an `alloc-ok(<why>)`
+//                           message-handler body (on_message / handle) in
+//                           src/ without an `alloc-ok(<why>)`
 //                           annotation. Handler bodies run once per delivery
 //                           — the broadcast-plane hot path (E16); messages
 //                           must come from the pooled sim::make_message and
@@ -95,8 +74,6 @@ namespace scup::lint {
 // ---- rule ids ----
 inline constexpr std::string_view kRuleUnorderedIter = "det-unordered-iter";
 inline constexpr std::string_view kRuleRawRandom = "det-raw-random";
-inline constexpr std::string_view kRuleShardEscape = "det-shard-escape";
-inline constexpr std::string_view kRuleDrawplanEscape = "det-drawplan-escape";
 inline constexpr std::string_view kRuleRawThread = "conc-raw-thread";
 inline constexpr std::string_view kRuleUnguardedStatic =
     "conc-unguarded-static";

@@ -130,80 +130,17 @@ TEST(RuleRawThread, FiresOnSpawnDetachAsync) {
   EXPECT_GE(count_rule(findings, kRuleRawThread), 3u);
 }
 
+TEST(RuleRawThread, CoversTheSimulator) {
+  // src/sim/ runs one serial event loop and owns no threads.
+  const auto findings =
+      lint_fixture("conc_raw_thread_bad.cpp", "src/sim/simulation.cpp");
+  EXPECT_GE(count_rule(findings, kRuleRawThread), 3u);
+}
+
 TEST(RuleRawThread, ExemptInsideScenarioMatrix) {
   const auto findings = lint_fixture("conc_raw_thread_bad.cpp",
                                      "src/core/scenario_matrix.cpp");
   EXPECT_EQ(count_rule(findings, kRuleRawThread), 0u);
-}
-
-TEST(RuleShardEscape, FiresOnThreadsAndGlobalsInShardFiles) {
-  const auto findings =
-      lint_fixture("det_shard_escape_bad.cpp", "src/sim/sharded_engine.cpp");
-  // std::thread spawn, .detach, next_seq_, metrics_.
-  EXPECT_EQ(count_rule(findings, kRuleShardEscape), 4u);
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 7));
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 12));
-  // conc-raw-thread stays out of src/sim/: disjoint scopes mean one
-  // finding, with the sharding-specific message, per violation.
-  EXPECT_EQ(count_rule(findings, kRuleRawThread), 0u);
-}
-
-TEST(RuleShardEscape, GlobalsCheckedOnlyInShardEngineFiles) {
-  // simulation.cpp is src/sim/ but not a shard* file: mutating the global
-  // engine state is the serial loop's job, only the thread ban applies.
-  const auto findings =
-      lint_fixture("det_shard_escape_bad.cpp", "src/sim/simulation.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleShardEscape), 2u);
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 7));
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 8));
-}
-
-TEST(RuleShardEscape, ThreadsExemptInsideShardPool) {
-  // The pool is the sanctioned thread owner, but it is still a shard file:
-  // the engine-global checks keep applying there.
-  const auto findings =
-      lint_fixture("det_shard_escape_bad.cpp", "src/sim/shard_pool.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleShardEscape), 2u);
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 12));
-  EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 13));
-}
-
-TEST(RuleShardEscape, ScopedToSim) {
-  const auto findings =
-      lint_fixture("det_shard_escape_bad.cpp", "src/core/fix.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleShardEscape), 0u);
-  EXPECT_EQ(count_rule(findings, kRuleRawThread), 2u);
-}
-
-TEST(RuleShardEscape, QuietInsideBarrierRegion) {
-  const auto findings =
-      lint_fixture("det_shard_escape_ok.cpp", "src/sim/sharded_engine.cpp");
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(RuleDrawplanEscape, FiresOutsideDrawplanRegions) {
-  // Two mentions of net_streams_ (the direct draw and the reference
-  // alias); the alias's later use is invisible to the token rule, which
-  // is exactly why taking the alias is itself a finding.
-  const auto findings =
-      lint_fixture("det_drawplan_escape_bad.cpp", "src/sim/simulation.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleDrawplanEscape), 2u);
-  EXPECT_TRUE(has_finding(findings, kRuleDrawplanEscape, 6));
-  EXPECT_TRUE(has_finding(findings, kRuleDrawplanEscape, 7));
-}
-
-TEST(RuleDrawplanEscape, QuietInsideDrawplanRegion) {
-  const auto findings =
-      lint_fixture("det_drawplan_escape_ok.cpp", "src/sim/simulation.cpp");
-  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
-}
-
-TEST(RuleDrawplanEscape, ScopedToSim) {
-  // The streams are a simulator-internal invariant; core/ and tests/
-  // never see them.
-  const auto findings =
-      lint_fixture("det_drawplan_escape_bad.cpp", "src/core/fix.cpp");
-  EXPECT_EQ(count_rule(findings, kRuleDrawplanEscape), 0u);
 }
 
 TEST(RuleUnguardedStatic, FiresOnMutableStaticOnly) {
@@ -249,13 +186,12 @@ TEST(RuleUnboundedMap, QuietWhenBoundedAnnotated) {
 TEST(RulePerfHotAlloc, FiresInsideEveryHandlerShape) {
   const auto findings =
       lint_fixture("perf_hot_alloc_bad.cpp", "src/fix.cpp");
-  // make_shared + new in on_message, make_shared in on_messages, new in
-  // handle; the cold make_cold() allocation stays unflagged.
-  EXPECT_EQ(count_rule(findings, kRulePerfHotAlloc), 4u);
-  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 21));
-  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 22));
-  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 29));
-  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 34));
+  // make_shared + new in on_message, new in handle; the cold make_cold()
+  // allocation stays unflagged.
+  EXPECT_EQ(count_rule(findings, kRulePerfHotAlloc), 3u);
+  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 16));
+  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 17));
+  EXPECT_TRUE(has_finding(findings, kRulePerfHotAlloc, 23));
 }
 
 TEST(RulePerfHotAlloc, QuietWhenAnnotated) {
