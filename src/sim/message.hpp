@@ -130,11 +130,11 @@ class Message {
   static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
   // Encode states: a single winner CASes kWireEmpty -> kWireBuilding,
   // fills the frame storage, then release-stores kWireReady; a concurrent
-  // sender of the same message would spin on the acquire load. The
-  // simulator runs one thread per Simulation, so no such race occurs
-  // today; whether these atomics can go waits on the message-pool
-  // decision (ROADMAP item 2) and on a check that no message object
-  // crosses ScenarioMatrix threads.
+  // sender of the same message spins on the acquire load. Each Simulation
+  // runs on one thread, so such a race needs a message object shared
+  // across ScenarioMatrix cells; whether any is shared is unchecked, so
+  // the atomics stay until that check and the message-pool decision
+  // (ROADMAP item 2).
   static constexpr std::uint32_t kWireEmpty = 0;
   static constexpr std::uint32_t kWireBuilding = 1;
   static constexpr std::uint32_t kWireReady = 2;

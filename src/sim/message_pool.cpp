@@ -42,10 +42,10 @@ struct MessagePool::State {
 
   // One mutex for the whole pool: allocation happens on whichever thread
   // runs the owning Simulation's loop (one at a time), and the critical
-  // sections are a handful of pointer writes. The simulator no longer
-  // releases blocks from other threads; whether the mutex can go waits on
-  // the message-pool decision (ROADMAP item 2) and on a check that no
-  // message object crosses ScenarioMatrix threads.
+  // sections are a handful of pointer writes. A block may be released on
+  // another thread only if a message object crosses threads; whether any
+  // does (ScenarioMatrix cells) is unchecked, so the mutex stays until
+  // that check and the message-pool decision (ROADMAP item 2).
   mutable std::mutex mutex;
   // Everything below is guarded by `mutex`.
   std::array<Slab*, kNumClasses> partial{};

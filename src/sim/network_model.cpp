@@ -66,9 +66,9 @@ NetworkModel::Verdict UniformModel::on_send(ProcessId from, ProcessId to,
     heal = crossing_heal(from, to, now);
     if (heal >= 0) v.deliver_at = heal + delay;
   }
-  // Every enabled pre-GST feature consumes its draws unconditionally: a
-  // drop must not shorten the stream, so each seeded run keeps the draw
-  // sequence it has always had.
+  // Every enabled pre-GST feature consumes its draws unconditionally, even
+  // when an earlier draw already decided the verdict: every seeded
+  // expectation (golden pins, benchmark counts) depends on this sequence.
   const bool pre_gst = now < config_.gst;
   if (pre_gst && config_.pre_gst_drop > 0.0) {
     v.dropped = rng.chance(config_.pre_gst_drop);

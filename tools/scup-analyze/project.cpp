@@ -1,5 +1,5 @@
 // Project linking + analysis driver: joins the per-TU models into name
-// indices, runs the three rule families, then the meta pass (stale
+// indices, runs the two rule families, then the meta pass (stale
 // annotations), and renders the --dump report.
 #include <algorithm>
 #include <set>
