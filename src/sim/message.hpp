@@ -133,8 +133,8 @@ class Message {
   // sender of the same message spins on the acquire load. Each Simulation
   // runs on one thread, so such a race needs a message object shared
   // across ScenarioMatrix cells; whether any is shared is unchecked, so
-  // the atomics stay until that check and the message-pool decision
-  // (ROADMAP item 2).
+  // the atomics stay until that check and the keep-or-remove decision on
+  // the message pool (ROADMAP.md).
   static constexpr std::uint32_t kWireEmpty = 0;
   static constexpr std::uint32_t kWireBuilding = 1;
   static constexpr std::uint32_t kWireReady = 2;

@@ -45,7 +45,7 @@ struct MessagePool::State {
   // sections are a handful of pointer writes. A block may be released on
   // another thread only if a message object crosses threads; whether any
   // does (ScenarioMatrix cells) is unchecked, so the mutex stays until
-  // that check and the message-pool decision (ROADMAP item 2).
+  // that check and the keep-or-remove decision on the pool (ROADMAP.md).
   mutable std::mutex mutex;
   // Everything below is guarded by `mutex`.
   std::array<Slab*, kNumClasses> partial{};
