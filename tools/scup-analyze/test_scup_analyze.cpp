@@ -6,6 +6,7 @@
 // test runs the real gate over this checkout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -144,6 +145,38 @@ TEST(Parser, ConditionHeadersAreOwnStatements) {
   EXPECT_TRUE(f->stmts[2].is_range_for);
 }
 
+TEST(Parser, LexicalRegionsAreCollected) {
+  // Annotations bind to lexical line ranges: their own line when it has
+  // code, else the next statement, through the line that ends it, skipping
+  // comment-only lines in between.
+  const TU tu = parse_tu("src/sim/x.cpp",
+                         "// scup-guarded-by: mu_\n"
+                         "int a = 0;\n"
+                         "int b = 0;  // scup-guarded-by: mu_\n"
+                         "// scup-sanitize: bounded by the caller\n"
+                         "// (a second comment line)\n"
+                         "int c = f(1,\n"
+                         "          2);\n"
+                         "// scup-analyze: requires-lock(mu_)\n");
+  ASSERT_EQ(tu.annotations.size(), 4u);
+  EXPECT_EQ(tu.annotations[0].kind, AnnKind::kGuardedBy);
+  EXPECT_EQ(tu.annotations[0].value, "mu_");
+  EXPECT_EQ(tu.annotations[0].comment_line, 1u);
+  EXPECT_EQ(tu.annotations[0].applies_begin, 2u);
+  EXPECT_EQ(tu.annotations[0].applies_end, 2u);
+  EXPECT_EQ(tu.annotations[1].comment_line, 3u);
+  EXPECT_EQ(tu.annotations[1].applies_begin, 3u);
+  EXPECT_EQ(tu.annotations[1].applies_end, 3u);
+  EXPECT_EQ(tu.annotations[2].kind, AnnKind::kSanitize);
+  EXPECT_EQ(tu.annotations[2].comment_line, 4u);
+  EXPECT_EQ(tu.annotations[2].applies_begin, 6u);
+  EXPECT_EQ(tu.annotations[2].applies_end, 7u);
+  // Nothing follows the last one: it binds to no region.
+  EXPECT_EQ(tu.annotations[3].kind, AnnKind::kRequiresLock);
+  EXPECT_EQ(tu.annotations[3].applies_begin, 0u);
+  EXPECT_EQ(tu.annotations[3].applies_end, 0u);
+}
+
 // ---------------------------------------------------------------- byz-taint
 
 TEST(ByzTaint, FiresThroughHelperSummary) {
@@ -214,6 +247,67 @@ TEST(Locks, UnguardedTouchAndUnlockedCallerFire) {
 TEST(Locks, AccessorPatternWithLocalStaticIsQuiet) {
   const auto findings = analyze_fixture("lock_ok.cpp", "src/sim/fix.cpp");
   EXPECT_TRUE(findings.empty()) << render(findings);
+}
+
+// ------------------------------------------------------------- ownership
+//
+// State shared across threads is owned by a mutex (scup-guarded-by), and
+// the lock-discipline family checks that ownership through call edges.
+// The suite keeps the name of the shard-ownership family it replaced.
+
+TEST(Ownership, EngineStateInShardClosureFires) {
+  const auto findings =
+      analyze_fixture("lock_owner_bad.cpp", "src/sim/fix.cpp");
+  EXPECT_EQ(findings.size(), 2u) << render(findings);
+  EXPECT_EQ(count_rule(findings, kRuleLockUnguarded), 1u) << render(findings);
+  // Lock coverage is function-granular: the touch is reported at the
+  // definition of the function that makes it.
+  EXPECT_TRUE(has_finding(findings, kRuleLockUnguarded, 18))
+      << render(findings);
+  EXPECT_EQ(count_rule(findings, kRuleLockCaller), 1u) << render(findings);
+  EXPECT_TRUE(has_finding(findings, kRuleLockCaller, 20)) << render(findings);
+}
+
+TEST(Ownership, AuditedAndBarrierAccessesAreQuiet) {
+  const auto findings =
+      analyze_fixture("lock_owner_ok.cpp", "src/sim/fix.cpp");
+  EXPECT_TRUE(findings.empty()) << render(findings);
+}
+
+TEST(Ownership, ScopedToSimTree) {
+  // The simulator's own shared state — the message-type registry and the
+  // wire codec table — is owned by module mutexes: analyzing src/sim/ on
+  // its own binds every lock annotation and finds no lock violation.
+  std::vector<TU> tus;
+  const fs::path sim_dir = fs::path(SCUP_ANALYZE_REPO_ROOT) / "src" / "sim";
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(sim_dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".cpp" || ext == ".hpp") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const fs::path& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    tus.push_back(
+        parse_tu("src/sim/" + file.filename().string(), buf.str()));
+  }
+  const auto findings = analyze(tus);
+  EXPECT_EQ(count_rule(findings, kRuleLockUnguarded), 0u) << render(findings);
+  EXPECT_EQ(count_rule(findings, kRuleLockCaller), 0u) << render(findings);
+  std::size_t guarded = 0;
+  std::size_t requires_lock = 0;
+  for (const TU& tu : tus) {
+    for (const Annotation& a : tu.annotations) {
+      if (a.kind == AnnKind::kSanitize) continue;
+      EXPECT_TRUE(a.consumed) << tu.path << ":" << a.comment_line;
+      if (a.kind == AnnKind::kGuardedBy) ++guarded;
+      if (a.kind == AnnKind::kRequiresLock) ++requires_lock;
+    }
+  }
+  EXPECT_GE(guarded, 2u);
+  EXPECT_GE(requires_lock, 2u);
 }
 
 // ------------------------------------------------------------------ meta

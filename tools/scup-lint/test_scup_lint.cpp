@@ -143,6 +143,104 @@ TEST(RuleRawThread, ExemptInsideScenarioMatrix) {
   EXPECT_EQ(count_rule(findings, kRuleRawThread), 0u);
 }
 
+// RuleShardEscape: nothing may escape the simulator's serial event loop
+// onto another thread. conc-raw-thread carries that ban in src/sim/ (the
+// suite keeps the name of the sharding rule that used to), and the loop's
+// writes to its own state need no region markers or annotations.
+
+TEST(RuleShardEscape, FiresOnThreadsAndGlobalsInShardFiles) {
+  const auto findings = lint_fixture("sim_thread_escape_bad.cpp",
+                                     "src/sim/event_queue.cpp");
+  // std::thread spawn and .detach; the sequence-counter and metrics
+  // writes on lines 12 and 13 are not findings.
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(count_rule(findings, kRuleRawThread), 2u);
+  EXPECT_TRUE(has_finding(findings, kRuleRawThread, 7));
+  EXPECT_TRUE(has_finding(findings, kRuleRawThread, 8));
+}
+
+TEST(RuleShardEscape, LoopStateIsUncheckedInEverySimFile) {
+  // Every src/sim/ file gets the thread ban and no check on the loop's
+  // own state.
+  for (const char* path :
+       {"src/sim/simulation.cpp", "src/sim/simulation.hpp",
+        "src/sim/message_pool.cpp", "src/sim/network_model.cpp"}) {
+    const auto findings = lint_fixture("sim_thread_escape_bad.cpp", path);
+    EXPECT_EQ(findings.size(), 2u) << path;
+    EXPECT_TRUE(has_finding(findings, kRuleRawThread, 7)) << path;
+    EXPECT_TRUE(has_finding(findings, kRuleRawThread, 8)) << path;
+  }
+}
+
+TEST(RuleShardEscape, ThreadsExemptOnlyInsideTheMatrixPool) {
+  // The one pool allowed to own threads is the one that shards
+  // experiments by cell, core/scenario_matrix; a pool file under src/sim/
+  // gets no exemption.
+  EXPECT_EQ(count_rule(lint_fixture("sim_thread_escape_bad.cpp",
+                                    "src/core/scenario_matrix.cpp"),
+                       kRuleRawThread),
+            0u);
+  EXPECT_EQ(count_rule(lint_fixture("sim_thread_escape_bad.cpp",
+                                    "src/sim/shard_pool.cpp"),
+                       kRuleRawThread),
+            2u);
+}
+
+TEST(RuleShardEscape, ScopedToSim) {
+  // The ban is the same rule in the rest of src/ and stops at src/:
+  // tests/ and tools/ may spawn threads.
+  EXPECT_EQ(count_rule(lint_fixture("sim_thread_escape_bad.cpp",
+                                    "src/core/fix.cpp"),
+                       kRuleRawThread),
+            2u);
+  EXPECT_TRUE(
+      lint_fixture("sim_thread_escape_bad.cpp", "tests/fix.cpp").empty());
+  EXPECT_TRUE(
+      lint_fixture("sim_thread_escape_bad.cpp", "tools/fix.cpp").empty());
+}
+
+TEST(RuleShardEscape, QuietInsideBarrierRegion) {
+  const auto findings =
+      lint_fixture("sim_loop_state_ok.cpp", "src/sim/simulation.cpp");
+  EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
+}
+
+// RuleDrawplanEscape: each send's verdict is drawn from the sender's own
+// StreamRng substream, and those streams are the simulator's only
+// randomness. det-raw-random keeps every side source of randomness or
+// wall-clock time out of src/sim/ (the suite keeps the name of the rule
+// that used to guard the streams' draw sites).
+
+TEST(RuleDrawplanEscape, FiresOutsideDrawplanRegions) {
+  const auto findings =
+      lint_fixture("det_raw_random_bad.cpp", "src/sim/simulation.cpp");
+  // random_device, mt19937 seed, srand/time, std::rand.
+  EXPECT_GE(count_rule(findings, kRuleRawRandom), 4u);
+  EXPECT_TRUE(has_finding(findings, kRuleRawRandom, 8));
+  EXPECT_TRUE(has_finding(findings, kRuleRawRandom, 11));
+}
+
+TEST(RuleDrawplanEscape, QuietInsideDrawplanRegion) {
+  // common/rng, where StreamRng lives, is the one sanctioned home.
+  for (const char* path : {"src/common/rng.hpp", "src/common/rng.cpp"}) {
+    const auto findings = lint_fixture("det_raw_random_bad.cpp", path);
+    EXPECT_TRUE(findings.empty()) << format_finding(findings.front());
+  }
+}
+
+TEST(RuleDrawplanEscape, ScopedToSim) {
+  // Every file of the simulator is covered, headers included: no src/sim/
+  // path is exempt.
+  for (const char* path :
+       {"src/sim/network_model.cpp", "src/sim/network_model.hpp",
+        "src/sim/event_queue.hpp", "src/sim/notary.cpp"}) {
+    EXPECT_GE(count_rule(lint_fixture("det_raw_random_bad.cpp", path),
+                         kRuleRawRandom),
+              4u)
+        << path;
+  }
+}
+
 TEST(RuleUnguardedStatic, FiresOnMutableStaticOnly) {
   const auto findings =
       lint_fixture("conc_unguarded_static_bad.cpp", "src/fix.cpp");
