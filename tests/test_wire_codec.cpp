@@ -265,6 +265,51 @@ TEST_F(WireCodecTest, FrameCacheEncodesOncePerMessage) {
   EXPECT_EQ(s1, s2);
 }
 
+TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
+  // A copy of a sent message keeps the source's interned type id but none
+  // of its frame cache: it encodes on its own first send, into its own
+  // storage (inline for GetSink, the overflow buffer for the envelope).
+  const auto sent = [](const sim::Message& m) {
+    (void)m.metrics_type_id();
+    (void)m.send_size();
+  };
+  const auto expect_fresh_copy = [](const sim::Message& copy,
+                                    const sim::Message& source) {
+    EXPECT_EQ(copy.metrics_type_id(), source.metrics_type_id());
+    const auto sized = copy.send_size();
+    EXPECT_TRUE(sized.encoded_now);
+    EXPECT_TRUE(sized.from_codec);
+    EXPECT_EQ(sized.bytes, source.send_size().bytes);
+    EXPECT_NE(copy.wire_frame().first, source.wire_frame().first);
+    EXPECT_EQ(frame_of(copy), frame_of(source));
+  };
+
+  const cup::GetSinkMsg sink_source(ProcessId{3});
+  sent(sink_source);
+  const cup::GetSinkMsg sink_copy(sink_source);
+  expect_fresh_copy(sink_copy, sink_source);
+  cup::GetSinkMsg sink_assigned(ProcessId{8});
+  sent(sink_assigned);
+  sink_assigned = sink_source;
+  expect_fresh_copy(sink_assigned, sink_source);
+
+  scp::NominateStmt nom;
+  for (Value v = 1000; v < 1020; ++v) nom.voted.push_back(v);
+  const scp::Envelope env_source(1, 4, sample_qset(), scp::Statement{nom});
+  sent(env_source);
+  ASSERT_GT(env_source.send_size().bytes, 104u);
+  const scp::Envelope env_copy(env_source);
+  expect_fresh_copy(env_copy, env_source);
+  // The assigned-to envelope was sent as a PREPARE: assignment must replace
+  // its cached type id and frame, not keep them.
+  scp::PrepareStmt prep;
+  prep.b = {3, 1001};
+  scp::Envelope env_assigned(5, 7, sample_qset(), scp::Statement{prep});
+  sent(env_assigned);
+  env_assigned = env_source;
+  expect_fresh_copy(env_assigned, env_source);
+}
+
 TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
   struct LegacyMsg final : sim::Message {
     std::string type_name() const override { return "test.legacy"; }
