@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/wire.hpp"
 
@@ -75,51 +74,38 @@ thread_local std::vector<std::uint8_t> wire_scratch;
 }  // namespace
 
 bool Message::encode_frame_once() const {
-  if (wire_state_.load(std::memory_order_acquire) == kWireReady) return false;
-  std::uint32_t expected = kWireEmpty;
-  if (wire_state_.compare_exchange_strong(expected, kWireBuilding,
-                                          std::memory_order_acquire)) {
-    wire_scratch.clear();
-    WireWriter writer(wire_scratch);
-    writer.u16(wire_type());
-    wire_encode(writer);
-    const std::size_t size = wire_scratch.size();
-    wire_size_ = static_cast<std::uint32_t>(size);
-    if (size <= kWireInlineCapacity) {
-      std::copy(wire_scratch.begin(), wire_scratch.end(),
-                wire_inline_.begin());
-    } else {
-      wire_overflow_.assign(wire_scratch.begin(), wire_scratch.end());
-    }
-    size_cache_.store(wire_size_, std::memory_order_relaxed);
-    wire_state_.store(kWireReady, std::memory_order_release);
-    return true;
+  if (wire_ready_) return false;
+  wire_scratch.clear();
+  WireWriter writer(wire_scratch);
+  writer.u16(wire_type());
+  wire_encode(writer);
+  const std::size_t size = wire_scratch.size();
+  if (size <= kWireInlineCapacity) {
+    std::copy(wire_scratch.begin(), wire_scratch.end(), wire_inline_.begin());
+  } else {
+    wire_overflow_.assign(wire_scratch.begin(), wire_scratch.end());
   }
-  // Another thread won the race on a shared message object; wait out its
-  // few-hundred-nanosecond encode.
-  while (wire_state_.load(std::memory_order_acquire) != kWireReady) {
-    std::this_thread::yield();
-  }
-  return false;
+  size_cache_ = static_cast<std::uint32_t>(size);
+  wire_ready_ = true;
+  return true;
 }
 
 Message::SendSize Message::send_size_slow() const {
   if (wire_type() == kWireTypeNone) {
-    // Satellite memoization for codec-less types (bench/test messages):
-    // one virtual byte_size() per message object, relaxed loads per send.
+    // Memoization for codec-less types (bench/test messages): one virtual
+    // byte_size() per message object, a field read per later send.
     const std::size_t estimate = byte_size();
-    size_cache_.store(static_cast<std::uint32_t>(estimate),
-                      std::memory_order_relaxed);
+    size_cache_ = static_cast<std::uint32_t>(estimate);
     return {estimate, false, false};
   }
   const bool encoded_now = encode_frame_once();
-  return {size_cache_.load(std::memory_order_relaxed), encoded_now, true};
+  return {size_cache_, encoded_now, true};
 }
 
 std::pair<const std::uint8_t*, std::size_t> Message::wire_frame() const {
   if (wire_type() == kWireTypeNone) return {nullptr, 0};
   encode_frame_once();
-  const std::size_t size = wire_size_;
+  const std::size_t size = size_cache_;
   const std::uint8_t* data = size <= kWireInlineCapacity
                                  ? wire_inline_.data()
                                  : wire_overflow_.data();

@@ -8,21 +8,19 @@
 // The per-send hot path reads two lazily-filled per-object caches instead of
 // making virtual calls: metrics_type_id() (interned type name) and
 // send_size() (exact encoded frame size for types with a wire codec, the
-// memoized byte_size() estimate otherwise). Construction goes through
-// make_message(), which draws storage from the owning Simulation's
-// MessagePool when one is bound to the calling thread (DESIGN.md §4.9).
+// memoized byte_size() estimate otherwise). The caches are plain fields:
+// each Simulation runs on one thread and no message object leaves it.
+// Construction goes through make_message(), a plain make_shared
+// (DESIGN.md §4.9).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "sim/message_pool.hpp"
 
 namespace scup::sim {
 
@@ -50,19 +48,14 @@ inline constexpr std::uint16_t kWireTypeNone = 0;
 class Message {
  public:
   Message() = default;
-  // std::atomic is not copyable; copy the cached value so copied messages
-  // keep the interned id (ids are process-wide, so the value transfers).
-  // The wire caches are NOT copied: a copy is a distinct object that may be
-  // mutated before it is ever sent, so it re-encodes on its own first send.
-  Message(const Message& other)
-      : metrics_type_id_(
-            other.metrics_type_id_.load(std::memory_order_relaxed)) {}
+  // A copy keeps the interned id (ids are process-wide, so the value
+  // transfers) but not the wire caches: it is a distinct object that may be
+  // mutated before it is ever sent, so it encodes on its own first send.
+  Message(const Message& other) : metrics_type_id_(other.metrics_type_id_) {}
   Message& operator=(const Message& other) {
-    metrics_type_id_.store(
-        other.metrics_type_id_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    size_cache_.store(kNoCachedSize, std::memory_order_relaxed);
-    wire_state_.store(kWireEmpty, std::memory_order_relaxed);
+    metrics_type_id_ = other.metrics_type_id_;
+    size_cache_ = kNoCachedSize;
+    wire_ready_ = false;
     wire_overflow_.clear();
     return *this;
   }
@@ -72,9 +65,9 @@ class Message {
   virtual std::string type_name() const = 0;
 
   /// Approximate wire size in bytes, for traffic accounting of types
-  /// without a codec. Types with a codec (wire_type() != kWireTypeNone) are
-  /// accounted by their exact encoded frame size instead; their byte_size()
-  /// override is a legacy estimate kept for comparison benches.
+  /// without a codec (test and bench messages). Types with a codec
+  /// (wire_type() != kWireTypeNone) are accounted by their exact encoded
+  /// frame size and never call this.
   virtual std::size_t byte_size() const { return 64; }
 
   /// Dense process-wide id of this type's wire frame, or kWireTypeNone.
@@ -88,12 +81,10 @@ class Message {
   /// a broadcast fanning one message out to n destinations interns once
   /// and reads the cached id n-1 times.
   std::uint32_t metrics_type_id() const {
-    std::uint32_t id = metrics_type_id_.load(std::memory_order_relaxed);
-    if (id == kUninternedTypeId) {
-      id = MessageTypeRegistry::intern(type_name());
-      metrics_type_id_.store(id, std::memory_order_relaxed);
+    if (metrics_type_id_ == kUninternedTypeId) {
+      metrics_type_id_ = MessageTypeRegistry::intern(type_name());
     }
-    return id;
+    return metrics_type_id_;
   }
 
   struct SendSize {
@@ -107,12 +98,10 @@ class Message {
 
   /// Size charged per send: the exact cached frame size when this type has
   /// a codec, else the memoized byte_size() estimate. At most one virtual
-  /// call per *message*; every later send is a relaxed atomic load.
+  /// call per *message*; every later send is a field read.
   SendSize send_size() const {
-    const std::uint32_t cached = size_cache_.load(std::memory_order_relaxed);
-    if (cached != kNoCachedSize) {
-      return {cached, false,
-              wire_state_.load(std::memory_order_relaxed) == kWireReady};
+    if (size_cache_ != kNoCachedSize) {
+      return {size_cache_, false, wire_ready_};
     }
     return send_size_slow();
   }
@@ -123,54 +112,30 @@ class Message {
 
  private:
   SendSize send_size_slow() const;
-  /// Returns true iff this call won the encode race and built the frame.
+  /// Returns true iff this call built the frame (false if it was cached).
   bool encode_frame_once() const;
 
   static constexpr std::uint32_t kUninternedTypeId = 0xffffffffu;
   static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
-  // Encode states: a single winner CASes kWireEmpty -> kWireBuilding,
-  // fills the frame storage, then release-stores kWireReady; a concurrent
-  // sender of the same message spins on the acquire load. Each Simulation
-  // runs on one thread, so such a race needs a message object shared
-  // across ScenarioMatrix cells; whether any is shared is unchecked, so
-  // the atomics stay until that check and the keep-or-remove decision on
-  // the message pool (ROADMAP.md).
-  static constexpr std::uint32_t kWireEmpty = 0;
-  static constexpr std::uint32_t kWireBuilding = 1;
-  static constexpr std::uint32_t kWireReady = 2;
-  /// Frames at most this large live inline in the message (which itself
-  /// lives in the pool slab); larger frames overflow to one heap buffer.
+  /// Frames at most this large live inline in the message; larger frames
+  /// overflow to one heap buffer.
   static constexpr std::size_t kWireInlineCapacity = 104;
 
-  // The caches are per-object state invisible to message semantics. The
-  // lazy fills are atomics so that a message shared across threads would
-  // stay safe: racing metrics_type_id fills intern the same name and store
-  // the same id (the registry is idempotent); racing frame encodes are
-  // serialized by wire_state_ (see the encode states above).
-  mutable std::atomic<std::uint32_t> metrics_type_id_{kUninternedTypeId};
-  mutable std::atomic<std::uint32_t> size_cache_{kNoCachedSize};
-  mutable std::atomic<std::uint32_t> wire_state_{kWireEmpty};
-  mutable std::uint32_t wire_size_ = 0;
+  // The caches are per-object state invisible to message semantics.
+  // size_cache_ holds the byte_size() estimate for codec-less types and
+  // the frame size once wire_ready_ is set.
+  mutable std::uint32_t metrics_type_id_ = kUninternedTypeId;
+  mutable std::uint32_t size_cache_ = kNoCachedSize;
+  mutable bool wire_ready_ = false;
   mutable std::array<std::uint8_t, kWireInlineCapacity> wire_inline_;
   mutable std::vector<std::uint8_t> wire_overflow_;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
 
-/// The construction chokepoint for every message in the system. When the
-/// calling thread is inside a Simulation run loop with pooling enabled
-/// (MessagePool::Scope bound), storage comes from the per-Simulation slab
-/// pool and steady-state broadcast costs zero allocator round-trips;
-/// otherwise this is a plain make_shared. The returned pointer is always a
-/// vanilla std::shared_ptr either way — call sites cannot tell the
-/// difference, and pooled storage outlives the Simulation if callers keep
-/// messages alive past it (the allocator holds the pool state).
+/// The construction chokepoint for every message in the system.
 template <typename T, typename... Args>
 MessagePtr make_message(Args&&... args) {
-  if (MessagePool* pool = MessagePool::current()) {
-    return std::allocate_shared<const T>(PoolAllocator<T>(*pool),
-                                         std::forward<Args>(args)...);
-  }
   return std::make_shared<const T>(std::forward<Args>(args)...);
 }
 

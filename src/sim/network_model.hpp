@@ -85,14 +85,6 @@ struct NetworkConfig {
   /// Partition schedule (all active crossing windows apply; the latest
   /// heal wins).
   std::vector<PartitionWindow> partitions;
-
-  // ---- broadcast-plane knobs ----
-
-  /// Draw message storage from the per-Simulation slab pool
-  /// (sim/message_pool.hpp) inside run loops. Purely an allocation
-  /// strategy — results are bit-identical either way; kept selectable so
-  /// the E16 bench can A/B legacy make_shared against the pooled plane.
-  bool message_pool = true;
 };
 
 /// Link-layer policy: one verdict per send. Implementations draw all

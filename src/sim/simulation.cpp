@@ -66,8 +66,7 @@ Simulation::Simulation(std::size_t n, NetworkConfig config,
       active_(n, 0),
       activation_time_(n, 0),
       mailboxes_(n),
-      timer_generations_(n),
-      pool_(config.message_pool ? std::make_unique<MessagePool>() : nullptr) {
+      timer_generations_(n) {
   if (!model_) throw std::invalid_argument("Simulation: null NetworkModel");
   process_rngs_.reserve(n);
   Rng seeder(config.seed ^ 0x5eedULL);
@@ -144,14 +143,10 @@ void Simulation::start() {
     e.target = id;
     queue_.push(std::move(e));
   }
-  {
-    // Process start() upcalls construct the first broadcast wave.
-    const MessagePool::Scope pool_scope(pool_.get());
-    for (ProcessId id = 0; id < n_; ++id) {
-      if (activation_time_[id] != 0 || crashed_[id]) continue;
-      active_[id] = 1;
-      processes_[id]->start();
-    }
+  for (ProcessId id = 0; id < n_; ++id) {
+    if (activation_time_[id] != 0 || crashed_[id]) continue;
+    active_[id] = 1;
+    processes_[id]->start();
   }
 }
 
@@ -338,7 +333,6 @@ bool Simulation::step() {
 
 std::size_t Simulation::run_for(SimTime deadline) {
   if (!started_) throw std::logic_error("run_for before start");
-  const MessagePool::Scope pool_scope(pool_.get());
   std::size_t processed = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     step();

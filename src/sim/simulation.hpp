@@ -28,6 +28,7 @@
 #include "sim/counters.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/message.hpp"
+#include "sim/message_pool.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network_model.hpp"
 #include "sim/notary.hpp"
@@ -70,12 +71,9 @@ class Simulation {
   void activate(ProcessId id, SimTime t);
   bool active(ProcessId id) const { return active_[id] != 0; }
 
-  /// Message-pool instrumentation (all-zero when the pool is disabled via
-  /// NetworkConfig::message_pool). Kept out of SimMetrics: allocation
-  /// strategy is invisible to the identity contract.
-  MessagePool::Stats pool_stats() const {
-    return pool_ ? pool_->stats() : MessagePool::Stats{};
-  }
+  // Always all-zero: the message pool is gone. Stays only because
+  // benchmark/ reads it, and goes with the next change to the benchmark.
+  MessagePool::Stats pool_stats() const { return {}; }
 
   /// Calls start() on every process not scheduled by activate() (in id
   /// order). Must be called once.
@@ -92,8 +90,6 @@ class Simulation {
   template <typename Pred>
   bool run_until(Pred&& predicate, SimTime deadline, std::size_t stride = 1) {
     if (!started_) throw std::logic_error("run_until before start");
-    // Bind this simulation's message pool for the upcalls below.
-    const MessagePool::Scope pool_scope(pool_.get());
     if (predicate()) return true;
     if (stride == 0) stride = 1;
     std::size_t since_check = 0;
@@ -174,11 +170,6 @@ class Simulation {
   std::vector<std::vector<std::pair<int, std::uint64_t>>> timer_generations_;
   CalendarQueue queue_;
   SimMetrics metrics_;
-  /// Slab arena behind make_message (null when disabled). Declared after
-  /// the queues/processes it outlives within this object is irrelevant:
-  /// blocks survive the pool handle via the allocator's State keep-alive,
-  /// so member destruction order cannot dangle.
-  std::unique_ptr<MessagePool> pool_;
   bool started_ = false;
 };
 

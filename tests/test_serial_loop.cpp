@@ -570,10 +570,9 @@ TEST(ShardedScenarioTest, AllMatrixShapesAreShardInvariant) {
 }
 
 TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {
-  // Multi-slot SCP: chains must match across replicas, across worker
-  // threads and with the message pool on or off, and the SlotHost
-  // shared-wrap cache must be serving broadcasts (the zero-copy envelope
-  // path).
+  // Multi-slot SCP: chains must match across replicas and across worker
+  // threads, and the SlotHost shared-wrap cache must be serving broadcasts
+  // (the zero-copy envelope path).
   const auto g = graph::fig2_graph();
   constexpr std::uint64_t kSlots = 3;
   struct LedgerRun {
@@ -583,12 +582,11 @@ TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {
     bool done = false;
     bool replicas_agree = true;
   };
-  auto run = [&](bool pool) {
+  auto run = [&] {
     sim::NetworkConfig net;
     net.seed = 17;
     net.min_delay = 1;
     net.max_delay = 10;
-    net.message_pool = pool;
     sim::Simulation sim(g.node_count(), net);
     std::vector<LedgerNode*> nodes;
     for (ProcessId i = 0; i < g.node_count(); ++i) {
@@ -614,16 +612,16 @@ TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {
     out.metrics = sim.metrics();
     return out;
   };
-  const LedgerRun base = run(true);
+  const LedgerRun base = run();
   ASSERT_TRUE(base.done);
   EXPECT_TRUE(base.replicas_agree);
   EXPECT_NE(base.digest, 0u);
   std::vector<LedgerRun> threaded(2);
   parallel_cells(threaded.size(), 2,
-                 [&](std::size_t i) { threaded[i] = run(i == 0); });
+                 [&](std::size_t i) { threaded[i] = run(); });
   for (std::size_t i = 0; i < threaded.size(); ++i) {
     const LedgerRun& r = threaded[i];
-    const std::string what = i == 0 ? "pool on" : "pool off";
+    const std::string what = "cell " + std::to_string(i);
     EXPECT_TRUE(r.done) << what;
     EXPECT_TRUE(r.replicas_agree) << what;
     EXPECT_EQ(r.digest, base.digest) << what;
@@ -851,7 +849,7 @@ TEST(LookaheadWindowTest, ZeroLatencyModelIsLegalWithOneShard) {
 TEST(LookaheadIdentityTest, HetLinksPartitionsAndLossAcrossShardCounts) {
   // The full feature set at once: heterogeneous links, a partition window,
   // pre-GST loss and duplication, driven in windows from the global floor
-  // (1 tick) to wider than the base floor, and with the pool off.
+  // (1 tick) to wider than the base floor.
   NetworkConfig net = het_net(23);
   net.gst = 400;
   net.pre_gst_max_delay = 60;
@@ -872,9 +870,6 @@ TEST(LookaheadIdentityTest, HetLinksPartitionsAndLossAcrossShardCounts) {
     expect_same_run(run_het(net, width), base,
                     "width=" + std::to_string(width));
   }
-  NetworkConfig unpooled = net;
-  unpooled.message_pool = false;
-  expect_same_run(run_het(unpooled), base, "message pool off");
 }
 
 TEST(LookaheadIdentityTest, GlobalMinBaselineIsBitIdenticalButSlower) {

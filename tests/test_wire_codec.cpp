@@ -7,13 +7,15 @@
 //     counts, non-canonical element order and over-deep qsets decode to
 //     nullptr — never to UB (the fuzz loop runs the decoder over mutated
 //     frames under the sanitizer jobs).
-//  3. Pool + cache invariants: make_message inside a MessagePool::Scope
-//     draws from the slab arena with wholesale reuse, the frame cache
-//     encodes exactly once per message object, and pooling is invisible to
-//     the determinism contract (fingerprint/metrics identity, pool on/off).
+//  3. Cache and ownership invariants: the frame cache encodes exactly once
+//     per message object, a copy keeps the type id but encodes its own
+//     frame, and messages are plain make_shared objects whose lifetime and
+//     addresses are invisible to the determinism contract.
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +29,7 @@
 #include "scp/envelope.hpp"
 #include "scp/ledger.hpp"
 #include "sim/message.hpp"
-#include "sim/message_pool.hpp"
+#include "sim/simulation.hpp"
 #include "sim/wire.hpp"
 
 namespace scup {
@@ -322,85 +324,120 @@ TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
   EXPECT_EQ(msg->wire_frame().first, nullptr);
 }
 
-// ---- MessagePool ----
+// ---- Message ownership ----
+//
+// Messages are plain make_shared objects. The MessagePoolTest names are
+// kept from the slab pool these tests used to cover; each now checks the
+// ownership property the pool had to preserve.
+
+/// Sends one KnownMsg to process 1, which keeps it in `kept`.
+class KeepFirstMessage : public sim::Process {
+ public:
+  explicit KeepFirstMessage(MessagePtr& kept) : kept_(kept) {}
+  void start() override {
+    if (id() != 0) return;
+    send(1, sim::make_message<cup::KnownMsg>(NodeSet(8, {1, 2, 3})));
+  }
+  void on_message(ProcessId, const MessagePtr& msg) override {
+    if (kept_ == nullptr) kept_ = msg;
+  }
+
+ private:
+  MessagePtr& kept_;
+};
 
 TEST(MessagePoolTest, SteadyStateReusesSlabsWholesale) {
-  sim::MessagePool pool;
-  const sim::MessagePool::Scope scope(&pool);
-  // Churn far more messages than one slab holds, with a bounded live set:
-  // after warm-up every allocation must come from pooled storage, and the
-  // reserved footprint must stay at the in-flight watermark, not the total.
+  // Churn far more messages than the live window holds: every message the
+  // window drops dies at once, and nothing outlives the window.
   std::vector<MessagePtr> live;
+  std::vector<std::weak_ptr<const sim::Message>> watched;
   for (int round = 0; round < 5000; ++round) {
     live.push_back(sim::make_message<cup::GetSinkMsg>(
         static_cast<ProcessId>(round)));
-    if (live.size() > 64) live.erase(live.begin());
+    watched.push_back(live.back());
+    if (live.size() > 64) {
+      live.erase(live.begin());
+      EXPECT_TRUE(watched[watched.size() - 65].expired()) << round;
+      EXPECT_FALSE(watched[watched.size() - 64].expired()) << round;
+    }
   }
   live.clear();
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.pool_allocs, 5000u);
-  EXPECT_EQ(stats.pool_frees, 5000u);
-  EXPECT_EQ(stats.fallback_allocs, 0u);
-  // 64 live GetSink messages fit in a couple of slabs; 5000 allocations
-  // must not have grown the footprint past the watermark.
-  EXPECT_LE(stats.slabs_created, 4u);
-  EXPECT_LE(stats.bytes_reserved, 4u * 64u * 1024u);
+  for (const auto& w : watched) EXPECT_TRUE(w.expired());
 }
 
 TEST(MessagePoolTest, BlocksOutliveThePoolHandle) {
+  // A message received inside run_until stays readable after its
+  // Simulation is destroyed (ASan would flag storage freed with the run).
   MessagePtr survivor;
   {
-    sim::MessagePool pool;
-    const sim::MessagePool::Scope scope(&pool);
-    survivor = sim::make_message<cup::KnownMsg>(NodeSet(8, {1, 2, 3}));
+    sim::Simulation sim(2, sim::NetworkConfig{});
+    sim.emplace_process<KeepFirstMessage>(0, survivor);
+    sim.emplace_process<KeepFirstMessage>(1, survivor);
+    sim.start();
+    ASSERT_TRUE(sim.run_until([&] { return survivor != nullptr; }, 1'000));
   }
-  // The allocator's shared State keeps the slab alive; releasing the last
-  // reference after the pool died must be safe (ASan would flag a stale
-  // slab here).
   ASSERT_NE(survivor, nullptr);
   EXPECT_EQ(survivor->type_name(), "cup.known");
+  const auto& known = dynamic_cast<const cup::KnownMsg&>(*survivor);
+  EXPECT_EQ(known.known, NodeSet(8, {1, 2, 3}));
+  EXPECT_EQ(survivor->send_size().bytes, frame_of(*survivor).size());
   survivor.reset();
 }
 
 TEST(MessagePoolTest, OversizedRequestsFallBackToHeap) {
+  // An 8 KiB codec-less message is charged its byte_size(); a gossip frame
+  // past the inline buffer is charged its exact overflow frame.
   struct JumboMsg final : sim::Message {
     std::array<std::uint8_t, 8192> payload{};
     std::string type_name() const override { return "test.jumbo"; }
     std::size_t byte_size() const override { return payload.size(); }
   };
-  sim::MessagePool pool;
-  const sim::MessagePool::Scope scope(&pool);
-  const MessagePtr msg = sim::make_message<JumboMsg>();
-  EXPECT_EQ(pool.stats().fallback_allocs, 1u);
-  EXPECT_EQ(pool.stats().pool_allocs, 0u);
+  const MessagePtr jumbo = sim::make_message<JumboMsg>();
+  EXPECT_EQ(jumbo->send_size().bytes, 8192u);
+  EXPECT_FALSE(jumbo->send_size().from_codec);
+
+  std::map<ProcessId, NodeSet> certs;
+  for (ProcessId owner = 0; owner < 12; ++owner) {
+    certs.emplace(owner, NodeSet(12, {0, 3, 4, 7, 11}));
+  }
+  const MessagePtr gossip =
+      sim::make_message<cup::CertGossipMsg>(std::move(certs));
+  const auto [data, size] = gossip->wire_frame();
+  ASSERT_NE(data, nullptr);
+  EXPECT_GT(size, 104u);
+  EXPECT_EQ(gossip->send_size().bytes, size);
 }
 
 TEST(MessagePoolTest, UnboundThreadsUsePlainMakeShared) {
-  EXPECT_EQ(sim::MessagePool::current(), nullptr);
+  // No Simulation runs on this thread.
   const MessagePtr msg = sim::make_message<cup::GetSinkMsg>(ProcessId{1});
-  EXPECT_NE(msg, nullptr);
+  ASSERT_NE(msg, nullptr);
+  EXPECT_EQ(msg.use_count(), 1);
+  EXPECT_EQ(dynamic_cast<const cup::GetSinkMsg&>(*msg).origin, 1u);
 }
 
-// ---- pool on/off identity ----
-
 TEST(MessagePoolTest, PoolingIsInvisibleToTheDeterminismContract) {
+  // Message addresses never reach a result: heap churn between two runs of
+  // the same churn/partition config moves every later allocation, and
+  // fingerprint, full SimMetrics, decisions and end tick stay identical.
   core::ChurnPartitionParams params;
   params.n = 16;
   params.f = 1;
   params.seed = 11;
-  // Pool on vs. pool off must be bit-identical in every observable —
-  // fingerprint, full SimMetrics, decisions.
-  core::ScenarioConfig config = core::churn_partition_scenario(params);
-  config.net.message_pool = true;
-  const core::ScenarioReport pooled = core::run_scenario(config);
-  config.net.message_pool = false;
-  const core::ScenarioReport plain = core::run_scenario(config);
-  EXPECT_TRUE(pooled.all_decided);
-  EXPECT_TRUE(plain.all_decided);
-  EXPECT_EQ(plain.notary_fingerprint, pooled.notary_fingerprint);
-  EXPECT_EQ(plain.metrics, pooled.metrics);
-  EXPECT_EQ(plain.decision_times, pooled.decision_times);
-  EXPECT_EQ(plain.end_time, pooled.end_time);
+  const core::ScenarioConfig config = core::churn_partition_scenario(params);
+  const core::ScenarioReport first = core::run_scenario(config);
+  std::vector<std::unique_ptr<std::uint8_t[]>> kept;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    auto block = std::make_unique<std::uint8_t[]>(8 + (i * 37) % 1531);
+    if (i % 7 == 0) kept.push_back(std::move(block));
+  }
+  const core::ScenarioReport second = core::run_scenario(config);
+  EXPECT_TRUE(first.all_decided);
+  EXPECT_TRUE(second.all_decided);
+  EXPECT_EQ(second.notary_fingerprint, first.notary_fingerprint);
+  EXPECT_EQ(second.metrics, first.metrics);
+  EXPECT_EQ(second.decision_times, first.decision_times);
+  EXPECT_EQ(second.end_time, first.end_time);
 }
 
 }  // namespace
