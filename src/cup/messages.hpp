@@ -40,9 +40,6 @@ struct DiscoverMsg final : sim::Message {
   explicit DiscoverMsg(PdCertificate c) : cert(std::move(c)) {}
   PdCertificate cert;
   std::string type_name() const override { return "cup.discover"; }
-  std::size_t byte_size() const override {
-    return 16 + cert.pd.count() * 4;
-  }
   std::uint16_t wire_type() const override { return kWireTypeDiscover; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(cert.owner);
@@ -60,20 +57,10 @@ struct DiscoverMsg final : sim::Message {
 /// Reply to DISCOVER (and general gossip): all certificates the sender
 /// holds, merged per owner.
 struct CertGossipMsg final : sim::Message {
-  explicit CertGossipMsg(std::map<ProcessId, NodeSet> c) : certs(std::move(c)) {
-    // Messages are immutable once constructed, so the wire size is fixed
-    // here. Computing it lazily in byte_size() would walk the whole map
-    // once per destination — the metrics accounting in enqueue_send calls
-    // it on every send, and gossip replies are shared across many sends.
-    byte_size_ = 16;
-    for (const auto& [owner, pd] : certs) {
-      (void)owner;
-      byte_size_ += 8 + pd.count() * 4;
-    }
-  }
+  explicit CertGossipMsg(std::map<ProcessId, NodeSet> c)
+      : certs(std::move(c)) {}
   std::map<ProcessId, NodeSet> certs;
   std::string type_name() const override { return "cup.certs"; }
-  std::size_t byte_size() const override { return byte_size_; }
   std::uint16_t wire_type() const override { return kWireTypeCertGossip; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(static_cast<std::uint32_t>(certs.size()));
@@ -106,9 +93,6 @@ struct CertGossipMsg final : sim::Message {
     }
     return sim::make_message<CertGossipMsg>(std::move(certs));
   }
-
- private:
-  std::size_t byte_size_ = 0;
 };
 
 /// Step 2/3 of the SINK algorithm: the sender believes the set of processes
@@ -117,7 +101,6 @@ struct KnownMsg final : sim::Message {
   explicit KnownMsg(NodeSet k) : known(std::move(k)) {}
   NodeSet known;
   std::string type_name() const override { return "cup.known"; }
-  std::size_t byte_size() const override { return 16 + known.count() * 4; }
   std::uint16_t wire_type() const override { return kWireTypeKnown; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(known); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
@@ -134,7 +117,6 @@ struct GetSinkMsg final : sim::Message {
   explicit GetSinkMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
   std::string type_name() const override { return "cup.get_sink"; }
-  std::size_t byte_size() const override { return 20; }
   std::uint16_t wire_type() const override { return kWireTypeGetSink; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
@@ -149,7 +131,6 @@ struct SinkValueMsg final : sim::Message {
   explicit SinkValueMsg(NodeSet s) : sink(std::move(s)) {}
   NodeSet sink;
   std::string type_name() const override { return "cup.sink_value"; }
-  std::size_t byte_size() const override { return 16 + sink.count() * 4; }
   std::uint16_t wire_type() const override { return kWireTypeSinkValue; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(sink); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {

@@ -92,7 +92,7 @@ bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
 sim::MessagePtr SinkDiscovery::gossip_reply() {
   // The reply is immutable and identical for every requester until the next
   // certificate change (merge_certificate resets the cache), so one shared
-  // message serves all of them — one construction *and one byte_size walk*
+  // message serves all of them — one construction *and one frame encode*
   // per certificate state; the per-DISCOVER copy used to dominate
   // large-n discovery cost. Owners are listed in ascending order, as the
   // canonical frame requires.

@@ -89,13 +89,6 @@ struct Envelope final : sim::Message {
       default: return "scp.externalize";
     }
   }
-  std::size_t byte_size() const override {
-    std::size_t base = 48 + qset.validators().size() * 4;
-    if (const auto* nom = std::get_if<NominateStmt>(&statement)) {
-      base += (nom->voted.size() + nom->accepted.size()) * 8;
-    }
-    return base;
-  }
   std::uint16_t wire_type() const override { return kWireTypeEnvelope; }
   void wire_encode(sim::WireWriter& w) const override;
   static sim::MessagePtr wire_decode(sim::WireReader& r);

@@ -61,7 +61,6 @@ struct SlotEnvelope final : sim::Message {
   std::string type_name() const override {
     return "scp.slot." + envelope.type_name().substr(4);
   }
-  std::size_t byte_size() const override { return 8 + envelope.byte_size(); }
   std::uint16_t wire_type() const override { return kWireTypeSlotEnvelope; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u64(slot);

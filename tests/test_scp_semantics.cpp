@@ -161,7 +161,7 @@ TEST(EnvelopeTest, TypeNamesAndSizes) {
   // Nomination size grows with the value sets.
   const Envelope small(0, 1, q, Statement{NominateStmt{{1}, {}}});
   const Envelope large(0, 1, q, Statement{NominateStmt{{1, 2, 3, 4}, {5}}});
-  EXPECT_LT(small.byte_size(), large.byte_size());
+  EXPECT_LT(small.send_size().bytes, large.send_size().bytes);
 }
 
 // The safety-critical cross-implication: a statement that accepts
