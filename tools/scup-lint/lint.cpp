@@ -617,8 +617,8 @@ void rule_perf_hot_alloc(const std::string& rel_path, ParsedFile& file,
             rel_path, i + 1, std::string(kRulePerfHotAlloc),
             "'" + std::string(token) +
                 "' allocates inside a message-handler body — the "
-                "per-delivery hot path (E16); construct messages with the "
-                "pooled sim::make_message, hoist the allocation out of the "
+                "per-delivery hot path; construct messages with "
+                "sim::make_message, hoist the allocation out of the "
                 "handler, or annotate `// scup-lint: alloc-ok(<why this "
                 "allocation is cold or amortized>)`"});
       }

@@ -42,9 +42,9 @@
 //                           message-handler body (on_message / handle) in
 //                           src/ without an `alloc-ok(<why>)`
 //                           annotation. Handler bodies run once per delivery
-//                           — the broadcast-plane hot path (E16); messages
-//                           must come from the pooled sim::make_message and
-//                           scratch space from reused buffers.
+//                           — the broadcast-plane hot path; messages are
+//                           built with sim::make_message and scratch space
+//                           comes from reused buffers.
 //
 //   meta (the gate keeps itself honest)
 //     lint-unknown-annotation  a `// scup-lint: ...` comment naming no known

@@ -164,7 +164,7 @@ TEST(RuleShardEscape, LoopStateIsUncheckedInEverySimFile) {
   // own state.
   for (const char* path :
        {"src/sim/simulation.cpp", "src/sim/simulation.hpp",
-        "src/sim/message_pool.cpp", "src/sim/network_model.cpp"}) {
+        "src/sim/message.cpp", "src/sim/network_model.cpp"}) {
     const auto findings = lint_fixture("sim_thread_escape_bad.cpp", path);
     EXPECT_EQ(findings.size(), 2u) << path;
     EXPECT_TRUE(has_finding(findings, kRuleRawThread, 7)) << path;
