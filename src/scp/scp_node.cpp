@@ -267,6 +267,7 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     }
   };
   if (ballot) {
+    candidate_ballots_stale_ = true;
     // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
     for (auto& [key, view] : ballot_support_) {
       set_member(view, pred_holds(key, stored.statement));
@@ -499,8 +500,14 @@ bool ScpNode::step_ballot() {
   return changed;
 }
 
-std::vector<Ballot> ScpNode::candidate_ballots() const {
-  std::vector<Ballot> out;
+const std::vector<Ballot>& ScpNode::candidate_ballots() {
+  if (!candidate_ballots_stale_ && candidate_ballots_b_ == b_) {
+    return candidate_ballots_;
+  }
+  candidate_ballots_stale_ = false;
+  candidate_ballots_b_ = b_;
+  std::vector<Ballot>& out = candidate_ballots_;
+  out.clear();
   auto push = [&out](const Ballot& b) {
     if (b.valid()) out.push_back(b);
   };

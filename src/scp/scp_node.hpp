@@ -260,7 +260,9 @@ class ScpNode {
   void emit_ballot();      // store + broadcast our ballot envelope
   Statement ballot_statement() const;
   Value composite_candidate() const;
-  std::vector<Ballot> candidate_ballots() const;
+  /// Every valid ballot named by b_ or a stored ballot statement, highest
+  /// first, without repeats; rebuilt only when one of those changed.
+  const std::vector<Ballot>& candidate_ballots();
   std::vector<std::uint32_t> commit_boundaries(Value x) const;
   void arm_ballot_timer();
   void flush_counters();
@@ -294,6 +296,11 @@ class ScpNode {
   std::uint32_t ext_c_n_ = 0;  // confirmed commit range (EXTERNALIZE)
   std::uint32_t ext_h_n_ = 0;
   std::optional<Value> decided_;
+  /// candidate_ballots()'s list, the b_ it was built for, and whether a
+  /// ballot statement was stored since.
+  std::vector<Ballot> candidate_ballots_;
+  Ballot candidate_ballots_b_;
+  bool candidate_ballots_stale_ = true;
 
   /// Senders whose stored NOMINATE was handled before start(), so was never
   /// echoed into our votes; their next NOMINATE echoes every value it names.
