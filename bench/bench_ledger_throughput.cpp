@@ -1,4 +1,4 @@
-// E13 — multi-slot ledger throughput on the memoizing QuorumEngine.
+// E13 — multi-slot ledger throughput on the QuorumEngine.
 //
 // A LedgerNode chain runs one SCP instance per slot; before the
 // QuorumEngine, every federated_accept/federated_ratify re-gathered support
@@ -9,9 +9,9 @@
 //  - slots_per_sec       chain throughput (slots × cells per wall second),
 //  - qset_evals          flattened QSet evaluations actually run,
 //  - qset_evals_baseline what the rescan baseline would have run for the
-//                        same query stream (counted by the same code path;
-//                        cache hits charge the baseline the stored cost of
-//                        the original closure run),
+//                        same checks (counted by the same code path; a
+//                        cached closure verdict charges the baseline one
+//                        pass, |support| evaluations),
 //  - rescan_savings      their ratio (the E13 acceptance bar is ≥ 10×),
 //  - closure_runs / closure_cache_hits / interned_qsets / support_updates,
 //  - chains_agree        every correct replica closed the identical chain

@@ -210,14 +210,13 @@ void QuorumEngine::insert_tier(std::vector<MonotoneEntry>& pool,
   }
 }
 
-void QuorumEngine::memoize(const NodeSet& support, ClosureEntry entry) {
-  // Both bounds guard Byzantine-driven churn: the map against unbounded
-  // distinct supports, the per-support vector against a sender re-binding
-  // its qset over and over (each rebind mints a fresh fingerprint).
-  if (closure_memo_.size() >= kMaxClosureMemo) closure_memo_.clear();
-  auto& entries = closure_memo_[support];
-  if (entries.size() >= 8) entries.clear();
-  entries.push_back(entry);
+void QuorumEngine::count_cached_verdict(const NodeSet& support, bool quorum) {
+  if (quorum) {
+    ++stats_.closure_cache_hits;
+    stats_.qset_evals_baseline += support.count();
+  } else {
+    ++stats_.qset_evals_baseline;
+  }
 }
 
 std::uint64_t QuorumEngine::assignment_fp(const NodeSet& set,
@@ -260,35 +259,24 @@ bool QuorumEngine::quorum_contains(const NodeSet& support, ProcessId member,
       return false;
     }
   }
-  const std::uint64_t fp = assignment_fp(support, member, qset_ids);
-  const auto memo_it = closure_memo_.find(support);
-  if (memo_it != closure_memo_.end()) {
-    for (const ClosureEntry& entry : memo_it->second) {
-      if (entry.fp == fp) {
-        ++stats_.closure_cache_hits;
-        // The baseline would have re-run the whole closure; charge it the
-        // cost the original run actually measured.
-        stats_.qset_evals_baseline += entry.evals;
-        return entry.contains;
-      }
-    }
-  }
-
   // First-pass reject: if `member`'s own qset is not satisfied by the full
   // support, the first closure pass removes it — FALSE at one evaluation,
-  // where the baseline's first pass alone costs |support|. Memoized like a
-  // full run (repeats are free; the baseline keeps paying per check), and
-  // fed to the failed tier so subsets are rejected without any lookup.
+  // where the baseline's first pass alone costs |support|. Fed to the
+  // failed tier so subsets are rejected without any evaluation.
   const QSetId member_qid =
       member < qset_ids.size() ? qset_ids[member] : kNoQSetId;
   if (member_qid == kNoQSetId) return false;
   const auto support_size = static_cast<std::uint32_t>(support.count());
+  const auto record_failed = [&] {
+    insert_tier(failed_supports_, failed_rr_,
+                MonotoneEntry{support, assignment_fp(support, member, qset_ids),
+                              member},
+                /*keep_smaller=*/false);
+  };
   if (!eval_satisfied(member_qid, support)) {
     ++stats_.closure_runs;
     stats_.qset_evals_baseline += support_size;
-    memoize(support, ClosureEntry{fp, false, support_size});
-    insert_tier(failed_supports_, failed_rr_, MonotoneEntry{support, fp, member},
-                /*keep_smaller=*/false);
+    record_failed();
     return false;
   }
 
@@ -338,23 +326,20 @@ bool QuorumEngine::quorum_contains(const NodeSet& support, ProcessId member,
     }
     if (pass > 1) baseline_cost += static_cast<std::uint32_t>(live.count());
   }
-  const bool contains = live.contains(member);
   stats_.qset_evals_baseline += baseline_cost;
-  memoize(support, ClosureEntry{fp, contains, baseline_cost});
 
   // Feed the monotone tiers: `live` is a fixpoint (a quorum) when it kept
   // `member`; `support` is a proven-failed set otherwise. Entries carry
   // the fingerprint of their own members' assignment for re-validation.
-  if (contains) {
-    insert_tier(known_quorums_, quorum_rr_,
-                MonotoneEntry{live, assignment_fp(live, member, qset_ids),
-                              member},
-                /*keep_smaller=*/true);
-  } else {
-    insert_tier(failed_supports_, failed_rr_, MonotoneEntry{support, fp, member},
-                /*keep_smaller=*/false);
+  if (!live.contains(member)) {
+    record_failed();
+    return false;
   }
-  return contains;
+  insert_tier(known_quorums_, quorum_rr_,
+              MonotoneEntry{live, assignment_fp(live, member, qset_ids),
+                            member},
+              /*keep_smaller=*/true);
+  return true;
 }
 
 }  // namespace scup::fbqs

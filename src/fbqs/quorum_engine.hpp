@@ -2,9 +2,9 @@
 //
 // Production SCP implementations do not re-walk quorum-set trees on every
 // federated-voting check; they intern quorum sets once (replicas
-// overwhelmingly share identical configurations) and memoize the expensive
-// transitive checks. This engine provides the same three services to every
-// SCP slot of a process:
+// overwhelmingly share identical configurations) and avoid repeating the
+// expensive transitive checks. This engine provides the same three services
+// to every SCP slot of a process:
 //
 //  1. Hash-consed QSet interning: structurally identical QSets get one
 //     QSetId; "did this sender's qset change?" becomes an id compare, and a
@@ -15,22 +15,19 @@
 //     parents), so satisfied_by / blocked_by are two tight loops over
 //     contiguous memory — no pointer chasing, no recursion, no risk from
 //     adversarially deep nesting at evaluation time.
-//  3. Algorithm-1 closure with memoization: quorum_contains() runs the
-//     greatest-fixpoint member-removal loop and caches the verdict keyed on
-//     the support-set fingerprint. Different predicates that gather the same
-//     support set (the common case inside one ScpNode::advance() fixpoint —
-//     many candidate ballots, one set of believers) share a single closure
-//     run. The memo is engine-wide, shared by every slot of a replica, and
-//     self-validating: the verdict also depends on the caller's per-sender
-//     qset assignment, so each entry carries a fingerprint of its members'
-//     qset ids and a lookup only matches under the same assignment. A
-//     sender that rebinds its qset simply stops matching old entries;
-//     nothing is ever cleared.
+//  3. Algorithm-1 closure over monotone tiers: quorum_contains() runs the
+//     greatest-fixpoint member-removal loop at qset-group granularity, and
+//     keeps a few proven quorums (TRUE for every superset support) and
+//     failed supports (FALSE for every subset), engine-wide and shared by
+//     every slot of a replica. Repeats of one unchanged question never get
+//     here: each ScpNode support view caches its own verdicts and reports
+//     a served one through count_cached_verdict().
 //
 // All work is counted in QuorumEngineStats, E11-style: `qset_evals` is what
 // we actually paid, `qset_evals_baseline` is what the rescan-everything
-// baseline would have paid for the same query stream (on a cache hit the
-// stored cost of the original run is charged to the baseline only).
+// baseline would have paid for the same checks (a cached or tier verdict
+// charges the baseline only: a closure at least its first pass, |support|
+// evaluations; a v-blocking check its one evaluation).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +50,8 @@ struct QuorumEngineStats {
   std::uint64_t qset_evals_baseline = 0;
   /// Algorithm-1 closures executed (cache misses).
   std::uint64_t closure_runs = 0;
-  /// Closure verdicts served from a support-fingerprint cache.
+  /// Closure verdicts served without a run: from a monotone tier, or from a
+  /// caller's cached verdict (count_cached_verdict).
   std::uint64_t closure_cache_hits = 0;
   /// intern() calls resolved to an already-interned id.
   std::uint64_t intern_hits = 0;
@@ -79,7 +77,7 @@ class QuorumEngine {
   /// Flattened equivalents of QSet::satisfied_by / QSet::blocked_by.
   /// Each call counts one qset_eval (and one baseline eval: the rescan
   /// baseline ran exactly one such evaluation per check too). These are
-  /// the raw entry points; blocked_for / quorum_contains are the memoized
+  /// the raw entry points; blocked_for / quorum_contains are the cached
   /// ones the SCP hot path uses.
   bool satisfied_by(QSetId id, const NodeSet& nodes);
   bool blocked_by(QSetId id, const NodeSet& nodes);
@@ -97,22 +95,29 @@ class QuorumEngine {
   /// removed) is not satisfied by the surviving set, and reports whether
   /// `member` survives the greatest fixpoint.
   ///
-  /// Memoized engine-wide with SELF-VALIDATING entries: a verdict for
-  /// support S depends only on (member, S, qset id of each member of S),
-  /// so every cached entry carries a fingerprint of exactly that — lookups
-  /// recompute the fingerprint under the caller's current assignment and
-  /// only accept a match. No epoch, no clears: a sender re-announcing with
-  /// a different qset simply stops matching old entries, and all slots of
-  /// one replica share every still-valid verdict. Three tiers:
+  /// A verdict for support S depends only on (member, S, qset id of each
+  /// member of S). Two bounded monotone tiers, engine-wide, answer without
+  /// a run; each entry carries a fingerprint of its own members' qset ids
+  /// and only matches under the caller's current assignment, so a sender
+  /// that rebinds its qset simply stops matching old entries:
   ///  - known quorums: closure fixpoints that kept `member`. satisfied_by
   ///    is monotone in the node set, so a fixpoint (whose members' qsets
   ///    are unchanged) survives inside every superset — TRUE with zero
   ///    evaluations;
   ///  - failed supports: sets whose closure dropped `member`
-  ///    (closure(S') ⊆ closure(S) for S' ⊆ S — FALSE for subsets);
-  ///  - exact fingerprints: verdict + measured cost per support set.
+  ///    (closure(S') ⊆ closure(S) for S' ⊆ S — FALSE for subsets).
+  /// Otherwise a first-pass reject (member's own qset unsatisfied by S)
+  /// answers FALSE at one evaluation, and only then does the closure run.
+  /// Exact repeats are the caller's to cache (ScpNode's support views).
   bool quorum_contains(const NodeSet& support, ProcessId member,
                        const std::vector<QSetId>& qset_ids);
+
+  /// Accounts a verdict the caller served from its own cache instead of
+  /// asking again. A quorum_contains() verdict (`quorum`) counts as a
+  /// closure cache hit and charges the baseline a first pass, |support|
+  /// evaluations, as a tier hit does; a blocked_for() verdict charges the
+  /// baseline's one evaluation per check. Nothing is evaluated.
+  void count_cached_verdict(const NodeSet& support, bool quorum);
 
   const QuorumEngineStats& stats() const { return stats_; }
   void count_support_update() { ++stats_.support_updates; }
@@ -125,7 +130,6 @@ class QuorumEngine {
   /// scup-lint's det-unordered-iter rule and tests/test_determinism_rehash.
   void debug_rehash(std::size_t bucket_count) {
     by_hash_.rehash(bucket_count);
-    closure_memo_.rehash(bucket_count);
     block_tiers_.rehash(bucket_count);
   }
 
@@ -155,8 +159,6 @@ class QuorumEngine {
   /// the set itself.
   static std::uint64_t assignment_fp(const NodeSet& set, ProcessId member,
                                      const std::vector<QSetId>& qset_ids);
-  struct ClosureEntry;
-  void memoize(const NodeSet& support, ClosureEntry entry);
 
   std::vector<Interned> interned_;
   std::unordered_map<std::size_t, std::vector<QSetId>> by_hash_;
@@ -169,18 +171,7 @@ class QuorumEngine {
   std::vector<std::uint8_t> scratch_;  // per-node verdicts, reused
   std::vector<QSetId> qid_scratch_;    // distinct ids per closure pass
 
-  // ---- closure memo (engine-wide, self-validating entries) ----
-  struct ClosureEntry {
-    std::uint64_t fp = 0;  // assignment_fp the verdict was computed under
-    bool contains = false;
-    /// Lower bound of what the historical member-at-a-time closure cost
-    /// for this support — charged to the baseline on every memo hit.
-    std::uint32_t evals = 0;
-  };
-  /// Bounded: cleared wholesale when it outgrows kMaxClosureMemo (keeps
-  /// Byzantine-driven support churn from accumulating unbounded state).
-  static constexpr std::size_t kMaxClosureMemo = 1 << 16;
-  std::unordered_map<NodeSet, std::vector<ClosureEntry>> closure_memo_;
+  // ---- closure tiers (engine-wide, self-validating entries) ----
   struct MonotoneEntry {
     NodeSet set;
     std::uint64_t fp = 0;  // assignment_fp of `set`'s members

@@ -202,7 +202,7 @@ class LedgerMultiplexer {
   std::uint64_t decided_prefix_ = 0;
   std::uint64_t digest_ = 0;
   std::uint64_t envelopes_dropped_ = 0;
-  /// Shared across all slots; interning + closure memoization chain-wide.
+  /// Shared across all slots; interning + closure tiers chain-wide.
   fbqs::QuorumEngine engine_;
   fbqs::QuorumEngineStats flushed_;
 };

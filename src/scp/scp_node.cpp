@@ -231,7 +231,7 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
   return false;
 }
 
-const NodeSet& ScpNode::support_view(const PredKey& key) const {
+ScpNode::SupportView& ScpNode::support_view(const PredKey& key) const {
   const bool nomination = is_nomination_pred(key.cls);
   auto& table = nomination ? nom_support_ : ballot_support_;
   const auto it = table.find(key);
@@ -240,12 +240,13 @@ const NodeSet& ScpNode::support_view(const PredKey& key) const {
   // supports it if its current statement there implies it; the other
   // stream never does), then the view stays fresh via
   // store_statement().
-  NodeSet s(peers_.universe_size());
+  SupportView view;
+  view.members = NodeSet(peers_.universe_size());
   for (const auto& [id, env] : nomination ? latest_nom_ : latest_ballot_) {
-    if (pred_holds(key, env->statement)) s.add(id);
+    if (pred_holds(key, env->statement)) view.members.add(id);
   }
   engine_->count_support_rebuild();
-  return table.emplace(key, std::move(s)).first->second;
+  return table.emplace(key, std::move(view)).first->second;
 }
 
 ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
@@ -259,12 +260,16 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     nom_support_.clear();
     ballot_support_.clear();
   }
-  const auto set_member = [id](NodeSet& view, bool member) {
+  // A membership flip is the one change to a view its verdicts read.
+  const auto set_member = [id](SupportView& view, bool member) {
+    if (view.members.contains(id) == member) return;
     if (member) {
-      view.add(id);
+      view.members.add(id);
     } else {
-      view.remove(id);
+      view.members.remove(id);
     }
+    view.quorum.reset();
+    view.vblocking.reset();
   };
   if (ballot) {
     candidate_ballots_stale_ = true;
@@ -304,10 +309,7 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
 void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
   const fbqs::QSetId cur = sender_qset_id_[id];
   // Cheap change test first: structural equality against the currently
-  // bound qset avoids re-hashing the common unchanged case. No cache to
-  // invalidate on change: the engine's closure memo entries carry a
-  // fingerprint of their members' qset assignment and re-validate on
-  // lookup, so a rebound sender just stops matching old entries.
+  // bound qset avoids re-hashing the common unchanged case.
   if (cur != fbqs::kNoQSetId && engine_->qset(cur) == q) return;
   // Rebind budget: each intern() of an unseen qset is permanent engine
   // memory, and the sender chooses the qset — so a rotating-qset adversary
@@ -319,9 +321,30 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
     ++qset_rebinds_[id];
   }
   sender_qset_id_[id] = engine_->intern(q);
+  // Every cached quorum verdict read the old assignment.
+  ++rebind_epoch_;
 }
 
 bool ScpNode::support_views_consistent() const {
+  const ProcessId self = host_.self();
+  // Algorithm-1 closure from scratch on the recursive QSet form: drop every
+  // member whose bound qset the survivors do not satisfy (unbound members
+  // outright) until nothing changes.
+  const auto quorum_for_self = [this, self](const NodeSet& support) {
+    NodeSet live = support;
+    for (bool changed = true; changed;) {
+      NodeSet dropped(live.universe_size());
+      for (ProcessId m : live) {
+        const fbqs::QSetId qid = sender_qset_id_[m];
+        if (qid == fbqs::kNoQSetId || !engine_->qset(qid).satisfied_by(live)) {
+          dropped.add(m);
+        }
+      }
+      changed = !dropped.empty();
+      live -= dropped;
+    }
+    return live.contains(self);
+  };
   // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
   for (const auto* table : {&nom_support_, &ballot_support_}) {
     for (const auto& [key, view] : *table) {
@@ -334,7 +357,16 @@ bool ScpNode::support_views_consistent() const {
           if (pred_holds(key, env->statement)) fresh.add(id);
         }
       }
-      if (!(fresh == view)) return false;
+      if (!(fresh == view.members)) return false;
+      if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_ &&
+          *view.quorum != quorum_for_self(view.members)) {
+        return false;
+      }
+      if (view.vblocking.has_value()) {
+        NodeSet others = view.members;
+        others.remove(self);
+        if (*view.vblocking != qset_.blocked_by(others)) return false;
+      }
     }
   }
   return true;
@@ -375,19 +407,31 @@ bool ScpNode::nomination_worklist_consistent() const {
 }
 
 bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
-  // Supporters across both streams: a node supports the predicate if any of
-  // its current statements implies it. The Algorithm-1 closure (drop
-  // members whose quorum set is not satisfied by the remaining support)
-  // runs in the engine, memoized on the support fingerprint.
-  const NodeSet& support = support_view(pred);
-  if (!support.contains(host_.self())) return false;
-  return engine_->quorum_contains(support, host_.self(), sender_qset_id_);
+  // The Algorithm-1 closure (drop members whose quorum set is not satisfied
+  // by the remaining support) runs in the engine once per view and
+  // assignment; repeats are served from the view.
+  SupportView& view = support_view(pred);
+  if (!view.members.contains(host_.self())) return false;
+  if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_) {
+    engine_->count_cached_verdict(view.members, /*quorum=*/true);
+    return *view.quorum;
+  }
+  view.quorum =
+      engine_->quorum_contains(view.members, host_.self(), sender_qset_id_);
+  view.quorum_epoch = rebind_epoch_;
+  return *view.quorum;
 }
 
 bool ScpNode::is_vblocking(const PredKey& pred) const {
-  vblock_scratch_ = support_view(pred);
+  SupportView& view = support_view(pred);
+  if (view.vblocking.has_value()) {
+    engine_->count_cached_verdict(view.members, /*quorum=*/false);
+    return *view.vblocking;
+  }
+  vblock_scratch_ = view.members;
   vblock_scratch_.remove(host_.self());
-  return engine_->blocked_for(own_qset_id_, vblock_scratch_);
+  view.vblocking = engine_->blocked_for(own_qset_id_, vblock_scratch_);
+  return *view.vblocking;
 }
 
 bool ScpNode::federated_accept(const PredKey& votes_or_accepts,

@@ -21,10 +21,19 @@
 // (shared across slots when hosted by a LedgerMultiplexer). Instead of
 // re-gathering supporters from the envelope maps on every check, the node
 // maintains materialized support sets per queried predicate — refreshed
-// incrementally as envelopes arrive — and the engine memoizes the
-// Algorithm-1 closure on the support-set fingerprint, so the many
-// predicates of one advance() fixpoint (candidate ballots × vote/accept
-// classes) are answered by a handful of closure runs.
+// incrementally as envelopes arrive — and each view caches its two
+// verdicts: "a quorum for self" and "v-blocking for our qset". A check
+// whose inputs have not changed since the view last asked costs one view
+// lookup; only a view whose membership flipped, or (for the quorum
+// verdict) a member whose qset binding changed, asks the engine again. The
+// quorum verdict depends only on the view, self and the qsets bound to its
+// members, so any rebind drops every quorum verdict at once (an epoch
+// stamp, not a loop over the tables); the v-blocking verdict depends only
+// on the view and our own qset, fixed from start(), so it survives
+// rebinds. A served verdict is still reported to the engine's counters,
+// so closure runs plus cache hits keep counting the node's quorum checks.
+// The ballot candidates the ballot steps walk are likewise a member list,
+// rebuilt only after a ballot statement was stored or b_ changed.
 //
 // Support views live in two tables, one per message stream: nomination
 // predicates (nominate(x) votes/accepts) and ballot predicates (prepare,
@@ -170,8 +179,12 @@ class ScpNode {
   /// Debug: rebuilds every materialized support view from scratch (over
   /// both streams, so it also checks that a view's table is the only one
   /// its predicate can depend on) and compares against the incrementally
-  /// maintained one. True iff all agree (the from-scratch equivalence the
-  /// unit suite pins).
+  /// maintained one, then recomputes every verdict the view would serve
+  /// without touching the engine or its counters: a quorum verdict as the
+  /// Algorithm-1 closure over QSet::satisfied_by with each member's bound
+  /// qset (unbound members dropped), a v-blocking verdict as
+  /// QSet::blocked_by on our own qset. True iff all agree (the from-scratch
+  /// equivalence the unit suite pins).
   bool support_views_consistent() const;
 
   /// Debug: recomputes from the envelope maps the set S that `nom_open_`
@@ -223,28 +236,42 @@ class ScpNode {
     return cls == PredClass::kNomVote || cls == PredClass::kNomAccept;
   }
 
+  /// A materialized support view: which senders' current statements imply
+  /// a predicate, and the two federated-voting verdicts over them (unknown
+  /// until first asked, dropped when a sender's membership flips).
+  struct SupportView {
+    NodeSet members;
+    /// `members` is a quorum for self; served while `quorum_epoch` equals
+    /// rebind_epoch_ (a rebind changes the qsets the closure reads).
+    std::optional<bool> quorum;
+    std::uint64_t quorum_epoch = 0;
+    /// `members` without self v-block our own qset.
+    std::optional<bool> vblocking;
+  };
+
   bool is_quorum_satisfying(const PredKey& pred) const;
   bool is_vblocking(const PredKey& pred) const;
   bool federated_accept(const PredKey& votes_or_accepts,
                         const PredKey& accepts) const;
   bool federated_ratify(const PredKey& accepts) const;
 
-  /// The materialized support set for a predicate: which senders' current
-  /// statements imply it. Built by one scan of the predicate's stream on
-  /// first query, then kept fresh by store_statement().
-  const NodeSet& support_view(const PredKey& key) const;
+  /// The materialized support view for a predicate. Built by one scan of
+  /// the predicate's stream on first query, then kept fresh by
+  /// store_statement().
+  SupportView& support_view(const PredKey& key) const;
 
   /// Makes `env` its sender's latest statement of its stream, refreshes
   /// that stream's support views, then the sender's effective qset id.
   /// Returns the statement it replaced (null on the sender's first). A
   /// NOMINATE touches only the views of values where it differs from the
-  /// one it replaced; a ballot statement re-tests every ballot view.
+  /// one it replaced; a ballot statement re-tests every ballot view. A view
+  /// whose membership flips drops its verdicts.
   EnvelopePtr store_statement(EnvelopePtr env);
 
   /// Re-binds the sender's effective qset (ballot stream wins) when it
-  /// differs structurally from the bound one. Nothing is cleared: the
-  /// engine's closure memo validates each entry against the current qset
-  /// assignment (see fbqs::QuorumEngine::quorum_contains).
+  /// differs structurally from the bound one. Any change, the first
+  /// binding included, bumps rebind_epoch_, which drops every cached
+  /// quorum verdict.
   void bind_qset(ProcessId id, const fbqs::QSet& q);
 
   void advance();          // run protocol steps to fixpoint
@@ -321,11 +348,15 @@ class ScpNode {
   std::vector<fbqs::QSetId> sender_qset_id_;
   /// Rebinds consumed per sender, capped at kMaxQsetRebinds (fits a byte).
   std::vector<std::uint8_t> qset_rebinds_;
+  /// Bumped by every change to sender_qset_id_; a quorum verdict stamped
+  /// with an older value is unknown.
+  std::uint64_t rebind_epoch_ = 0;
   /// Materialized support views, one table per stream (nomination
   /// predicates / everything else); `mutable` because they are a cache
   /// over the envelope maps, lazily extended by const query paths.
-  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> nom_support_;
-  mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> ballot_support_;
+  mutable std::unordered_map<PredKey, SupportView, PredKeyHash> nom_support_;
+  mutable std::unordered_map<PredKey, SupportView, PredKeyHash>
+      ballot_support_;
   /// is_vblocking()'s scratch copy of a support view without ourselves.
   mutable NodeSet vblock_scratch_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).

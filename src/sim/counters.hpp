@@ -16,7 +16,9 @@ namespace scup::sim {
 enum class ProtoCounter : std::uint8_t {
   /// Algorithm-1 closures actually executed (cache misses).
   kQuorumClosureRuns = 0,
-  /// Closure answers served from the support-fingerprint cache.
+  /// Closure answers served without a run: a verdict cached on an ScpNode
+  /// support view, or a QuorumEngine monotone tier. Runs plus hits count
+  /// the quorum checks asked.
   kQuorumClosureCacheHits,
   /// Flattened QSet evaluations (satisfied_by / blocked_by) actually run.
   kQsetEvals,

@@ -3,7 +3,7 @@
 // seed) must not depend on hash-table iteration order. scup-lint's
 // det-unordered-iter rule enforces that statically; this suite enforces it
 // dynamically by rehashing every unordered table (ScpNode support indexes,
-// QuorumEngine memo tables) between simulation events — scrambling bucket
+// QuorumEngine tables) between simulation events — scrambling bucket
 // orders mid-run — and requiring byte-identical outcomes versus an
 // undisturbed run with the same seed.
 #include <gtest/gtest.h>

@@ -314,7 +314,7 @@ TEST(LedgerTest, SharedEngineAggregatesAcrossSlotsAndReportsMetrics) {
   EXPECT_GT(stats.closure_runs, 0u);
   EXPECT_GT(stats.closure_cache_hits, 0u);
   EXPECT_GT(stats.qset_evals_baseline, stats.qset_evals)
-      << "memoized path must beat the rescan baseline";
+      << "cached path must beat the rescan baseline";
   EXPECT_GT(stats.intern_hits, 0u);
   // Distinct qsets per replica is tiny (placeholder + per-sender slices),
   // even though 5 slots × 8 senders exchanged envelopes.

@@ -1,10 +1,10 @@
 // QuorumEngine unit suite: hash-consed interning, flattened-vs-recursive
-// evaluation equivalence on randomized nested qsets, closure memoization
-// (hits, invalidation), and — at the ScpNode level — from-scratch
-// equivalence of the incrementally maintained support views against the
-// historical gather path and of the nomination work list against the
-// value set recomputed from the envelope maps, plus the PREPARE
-// commit-range statement invariant (c_n != 0 ⇒ c_n ≤ h_n).
+// evaluation equivalence on randomized nested qsets, the closure's monotone
+// tiers (hits, invalidation), and — at the ScpNode level — from-scratch
+// equivalence of the incrementally maintained support views and their
+// cached verdicts against the historical gather path and of the nomination
+// work list against the value set recomputed from the envelope maps, plus
+// the PREPARE commit-range statement invariant (c_n != 0 ⇒ c_n ≤ h_n).
 #include "fbqs/quorum_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -158,8 +158,9 @@ TEST(QuorumEngineTest, ClosureMemoizationHitsAndSelfValidation) {
   EXPECT_EQ(runs, 1u);
   EXPECT_EQ(engine.stats().closure_cache_hits, 0u);
 
-  // Same support + same assignment: served from cache — and the baseline
-  // is charged what the original run cost, so savings are measurable.
+  // Same support + same assignment: served by the known-quorum tier (the
+  // first run's fixpoint lies inside this support) — and the baseline is
+  // charged a first pass, so savings are measurable.
   const auto baseline_before = engine.stats().qset_evals_baseline;
   const auto evals_before = engine.stats().qset_evals;
   EXPECT_TRUE(engine.quorum_contains(support, 0, ids));
@@ -169,7 +170,7 @@ TEST(QuorumEngineTest, ClosureMemoizationHitsAndSelfValidation) {
   EXPECT_GT(engine.stats().qset_evals_baseline, baseline_before)
       << "the rescan baseline would have paid for the closure again";
 
-  // A member re-announces a different qset: cached entries re-validate
+  // A member re-announces a different qset: tier entries re-validate
   // against the current assignment and stop matching — the verdict is
   // recomputed, and it honours the new (stricter) qset.
   const QSet strict = QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3});
@@ -188,9 +189,9 @@ TEST(QuorumEngineTest, ClosureMemoizationHitsAndSelfValidation) {
 }  // namespace scup::fbqs
 
 // ---------------------------------------------------------------------------
-// ScpNode-level: incremental support views vs the from-scratch gather path,
-// closure-cache invalidation on envelope (qset) change, and the PREPARE
-// statement invariant.
+// ScpNode-level: incremental support views and their verdicts vs the
+// from-scratch gather path, verdict invalidation on envelope (qset) change,
+// and the PREPARE statement invariant.
 // ---------------------------------------------------------------------------
 namespace scup::scp {
 namespace {
@@ -293,12 +294,12 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
   EXPECT_EQ(node.decision(), 42u);
   expect_prepare_invariant(host);
 
-  // The memoizing path must have done real work and found real reuse.
+  // The cached path must have done real work and found real reuse.
   const auto& s = node.engine().stats();
   EXPECT_GT(s.closure_runs, 0u);
   EXPECT_GT(s.closure_cache_hits, 0u);
   EXPECT_GT(s.qset_evals_baseline, s.qset_evals)
-      << "rescan baseline should cost more than the memoized path";
+      << "rescan baseline should cost more than the cached path";
   // An owned-engine node flushes its counters to the host's SimMetrics.
   EXPECT_EQ(host.counters[static_cast<std::size_t>(
                 sim::ProtoCounter::kQuorumClosureRuns)],
@@ -324,9 +325,10 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   }
   const auto runs_before = node.engine().stats().closure_runs;
 
-  // Sender 1 re-announces with a DIFFERENT qset: every cached closure
-  // verdict embeds the old assignment, so the next check must re-run even
-  // though the support sets are unchanged.
+  // Sender 1 re-announces with a DIFFERENT qset: every cached quorum
+  // verdict (on the views and in the engine's tiers) read the old
+  // assignment, so the next check must re-run even though the nominate(42)
+  // views are unchanged.
   const fbqs::QSet other =
       fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2, 3});
   NominateStmt nom2 = nom;
@@ -335,6 +337,34 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_GT(node.engine().stats().closure_runs, runs_before)
       << "qset change must invalidate the closure cache";
+}
+
+TEST(ScpNodeEngineTest, RebindDropsCachedQuorumVerdicts) {
+  // Peers 1 and 2 confirm nominate(42) with 3-of-4 qsets, so the
+  // nominate(42) views {0, 1, 2} cache "a quorum for 0". Sender 1 then
+  // re-announces the same values for 42 under 4-of-4: no view of 42 changes
+  // membership, but the closure now drops 1 and then 0, so every verdict
+  // cached before the rebind is wrong and must not be served (the audit
+  // recomputes each served verdict from scratch).
+  constexpr std::size_t kN = 4;
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, majority4(), 42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  for (ProcessId p = 1; p <= 2; ++p) {
+    node.handle(p, sim::make_message<Envelope>(
+                       p, 1, majority4(),
+                       Statement{NominateStmt{{42}, {42}}}));
+  }
+  ASSERT_EQ(node.candidates().count(42), 1u);
+  ASSERT_TRUE(node.support_views_consistent());
+
+  const fbqs::QSet all4 =
+      fbqs::QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3});
+  node.handle(1, sim::make_message<Envelope>(
+                     1, 2, all4, Statement{NominateStmt{{42, 43}, {42}}}));
+  EXPECT_TRUE(node.support_views_consistent())
+      << "a rebind must drop the quorum verdicts cached under the old qset";
 }
 
 TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
