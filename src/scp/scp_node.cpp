@@ -260,7 +260,8 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     nom_support_.clear();
     ballot_support_.clear();
   }
-  // A membership flip is the one change to a view its verdicts read.
+  // Of what a view's verdicts read, only its membership changes here (qset
+  // bindings are bind_qset()'s), so a flip drops them.
   const auto set_member = [id](SupportView& view, bool member) {
     if (view.members.contains(id) == member) return;
     if (member) {
