@@ -133,80 +133,20 @@ bool QuorumEngine::blocked_by(QSetId id, const NodeSet& nodes) {
   return eval_blocked(id, nodes);
 }
 
-namespace {
-/// Bounded insert for a monotone tier: replace a dominated entry when one
-/// exists (keep_smaller: the new set subsumes by being ⊆; otherwise by
-/// being ⊇), append below the bound, round-robin overwrite past it.
-/// Entries from a different universe are never comparable.
-template <std::size_t kBound>
-void insert_monotone(std::vector<NodeSet>& pool, std::size_t& rr,
-                     const NodeSet& candidate, bool keep_smaller) {
-  for (NodeSet& existing : pool) {
-    const bool dominated =
-        existing.universe_size() == candidate.universe_size() &&
-        (keep_smaller ? candidate.subset_of(existing)
-                      : existing.subset_of(candidate));
-    if (dominated) {
-      existing = candidate;
-      return;
-    }
-  }
-  if (pool.size() < kBound) {
-    pool.push_back(candidate);
-  } else {
-    pool[rr] = candidate;
-    rr = (rr + 1) % pool.size();
-  }
-}
-}  // namespace
-
-bool QuorumEngine::blocked_for(QSetId id, const NodeSet& nodes) {
-  // The rescan baseline evaluates once per check regardless.
-  ++stats_.qset_evals_baseline;
-  BlockTiers& tiers = block_tiers_[id];
-  for (const NodeSet& blocking : tiers.blocking_) {
-    if (blocking.universe_size() == nodes.universe_size() &&
-        blocking.subset_of(nodes)) {
-      return true;
-    }
-  }
-  for (const NodeSet& nonblocking : tiers.nonblocking_) {
-    if (nonblocking.universe_size() == nodes.universe_size() &&
-        nodes.subset_of(nonblocking)) {
-      return false;
-    }
-  }
-  const bool blocked = eval_blocked(id, nodes);
-  if (blocked) {
-    insert_monotone<kMaxMonotone>(tiers.blocking_, tiers.blocking_rr_, nodes,
-                                  /*keep_smaller=*/true);
-  } else {
-    insert_monotone<kMaxMonotone>(tiers.nonblocking_, tiers.nonblocking_rr_,
-                                  nodes, /*keep_smaller=*/false);
-  }
-  return blocked;
-}
-
-void QuorumEngine::insert_tier(std::vector<MonotoneEntry>& pool,
-                               std::size_t& rr, MonotoneEntry entry,
-                               bool keep_smaller) {
-  for (MonotoneEntry& existing : pool) {
-    const bool comparable =
-        existing.member == entry.member &&
-        existing.set.universe_size() == entry.set.universe_size();
-    const bool dominated =
-        comparable && (keep_smaller ? entry.set.subset_of(existing.set)
-                                    : existing.set.subset_of(entry.set));
-    if (dominated) {
+void QuorumEngine::insert_failed(MonotoneEntry entry) {
+  for (MonotoneEntry& existing : failed_supports_) {
+    if (existing.member == entry.member &&
+        existing.set.universe_size() == entry.set.universe_size() &&
+        existing.set.subset_of(entry.set)) {
       existing = std::move(entry);
       return;
     }
   }
-  if (pool.size() < kMaxMonotone) {
-    pool.push_back(std::move(entry));
+  if (failed_supports_.size() < kMaxMonotone) {
+    failed_supports_.push_back(std::move(entry));
   } else {
-    pool[rr] = std::move(entry);
-    rr = (rr + 1) % pool.size();
+    failed_supports_[failed_rr_] = std::move(entry);
+    failed_rr_ = (failed_rr_ + 1) % failed_supports_.size();
   }
 }
 
@@ -232,23 +172,13 @@ std::uint64_t QuorumEngine::assignment_fp(const NodeSet& set,
 bool QuorumEngine::quorum_contains(const NodeSet& support, ProcessId member,
                                    const std::vector<QSetId>& qset_ids) {
   if (!support.contains(member)) return false;
-  // Monotone tiers first; every entry re-validates by recomputing the
+  // The failed tier first; every entry re-validates by recomputing the
   // fingerprint of ITS OWN set under the caller's current assignment —
   // stale entries (a member re-announced a different qset) just stop
   // matching. The baseline (closure from scratch on `support`) costs at
   // least one full pass — |support| evaluations — so that is what a
   // subsumption hit conservatively charges it (realized savings are
   // under-reported, never inflated).
-  for (const MonotoneEntry& quorum : known_quorums_) {
-    if (quorum.member == member &&
-        quorum.set.universe_size() == support.universe_size() &&
-        quorum.set.subset_of(support) &&
-        quorum.fp == assignment_fp(quorum.set, member, qset_ids)) {
-      ++stats_.closure_cache_hits;
-      stats_.qset_evals_baseline += support.count();
-      return true;
-    }
-  }
   for (const MonotoneEntry& failed : failed_supports_) {
     if (failed.member == member &&
         failed.set.universe_size() == support.universe_size() &&
@@ -268,10 +198,7 @@ bool QuorumEngine::quorum_contains(const NodeSet& support, ProcessId member,
   if (member_qid == kNoQSetId) return false;
   const auto support_size = static_cast<std::uint32_t>(support.count());
   const auto record_failed = [&] {
-    insert_tier(failed_supports_, failed_rr_,
-                MonotoneEntry{support, assignment_fp(support, member, qset_ids),
-                              member},
-                /*keep_smaller=*/false);
+    insert_failed({support, assignment_fp(support, member, qset_ids), member});
   };
   if (!eval_satisfied(member_qid, support)) {
     ++stats_.closure_runs;
@@ -328,18 +255,11 @@ bool QuorumEngine::quorum_contains(const NodeSet& support, ProcessId member,
   }
   stats_.qset_evals_baseline += baseline_cost;
 
-  // Feed the monotone tiers: `live` is a fixpoint (a quorum) when it kept
-  // `member`; `support` is a proven-failed set otherwise. Entries carry
-  // the fingerprint of their own members' assignment for re-validation.
-  if (!live.contains(member)) {
-    record_failed();
-    return false;
-  }
-  insert_tier(known_quorums_, quorum_rr_,
-              MonotoneEntry{live, assignment_fp(live, member, qset_ids),
-                            member},
-              /*keep_smaller=*/true);
-  return true;
+  // Feed the failed tier: `support` is a proven-failed set when the
+  // fixpoint dropped `member`.
+  if (live.contains(member)) return true;
+  record_failed();
+  return false;
 }
 
 }  // namespace scup::fbqs

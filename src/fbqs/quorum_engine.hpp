@@ -15,13 +15,12 @@
 //     parents), so satisfied_by / blocked_by are two tight loops over
 //     contiguous memory — no pointer chasing, no recursion, no risk from
 //     adversarially deep nesting at evaluation time.
-//  3. Algorithm-1 closure over monotone tiers: quorum_contains() runs the
-//     greatest-fixpoint member-removal loop at qset-group granularity, and
-//     keeps a few proven quorums (TRUE for every superset support) and
-//     failed supports (FALSE for every subset), engine-wide and shared by
-//     every slot of a replica. Repeats of one unchanged question never get
-//     here: each ScpNode support view caches its own verdicts and reports
-//     a served one through count_cached_verdict().
+//  3. Algorithm-1 closure over one monotone tier: quorum_contains() runs
+//     the greatest-fixpoint member-removal loop at qset-group granularity,
+//     and keeps a few failed supports (FALSE for every subset), engine-wide
+//     and shared by every slot of a replica. Repeats of one unchanged
+//     question never get here: each ScpNode support view caches its own
+//     verdicts and reports a served one through count_cached_verdict().
 //
 // All work is counted in QuorumEngineStats, E11-style: `qset_evals` is what
 // we actually paid, `qset_evals_baseline` is what the rescan-everything
@@ -50,8 +49,8 @@ struct QuorumEngineStats {
   std::uint64_t qset_evals_baseline = 0;
   /// Algorithm-1 closures executed (cache misses).
   std::uint64_t closure_runs = 0;
-  /// Closure verdicts served without a run: from a monotone tier, or from a
-  /// caller's cached verdict (count_cached_verdict).
+  /// Closure verdicts served without a run: from the failed-support tier,
+  /// or from a caller's cached verdict (count_cached_verdict).
   std::uint64_t closure_cache_hits = 0;
   /// intern() calls resolved to an already-interned id.
   std::uint64_t intern_hits = 0;
@@ -76,19 +75,11 @@ class QuorumEngine {
 
   /// Flattened equivalents of QSet::satisfied_by / QSet::blocked_by.
   /// Each call counts one qset_eval (and one baseline eval: the rescan
-  /// baseline ran exactly one such evaluation per check too). These are
-  /// the raw entry points; blocked_for / quorum_contains are the cached
-  /// ones the SCP hot path uses.
+  /// baseline ran exactly one such evaluation per check too). ScpNode's
+  /// v-blocking checks call blocked_by directly; quorum checks go through
+  /// quorum_contains.
   bool satisfied_by(QSetId id, const NodeSet& nodes);
   bool blocked_by(QSetId id, const NodeSet& nodes);
-
-  /// blocked_by with a per-qset monotone memo (blocked_by is monotone in
-  /// `nodes`: supersets of a blocking set block, subsets of a non-blocking
-  /// set don't). Keyed by the immutable QSetId, so the memo is shared by
-  /// every slot evaluating against the same interned qset and never needs
-  /// invalidation. A hit costs zero evaluations while the rescan baseline
-  /// still pays its one evaluation per check.
-  bool blocked_for(QSetId id, const NodeSet& nodes);
 
   /// Algorithm-1 closure membership: starting from `support`, repeatedly
   /// removes members whose qset (qset_ids[member]; kNoQSetId members are
@@ -96,16 +87,12 @@ class QuorumEngine {
   /// `member` survives the greatest fixpoint.
   ///
   /// A verdict for support S depends only on (member, S, qset id of each
-  /// member of S). Two bounded monotone tiers, engine-wide, answer without
-  /// a run; each entry carries a fingerprint of its own members' qset ids
-  /// and only matches under the caller's current assignment, so a sender
-  /// that rebinds its qset simply stops matching old entries:
-  ///  - known quorums: closure fixpoints that kept `member`. satisfied_by
-  ///    is monotone in the node set, so a fixpoint (whose members' qsets
-  ///    are unchanged) survives inside every superset — TRUE with zero
-  ///    evaluations;
-  ///  - failed supports: sets whose closure dropped `member`
-  ///    (closure(S') ⊆ closure(S) for S' ⊆ S — FALSE for subsets).
+  /// member of S). One bounded monotone tier, engine-wide, answers without
+  /// a run: failed supports, sets whose closure dropped `member`
+  /// (closure(S') ⊆ closure(S) for S' ⊆ S — FALSE for subsets, with zero
+  /// evaluations). Each entry carries a fingerprint of its own members'
+  /// qset ids and only matches under the caller's current assignment, so a
+  /// sender that rebinds its qset simply stops matching old entries.
   /// Otherwise a first-pass reject (member's own qset unsatisfied by S)
   /// answers FALSE at one evaluation, and only then does the closure run.
   /// Exact repeats are the caller's to cache (ScpNode's support views).
@@ -115,7 +102,7 @@ class QuorumEngine {
   /// Accounts a verdict the caller served from its own cache instead of
   /// asking again. A quorum_contains() verdict (`quorum`) counts as a
   /// closure cache hit and charges the baseline a first pass, |support|
-  /// evaluations, as a tier hit does; a blocked_for() verdict charges the
+  /// evaluations, as a tier hit does; a blocked_by() verdict charges the
   /// baseline's one evaluation per check. Nothing is evaluated.
   void count_cached_verdict(const NodeSet& support, bool quorum);
 
@@ -128,10 +115,7 @@ class QuorumEngine {
   /// (verdicts, stats, emissions) must be identical afterwards — nothing
   /// here may depend on hash-table iteration order. Enforced by
   /// scup-lint's det-unordered-iter rule and tests/test_determinism_rehash.
-  void debug_rehash(std::size_t bucket_count) {
-    by_hash_.rehash(bucket_count);
-    block_tiers_.rehash(bucket_count);
-  }
+  void debug_rehash(std::size_t bucket_count) { by_hash_.rehash(bucket_count); }
 
  private:
   /// One threshold node of the flattened form. Children precede parents in
@@ -171,30 +155,18 @@ class QuorumEngine {
   std::vector<std::uint8_t> scratch_;  // per-node verdicts, reused
   std::vector<QSetId> qid_scratch_;    // distinct ids per closure pass
 
-  // ---- closure tiers (engine-wide, self-validating entries) ----
+  // ---- failed-support tier (engine-wide, self-validating entries) ----
   struct MonotoneEntry {
     NodeSet set;
     std::uint64_t fp = 0;  // assignment_fp of `set`'s members
     ProcessId member = kInvalidProcess;
   };
   static constexpr std::size_t kMaxMonotone = 16;
-  std::vector<MonotoneEntry> known_quorums_;    // keep smallest
   std::vector<MonotoneEntry> failed_supports_;  // keep largest
-  std::size_t quorum_rr_ = 0;
   std::size_t failed_rr_ = 0;
-  /// Shared bounded-insert policy for both MonotoneEntry tiers (replace a
-  /// dominated comparable entry, append under the bound, else round-robin).
-  static void insert_tier(std::vector<MonotoneEntry>& pool, std::size_t& rr,
-                          MonotoneEntry entry, bool keep_smaller);
-
-  // ---- v-blocking memo, per interned qset (ids are immutable) ----
-  struct BlockTiers {
-    std::vector<NodeSet> blocking_;     // keep smallest
-    std::vector<NodeSet> nonblocking_;  // keep largest
-    std::size_t blocking_rr_ = 0;
-    std::size_t nonblocking_rr_ = 0;
-  };
-  std::unordered_map<QSetId, BlockTiers> block_tiers_;
+  /// Bounded insert: replace an entry for the same member that `entry`'s
+  /// set contains, append under the bound, else overwrite round-robin.
+  void insert_failed(MonotoneEntry entry);
 
   QuorumEngineStats stats_;
 };

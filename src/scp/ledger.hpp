@@ -202,7 +202,8 @@ class LedgerMultiplexer {
   std::uint64_t decided_prefix_ = 0;
   std::uint64_t digest_ = 0;
   std::uint64_t envelopes_dropped_ = 0;
-  /// Shared across all slots; interning + closure tiers chain-wide.
+  /// Shared across all slots; interning + the failed-support tier
+  /// chain-wide.
   fbqs::QuorumEngine engine_;
   fbqs::QuorumEngineStats flushed_;
 };

@@ -431,7 +431,7 @@ bool ScpNode::is_vblocking(const PredKey& pred) const {
   }
   vblock_scratch_ = view.members;
   vblock_scratch_.remove(host_.self());
-  view.vblocking = engine_->blocked_for(own_qset_id_, vblock_scratch_);
+  view.vblocking = engine_->blocked_by(own_qset_id_, vblock_scratch_);
   return *view.vblocking;
 }
 

@@ -1,6 +1,7 @@
 // QuorumEngine unit suite: hash-consed interning, flattened-vs-recursive
-// evaluation equivalence on randomized nested qsets, the closure's monotone
-// tiers (hits, invalidation), and — at the ScpNode level — from-scratch
+// evaluation equivalence on randomized nested qsets, the closure against a
+// reference under random rebinds, its failed-support tier (hits,
+// invalidation), and — at the ScpNode level — from-scratch
 // equivalence of the incrementally maintained support views and their
 // cached verdicts against the historical gather path and of the nomination
 // work list against the value set recomputed from the envelope maps, plus
@@ -136,6 +137,18 @@ TEST(QuorumEngineTest, ClosureMatchesReferenceOnRandomConfigurations) {
       if (ids[i] != kNoQSetId) ref[i] = &storage[next++];
     }
     for (int probe = 0; probe < 20; ++probe) {
+      // A rebind, either to a fresh qset or to one only `who` satisfies,
+      // must stop every failed-tier entry over `who` from matching.
+      if (rng.uniform(4) == 0) {
+        const auto who = static_cast<ProcessId>(rng.uniform(kUniverse));
+        ids[who] = engine.intern(
+            rng.uniform(2) == 0
+                ? random_qset(rng, kUniverse, 2)
+                : QSet::threshold_of(1, std::vector<ProcessId>{who}));
+        for (ProcessId i = 0; i < kUniverse; ++i) {
+          ref[i] = ids[i] == kNoQSetId ? nullptr : &engine.qset(ids[i]);
+        }
+      }
       const NodeSet support = random_set(rng, kUniverse);
       const auto member = static_cast<ProcessId>(rng.uniform(kUniverse));
       EXPECT_EQ(engine.quorum_contains(support, member, ids),
@@ -147,41 +160,52 @@ TEST(QuorumEngineTest, ClosureMatchesReferenceOnRandomConfigurations) {
 }
 
 TEST(QuorumEngineTest, ClosureMemoizationHitsAndSelfValidation) {
+  // 0 needs {0, 2}, 1 and 3 need 3, 2 needs {1, 2}.
   QuorumEngine engine;
   constexpr std::size_t kN = 4;
-  const QSet q = QSet::threshold_of(3, std::vector<ProcessId>{0, 1, 2, 3});
-  std::vector<QSetId> ids(kN, engine.intern(q));
-  const NodeSet support = NodeSet::full(kN);
+  const QSetId needs3 =
+      engine.intern(QSet::threshold_of(1, std::vector<ProcessId>{3}));
+  std::vector<QSetId> ids = {
+      engine.intern(QSet::threshold_of(2, std::vector<ProcessId>{0, 2})),
+      needs3,
+      engine.intern(QSet::threshold_of(2, std::vector<ProcessId>{1, 2})),
+      needs3};
 
-  EXPECT_TRUE(engine.quorum_contains(support, 0, ids));
-  const auto runs = engine.stats().closure_runs;
-  EXPECT_EQ(runs, 1u);
+  // {0, 1, 2} passes 0's first pass, but the closure drops 1 (no 3), then
+  // 2 (no 1), then 0 (no 2).
+  const NodeSet failed(kN, {0, 1, 2});
+  EXPECT_FALSE(engine.quorum_contains(failed, 0, ids));
+  EXPECT_EQ(engine.stats().closure_runs, 1u);
   EXPECT_EQ(engine.stats().closure_cache_hits, 0u);
 
-  // Same support + same assignment: served by the known-quorum tier (the
-  // first run's fixpoint lies inside this support) — and the baseline is
-  // charged a first pass, so savings are measurable.
-  const auto baseline_before = engine.stats().qset_evals_baseline;
+  // (a) A subset of a failed support fails too: served by the failed tier
+  // with zero evaluations, while the baseline is charged a first pass,
+  // |subset| evaluations, so savings are measurable.
+  const NodeSet subset(kN, {0, 2});
   const auto evals_before = engine.stats().qset_evals;
-  EXPECT_TRUE(engine.quorum_contains(support, 0, ids));
-  EXPECT_EQ(engine.stats().closure_runs, runs);
-  EXPECT_GE(engine.stats().closure_cache_hits, 1u);
+  const auto baseline_before = engine.stats().qset_evals_baseline;
+  EXPECT_FALSE(engine.quorum_contains(subset, 0, ids));
+  EXPECT_EQ(engine.stats().closure_runs, 1u);
+  EXPECT_EQ(engine.stats().closure_cache_hits, 1u);
   EXPECT_EQ(engine.stats().qset_evals, evals_before) << "hit must be free";
-  EXPECT_GT(engine.stats().qset_evals_baseline, baseline_before)
-      << "the rescan baseline would have paid for the closure again";
+  EXPECT_EQ(engine.stats().qset_evals_baseline,
+            baseline_before + subset.count());
 
-  // A member re-announces a different qset: tier entries re-validate
-  // against the current assignment and stop matching — the verdict is
-  // recomputed, and it honours the new (stricter) qset.
-  const QSet strict = QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3});
-  ids[1] = engine.intern(strict);
-  const auto hits_before = engine.stats().closure_cache_hits;
-  NodeSet three(kN, {0, 1, 2});
-  // {0,1,2} satisfies 3-of-4 for members 0 and 2 but not 1's new 4-of-4:
-  // the closure drops 1, then 0 and 2 lack their threshold — FALSE.
-  EXPECT_FALSE(engine.quorum_contains(three, 0, ids));
-  EXPECT_GT(engine.stats().closure_runs, runs);
-  EXPECT_EQ(engine.stats().closure_cache_hits, hits_before)
+  // (b) No tier proves TRUE: the same quorum asked twice runs the closure
+  // twice (exact repeats are the caller's to cache).
+  const NodeSet all = NodeSet::full(kN);
+  EXPECT_TRUE(engine.quorum_contains(all, 0, ids));
+  EXPECT_TRUE(engine.quorum_contains(all, 0, ids));
+  EXPECT_EQ(engine.stats().closure_runs, 3u);
+  EXPECT_EQ(engine.stats().closure_cache_hits, 1u);
+
+  // (c) 2 re-announces a qset only it needs, so {0, 2} becomes a quorum
+  // for 0. The failed entry's fingerprint covers 2's old qset id, so it
+  // stops matching: the subset is recomputed, not served FALSE.
+  ids[2] = engine.intern(QSet::threshold_of(1, std::vector<ProcessId>{2}));
+  EXPECT_TRUE(engine.quorum_contains(subset, 0, ids));
+  EXPECT_EQ(engine.stats().closure_runs, 4u);
+  EXPECT_EQ(engine.stats().closure_cache_hits, 1u)
       << "stale entries must not match the changed assignment";
 }
 
@@ -326,7 +350,7 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   const auto runs_before = node.engine().stats().closure_runs;
 
   // Sender 1 re-announces with a DIFFERENT qset: every cached quorum
-  // verdict (on the views and in the engine's tiers) read the old
+  // verdict (on the views and in the engine's failed tier) read the old
   // assignment, so the next check must re-run even though the nominate(42)
   // views are unchanged.
   const fbqs::QSet other =
