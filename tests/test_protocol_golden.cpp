@@ -165,7 +165,7 @@ TEST(ProtocolGoldenTest, StellarSdOneShotN22) {
   params.protocol = ProtocolKind::kStellarSd;
   const Pin expected = {19184, 4946533, 18779, 0,
       0, 0, 56, 0x0000000010742a15ULL,
-      {{4652, 44203, 8831, 218032, 6252, 1013, 0, 0, 197, 494, 1510, 17674}},
+      {{4793, 44062, 9750, 218032, 6252, 1013, 0, 0, 197, 494, 1510, 17674}},
       {56, 56, 55, 54, 52, 52, 56, 55, 54, 54, 55,
        55, 55, 54, 54, 55, kInf, 55, 54, 54, 54, 53},
       0ULL};
@@ -175,7 +175,7 @@ TEST(ProtocolGoldenTest, StellarSdOneShotN22) {
 TEST(ProtocolGoldenTest, LedgerChainN16SixSlots) {
   const Pin expected = {38967, 7958807, 38912, 90,
       0, 0, 789, 0x0000000010742a15ULL,
-      {{8832, 82987, 16691, 347150, 18431, 3592, 3236, 34805, 117, 236, 3525,
+      {{9855, 81964, 21655, 347150, 18431, 3592, 3236, 34805, 117, 236, 3525,
         35442}},
       {783, 785, 783, 784, 785, 786, 785, 785, 787, 0, 784, 784, 784, 784, 788,
        783},
@@ -193,7 +193,7 @@ TEST(ProtocolGoldenTest, ChurnPartitionWithScpEquivocator) {
   config.adversary = AdversaryKind::kScpEquivocator;
   const Pin expected = {18961, 4508903, 18581, 19,
       0, 0, 2303, 0x0000000010742a15ULL,
-      {{4366, 38063, 9303, 191144, 6210, 1043, 0, 0, 199, 478, 1681, 17280}},
+      {{4506, 37923, 10237, 191144, 6210, 1043, 0, 0, 199, 478, 1681, 17280}},
       {2299, 2301, 2301, 2300, 2301, 2303, 2301, 2298, 2301, 2301,
        2302, 2300, 2301, 2303, 2299, 2301, 2300, kInf, 2300, 2300},
       0ULL};
