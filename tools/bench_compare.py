@@ -6,10 +6,10 @@ bench/bench_common.hpp) against a committed reference and fails (exit 1)
 on regressions. Three checks, in decreasing order of trust:
 
  1. Ratio floors. Counters that encode an experiment's headline promise
-    (E16's sends per encode, E13's rescan savings) have an absolute floor;
-    a candidate above the floor passes regardless of the reference value,
-    because such ratios can legitimately move far above the floor without
-    meaning anything.
+    (E16's sends per encode, E13's rescan savings, E11's recheck savings)
+    have an absolute floor; a candidate above the floor passes regardless
+    of the reference value, because such ratios can legitimately move far
+    above the floor without meaning anything.
 
  2. Counter tolerance. All other shared counters must stay within
     --counter-tolerance (default 25%) of the reference. Deterministic
@@ -21,11 +21,12 @@ on regressions. Three checks, in decreasing order of trust:
     meaningless, so each row's real_time is normalized by a baseline row
     *within the same file* (--wall-baseline); the normalized ratio must
     not regress more than --wall-tolerance (default 25%). Skipped when
-    either file lacks the baseline row (E13 has none, so its gate checks
-    counters only).
+    either file lacks the baseline row (E13 and E11 have none, so their
+    gates check counters only).
 
 Counters derived from wall time (items_per_second, E13's slots_per_sec,
-any *_ms breakdown) and harness measurements (heap_allocs) are not gated.
+E11's nodes_per_sec, any *_ms breakdown) and harness measurements
+(heap_allocs) are not gated.
 
 Usage:
   bench_compare.py --reference tools/bench_reference_e16.json \
@@ -33,6 +34,8 @@ Usage:
                    --wall-baseline BM_MessageChurn
   bench_compare.py --reference tools/bench_reference_e13.json \
                    --candidate build/BENCH_E13.json
+  bench_compare.py --reference tools/bench_reference_e11.json \
+                   --candidate build/BENCH_E11.json
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import sys
 RATIO_FLOORS = {
     "sends_per_encode": 2.0,  # wire-once must amortize over broadcasts
     "rescan_savings": 10.0,  # E13's bar over the rescan-every-check baseline
+    "recheck_savings": 10.0,  # E11's bar over the recompute-everything one
 }
 
 # Counters that are measurements of the harness or the host rather than the
@@ -55,6 +59,7 @@ SKIP_COUNTERS = {
     "heap_allocs",
     "items_per_second",  # redundant with the normalized wall gate
     "slots_per_sec",  # E13 throughput, derived from wall time
+    "nodes_per_sec",  # E11 throughput, derived from wall time
 }
 
 
