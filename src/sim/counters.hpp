@@ -17,8 +17,8 @@ enum class ProtoCounter : std::uint8_t {
   /// Algorithm-1 closures actually executed (cache misses).
   kQuorumClosureRuns = 0,
   /// Closure answers served without a run: a verdict cached on an ScpNode
-  /// support view, or a QuorumEngine monotone tier. Runs plus hits count
-  /// the quorum checks asked.
+  /// support view, or the QuorumEngine's failed-support tier. Runs plus
+  /// hits count the quorum checks asked.
   kQuorumClosureCacheHits,
   /// Flattened QSet evaluations (satisfied_by / blocked_by) actually run.
   kQsetEvals,

@@ -137,7 +137,7 @@ TEST(QuorumEngineTest, ClosureMatchesReferenceOnRandomConfigurations) {
       if (ids[i] != kNoQSetId) ref[i] = &storage[next++];
     }
     for (int probe = 0; probe < 20; ++probe) {
-      // A rebind, either to a fresh qset or to one only `who` satisfies,
+      // A rebind, either to a fresh qset or to one that needs only `who`,
       // must stop every failed-tier entry over `who` from matching.
       if (rng.uniform(4) == 0) {
         const auto who = static_cast<ProcessId>(rng.uniform(kUniverse));
@@ -199,8 +199,8 @@ TEST(QuorumEngineTest, ClosureMemoizationHitsAndSelfValidation) {
   EXPECT_EQ(engine.stats().closure_runs, 3u);
   EXPECT_EQ(engine.stats().closure_cache_hits, 1u);
 
-  // (c) 2 re-announces a qset only it needs, so {0, 2} becomes a quorum
-  // for 0. The failed entry's fingerprint covers 2's old qset id, so it
+  // (c) 2 re-announces a qset that needs only 2, so {0, 2} becomes a
+  // quorum for 0. The failed entry's fingerprint covers 2's old qset id, so it
   // stops matching: the subset is recomputed, not served FALSE.
   ids[2] = engine.intern(QSet::threshold_of(1, std::vector<ProcessId>{2}));
   EXPECT_TRUE(engine.quorum_contains(subset, 0, ids));
