@@ -7,10 +7,10 @@
 //     replaces global operator new/delete with counting shims, so the row
 //     also reports *measured* heap allocations per message.
 //
-//  2. EncodeOnce — what does the wire-once frame cache save on a broadcast?
-//     cached:1 encodes one message object and serves fan_out sends from the
-//     cache; cached:0 is the per-send-encode world (a fresh encode per
-//     destination).
+//  2. EncodeOnce — what does the wire-once size cache save on a broadcast?
+//     cached:1 encodes one message object once, keeps only the frame's
+//     size and serves fan_out sends from it; cached:0 is the
+//     per-send-encode world (a fresh encode per destination).
 //
 //  3. ScenarioAB/proto:k — a full E12 churn/partition scenario per
 //     protocol, reporting wall time, measured heap allocations and the
@@ -96,7 +96,7 @@ void BM_MessageChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageChurn)->Unit(benchmark::kMillisecond);
 
-// ---- 2. micro: wire-once frame cache on a broadcast ------------------------
+// ---- 2. micro: wire-once size cache on a broadcast -------------------------
 
 scp::Envelope broadcast_envelope() {
   scp::NominateStmt nom;

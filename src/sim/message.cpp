@@ -1,6 +1,5 @@
 #include "sim/message.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -66,29 +65,19 @@ std::size_t MessageTypeRegistry::count() {
 }
 
 namespace {
-// Reused encode scratch: wire_encode appends here, then the frame is copied
-// into the message's inline buffer (or one overflow buffer for frames past
-// the inline capacity). Capacity persists across encodes, so steady-state
-// encoding of typical messages performs zero allocations.
+// Reused sizing scratch: a message's first send encodes its frame here and
+// keeps only the size. Capacity persists across encodes, so steady-state
+// sizing of typical messages performs zero allocations.
 thread_local std::vector<std::uint8_t> wire_scratch;
-}  // namespace
 
-bool Message::encode_frame_once() const {
-  if (wire_ready_) return false;
-  wire_scratch.clear();
-  WireWriter writer(wire_scratch);
-  writer.u16(wire_type());
-  wire_encode(writer);
-  const std::size_t size = wire_scratch.size();
-  if (size <= kWireInlineCapacity) {
-    std::copy(wire_scratch.begin(), wire_scratch.end(), wire_inline_.begin());
-  } else {
-    wire_overflow_.assign(wire_scratch.begin(), wire_scratch.end());
-  }
-  size_cache_ = static_cast<std::uint32_t>(size);
-  wire_ready_ = true;
-  return true;
+/// Appends msg's frame (u16 type header ++ payload) to out. The sizing path
+/// and encode_frame() both write through here, so they cannot disagree.
+void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
+  WireWriter writer(out);
+  writer.u16(msg.wire_type());
+  msg.wire_encode(writer);
 }
+}  // namespace
 
 Message::SendSize Message::send_size_slow() const {
   if (wire_type() == kWireTypeNone) {
@@ -98,18 +87,17 @@ Message::SendSize Message::send_size_slow() const {
     size_cache_ = static_cast<std::uint32_t>(estimate);
     return {estimate, false, false};
   }
-  const bool encoded_now = encode_frame_once();
-  return {size_cache_, encoded_now, true};
+  wire_scratch.clear();
+  append_frame(*this, wire_scratch);
+  size_cache_ = static_cast<std::uint32_t>(wire_scratch.size());
+  size_from_codec_ = true;
+  return {size_cache_, true, true};
 }
 
-std::pair<const std::uint8_t*, std::size_t> Message::wire_frame() const {
-  if (wire_type() == kWireTypeNone) return {nullptr, 0};
-  encode_frame_once();
-  const std::size_t size = size_cache_;
-  const std::uint8_t* data = size <= kWireInlineCapacity
-                                 ? wire_inline_.data()
-                                 : wire_overflow_.data();
-  return {data, size};
+std::vector<std::uint8_t> Message::encode_frame() const {
+  std::vector<std::uint8_t> frame;
+  if (wire_type() != kWireTypeNone) append_frame(*this, frame);
+  return frame;
 }
 
 }  // namespace scup::sim

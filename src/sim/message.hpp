@@ -8,13 +8,13 @@
 // The per-send hot path reads two lazily-filled per-object caches instead of
 // making virtual calls: metrics_type_id() (interned type name) and
 // send_size() (exact encoded frame size for types with a wire codec, the
-// memoized byte_size() estimate otherwise). The caches are plain fields:
-// each Simulation runs on one thread and no message object leaves it.
-// Construction goes through make_message(), a plain make_shared
-// (DESIGN.md §4.9).
+// memoized byte_size() estimate otherwise). A message keeps its frame's
+// size, never the frame: encode_frame() encodes afresh on each call. The
+// caches are plain fields: each Simulation runs on one thread and no
+// message object leaves it. Construction goes through make_message(), a
+// plain make_shared (DESIGN.md §4.9).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,14 +49,13 @@ class Message {
  public:
   Message() = default;
   // A copy keeps the interned id (ids are process-wide, so the value
-  // transfers) but not the wire caches: it is a distinct object that may be
+  // transfers) but not the size cache: it is a distinct object that may be
   // mutated before it is ever sent, so it encodes on its own first send.
   Message(const Message& other) : metrics_type_id_(other.metrics_type_id_) {}
   Message& operator=(const Message& other) {
     metrics_type_id_ = other.metrics_type_id_;
     size_cache_ = kNoCachedSize;
-    wire_ready_ = false;
-    wire_overflow_.clear();
+    size_from_codec_ = false;
     return *this;
   }
   virtual ~Message() = default;
@@ -90,45 +89,40 @@ class Message {
   struct SendSize {
     /// Bytes charged to SimMetrics for one send of this message.
     std::size_t bytes = 0;
-    /// True iff this call performed the once-per-message frame encode.
+    /// True iff this call performed the once-per-message sizing encode.
     bool encoded_now = false;
     /// True iff `bytes` is an exact encoded frame size (vs. estimate).
     bool from_codec = false;
   };
 
-  /// Size charged per send: the exact cached frame size when this type has
-  /// a codec, else the memoized byte_size() estimate. At most one virtual
-  /// call per *message*; every later send is a field read.
+  /// Size charged per send: the exact frame size when this type has a
+  /// codec, else the memoized byte_size() estimate. The first call encodes
+  /// the frame into thread-local scratch and keeps only its size; every
+  /// later send is a field read.
   SendSize send_size() const {
     if (size_cache_ != kNoCachedSize) {
-      return {size_cache_, false, wire_ready_};
+      return {size_cache_, false, size_from_codec_};
     }
     return send_size_slow();
   }
 
-  /// The cached encoded frame (u16 type header ++ payload), encoding it on
-  /// first call. Returns {nullptr, 0} when this type has no codec.
-  std::pair<const std::uint8_t*, std::size_t> wire_frame() const;
+  /// The encoded frame (u16 type header ++ payload) in a fresh vector, or
+  /// an empty one when this type has no codec. Nothing is cached: this is
+  /// for tests and decoder round trips, not the send path.
+  std::vector<std::uint8_t> encode_frame() const;
 
  private:
   SendSize send_size_slow() const;
-  /// Returns true iff this call built the frame (false if it was cached).
-  bool encode_frame_once() const;
 
   static constexpr std::uint32_t kUninternedTypeId = 0xffffffffu;
   static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
-  /// Frames at most this large live inline in the message; larger frames
-  /// overflow to one heap buffer.
-  static constexpr std::size_t kWireInlineCapacity = 104;
 
   // The caches are per-object state invisible to message semantics.
   // size_cache_ holds the byte_size() estimate for codec-less types and
-  // the frame size once wire_ready_ is set.
+  // the frame size once size_from_codec_ is set.
   mutable std::uint32_t metrics_type_id_ = kUninternedTypeId;
   mutable std::uint32_t size_cache_ = kNoCachedSize;
-  mutable bool wire_ready_ = false;
-  mutable std::array<std::uint8_t, kWireInlineCapacity> wire_inline_;
-  mutable std::vector<std::uint8_t> wire_overflow_;
+  mutable bool size_from_codec_ = false;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

@@ -7,10 +7,11 @@
 //     counts, non-canonical element order and over-deep qsets decode to
 //     nullptr — never to UB (the fuzz loop runs the decoder over mutated
 //     frames under the sanitizer jobs).
-//  3. Cache and ownership invariants: the frame cache encodes exactly once
-//     per message object, a copy keeps the type id but encodes its own
-//     frame, and messages are plain make_shared objects whose lifetime and
-//     addresses are invisible to the determinism contract.
+//  3. Cache and ownership invariants: the size cache encodes exactly once
+//     per message object and keeps no frame bytes, a copy keeps the type id
+//     but sizes its own frame, and messages are plain make_shared objects
+//     whose lifetime and addresses are invisible to the determinism
+//     contract.
 #include <array>
 #include <cstdint>
 #include <map>
@@ -44,11 +45,11 @@ class WireCodecTest : public ::testing::Test {
   void SetUp() override { core::register_wire_codecs(); }
 };
 
-/// The frame of a message via the public cache path.
+/// The frame of a message via its public encoder.
 std::vector<std::uint8_t> frame_of(const sim::Message& m) {
-  const auto [data, size] = m.wire_frame();
-  EXPECT_NE(data, nullptr);
-  return std::vector<std::uint8_t>(data, data + size);
+  std::vector<std::uint8_t> frame = m.encode_frame();
+  EXPECT_FALSE(frame.empty());
+  return frame;
 }
 
 fbqs::QSet sample_qset() {
@@ -260,17 +261,18 @@ TEST_F(WireCodecTest, FrameCacheEncodesOncePerMessage) {
   EXPECT_TRUE(second.from_codec);
   EXPECT_FALSE(second.encoded_now);  // served from the cache
   EXPECT_EQ(second.bytes, first.bytes);
-  // The cached frame is stable storage: same pointer on every call.
-  const auto [p1, s1] = msg->wire_frame();
-  const auto [p2, s2] = msg->wire_frame();
-  EXPECT_EQ(p1, p2);
-  EXPECT_EQ(s1, s2);
+  // The cache holds the frame's size, not the frame: encoding again yields
+  // the same bytes, of the cached size, and the message stays small.
+  const std::vector<std::uint8_t> frame = msg->encode_frame();
+  EXPECT_EQ(msg->encode_frame(), frame);
+  EXPECT_EQ(frame.size(), second.bytes);
+  EXPECT_LE(sizeof(cup::GetSinkMsg), 48u);
 }
 
 TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
-  // A copy of a sent message keeps the source's interned type id but none
-  // of its frame cache: it encodes on its own first send, into its own
-  // storage (inline for GetSink, the overflow buffer for the envelope).
+  // A copy of a sent message keeps the source's interned type id but not
+  // its size cache: it encodes on its own first send (a short GetSink frame
+  // and an envelope frame over 104 bytes).
   const auto sent = [](const sim::Message& m) {
     (void)m.metrics_type_id();
     (void)m.send_size();
@@ -282,7 +284,6 @@ TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
     EXPECT_TRUE(sized.encoded_now);
     EXPECT_TRUE(sized.from_codec);
     EXPECT_EQ(sized.bytes, source.send_size().bytes);
-    EXPECT_NE(copy.wire_frame().first, source.wire_frame().first);
     EXPECT_EQ(frame_of(copy), frame_of(source));
   };
 
@@ -303,7 +304,7 @@ TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
   const scp::Envelope env_copy(env_source);
   expect_fresh_copy(env_copy, env_source);
   // The assigned-to envelope was sent as a PREPARE: assignment must replace
-  // its cached type id and frame, not keep them.
+  // its cached type id and size, not keep them.
   scp::PrepareStmt prep;
   prep.b = {3, 1001};
   scp::Envelope env_assigned(5, 7, sample_qset(), scp::Statement{prep});
@@ -321,7 +322,7 @@ TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
   const auto sized = msg->send_size();
   EXPECT_FALSE(sized.from_codec);
   EXPECT_EQ(sized.bytes, 57u);
-  EXPECT_EQ(msg->wire_frame().first, nullptr);
+  EXPECT_TRUE(msg->encode_frame().empty());
 }
 
 // ---- Message ownership ----
@@ -386,7 +387,7 @@ TEST(MessagePoolTest, BlocksOutliveThePoolHandle) {
 
 TEST(MessagePoolTest, OversizedRequestsFallBackToHeap) {
   // An 8 KiB codec-less message is charged its byte_size(); a gossip frame
-  // past the inline buffer is charged its exact overflow frame.
+  // over 104 bytes is charged its exact frame size.
   struct JumboMsg final : sim::Message {
     std::array<std::uint8_t, 8192> payload{};
     std::string type_name() const override { return "test.jumbo"; }
@@ -402,8 +403,7 @@ TEST(MessagePoolTest, OversizedRequestsFallBackToHeap) {
   }
   const MessagePtr gossip =
       sim::make_message<cup::CertGossipMsg>(std::move(certs));
-  const auto [data, size] = gossip->wire_frame();
-  ASSERT_NE(data, nullptr);
+  const std::size_t size = gossip->encode_frame().size();
   EXPECT_GT(size, 104u);
   EXPECT_EQ(gossip->send_size().bytes, size);
 }

@@ -7,15 +7,18 @@ on regressions. Three checks, in decreasing order of trust:
 
  1. Ratio floors. Counters that encode an experiment's headline promise
     (E16's sends per encode, E13's rescan savings, E11's recheck savings)
-    have an absolute floor; a candidate above the floor passes regardless
-    of the reference value, because such ratios can legitimately move far
-    above the floor without meaning anything.
+    have an absolute floor; a candidate at or above the floor passes
+    regardless of the reference value, because such ratios can
+    legitimately move far above the floor without meaning anything.
 
- 2. Counter tolerance. All other shared counters must stay within
-    --counter-tolerance (default 25%) of the reference. Deterministic
-    counters (messages_sent, wire_encodes, frame_bytes, ...) do not
-    move at all unless behaviour changed; the tolerance exists for the
-    measured-allocation counters, which carry harness noise.
+ 2. Exact counters. Every other shared counter is deterministic
+    (messages_sent, wire_encodes, frame_bytes, qset_evals, ...) and must
+    equal the reference: integers exactly, floats within a relative
+    1e-9. Any change to one is a behaviour change, which must be declared
+    and the reference re-recorded. The one exception is a measured
+    allocation counter (any heap_* counter the gate does not skip), which
+    carries harness noise and must stay within --counter-tolerance
+    (default 25%) of the reference.
 
  3. Normalized wall time. Raw wall comparisons across machines are
     meaningless, so each row's real_time is normalized by a baseline row
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 # Counters whose larger-is-better value is gated by an absolute floor
@@ -67,6 +71,17 @@ def skipped_counter(name):
     return name in SKIP_COUNTERS or name.endswith("_ms")
 
 
+def harness_counter(name):
+    """Measured allocation counters: gated with --counter-tolerance."""
+    return name.startswith("heap_")
+
+
+def same_value(c, r):
+    if isinstance(c, int) and isinstance(r, int):
+        return c == r
+    return math.isclose(c, r, rel_tol=1e-9)
+
+
 def load_rows(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
@@ -82,7 +97,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reference", required=True)
     parser.add_argument("--candidate", required=True)
-    parser.add_argument("--counter-tolerance", type=float, default=0.25)
+    parser.add_argument(
+        "--counter-tolerance",
+        type=float,
+        default=0.25,
+        help="relative tolerance for measured heap_* counters",
+    )
     parser.add_argument("--wall-tolerance", type=float, default=0.25)
     parser.add_argument(
         "--wall-baseline",
@@ -117,17 +137,22 @@ def main():
             r, c = ref[counter], cand[counter]
             if counter in RATIO_FLOORS:
                 floor = RATIO_FLOORS[counter]
-                if c < floor and c < r * (1 - args.counter_tolerance):
+                if c < floor:
                     failures.append(
-                        f"{name}: {counter} = {c:g} fell below both the "
-                        f"floor {floor:g} and the reference {r:g}"
+                        f"{name}: {counter} = {c:g} fell below the floor "
+                        f"{floor:g} (reference {r:g})"
                     )
-                continue
-            scale = max(abs(r), 1e-9)
-            if abs(c - r) > args.counter_tolerance * scale:
+            elif harness_counter(counter):
+                scale = max(abs(r), 1e-9)
+                if abs(c - r) > args.counter_tolerance * scale:
+                    failures.append(
+                        f"{name}: {counter} = {c:g} deviates more than "
+                        f"{args.counter_tolerance:.0%} from the reference {r:g}"
+                    )
+            elif not same_value(c, r):
                 failures.append(
-                    f"{name}: {counter} = {c:g} deviates more than "
-                    f"{args.counter_tolerance:.0%} from the reference {r:g}"
+                    f"{name}: {counter} = {c!r} differs from the reference "
+                    f"{r!r}; deterministic counters must match exactly"
                 )
 
     ref_base = ref_rows.get(args.wall_baseline)
@@ -157,8 +182,9 @@ def main():
             print(f"  - {f}")
         return 1
     print(
-        f"bench_compare: OK — {len(shared)} rows within tolerance "
-        f"(counters {args.counter_tolerance:.0%}, wall {args.wall_tolerance:.0%})"
+        f"bench_compare: OK — {len(shared)} rows: counters exact, "
+        f"heap_* within {args.counter_tolerance:.0%}, "
+        f"wall within {args.wall_tolerance:.0%}"
     )
     return 0
 
