@@ -66,17 +66,12 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
   if (detector_.handle(from, *msg)) return;
   if (pbft_) {
     if (pbft_->handle(from, *msg)) return;
-  } else if (!detector_.has_result() &&
-             (dynamic_cast<const PrePrepareMsg*>(msg.get()) != nullptr ||
-              dynamic_cast<const PrepareMsg*>(msg.get()) != nullptr ||
-              dynamic_cast<const CommitMsg*>(msg.get()) != nullptr ||
-              dynamic_cast<const ViewChangeMsg*>(msg.get()) != nullptr ||
-              dynamic_cast<const NewViewMsg*>(msg.get()) != nullptr)) {
+  } else if (!detector_.has_result() && is_pbft_message(*msg)) {
     pending_pbft_.emplace_back(from, msg);
     return;
   }
 
-  if (const auto* req = dynamic_cast<const DecisionRequestMsg*>(msg.get())) {
+  if (const auto* req = sim::message_as<DecisionRequestMsg>(msg.get())) {
     if (req->origin >= universe()) return;
     if (req->origin != id()) requesters_.add(req->origin);
     if (!request_forwarded_.contains(req->origin)) {
@@ -90,7 +85,7 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
     return;
   }
 
-  if (const auto* dec = dynamic_cast<const DecisionMsg*>(msg.get())) {
+  if (const auto* dec = sim::message_as<DecisionMsg>(msg.get())) {
     // Accept a value vouched for by more than f distinct senders that are,
     // to the best of our knowledge, sink members. Before the sink detector
     // returns we cannot filter by membership; counting distinct senders is

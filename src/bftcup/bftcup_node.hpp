@@ -28,7 +28,8 @@ struct DecisionRequestMsg final : sim::Message {
   explicit DecisionRequestMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
   std::string type_name() const override { return "bftcup.decision_req"; }
-  std::uint16_t wire_type() const override { return kWireTypeDecisionRequest; }
+  static constexpr std::uint16_t kWireType = kWireTypeDecisionRequest;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const ProcessId origin = r.u32();
@@ -42,7 +43,8 @@ struct DecisionMsg final : sim::Message {
   explicit DecisionMsg(Value v) : value(v) {}
   Value value;
   std::string type_name() const override { return "bftcup.decision"; }
-  std::uint16_t wire_type() const override { return kWireTypeDecision; }
+  static constexpr std::uint16_t kWireType = kWireTypeDecision;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u64(value); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const Value value = r.u64();

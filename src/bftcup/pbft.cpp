@@ -19,6 +19,19 @@ std::uint64_t viewchange_hash(std::uint32_t new_view,
   return hash_mix(0x33330000ULL + new_view, prepared_view, prepared_value);
 }
 
+bool is_pbft_message(const sim::Message& msg) {
+  switch (msg.wire_type()) {
+    case kWireTypePrePrepare:
+    case kWireTypePrepare:
+    case kWireTypeCommit:
+    case kWireTypeViewChange:
+    case kWireTypeNewView:
+      return true;
+    default:
+      return false;
+  }
+}
+
 void wire_put_viewchange_record(sim::WireWriter& w,
                                 const ViewChangeRecord& r) {
   w.u32(r.sender);
@@ -162,20 +175,16 @@ void PbftConsensus::check_committed(std::uint32_t view, Value value) {
 bool PbftConsensus::handle(ProcessId from, const sim::Message& msg) {
   if (!members_.contains(from)) {
     // Only member messages matter; still claim pbft messages as consumed.
-    return dynamic_cast<const PrePrepareMsg*>(&msg) != nullptr ||
-           dynamic_cast<const PrepareMsg*>(&msg) != nullptr ||
-           dynamic_cast<const CommitMsg*>(&msg) != nullptr ||
-           dynamic_cast<const ViewChangeMsg*>(&msg) != nullptr ||
-           dynamic_cast<const NewViewMsg*>(&msg) != nullptr;
+    return is_pbft_message(msg);
   }
 
-  if (const auto* pp = dynamic_cast<const PrePrepareMsg*>(&msg)) {
+  if (const auto* pp = sim::message_as<PrePrepareMsg>(&msg)) {
     if (started_ && from == leader_of(pp->view)) {
       accept_proposal(pp->view, pp->value);
     }
     return true;
   }
-  if (const auto* p = dynamic_cast<const PrepareMsg*>(&msg)) {
+  if (const auto* p = sim::message_as<PrepareMsg>(&msg)) {
     if (view_admissible(p->view) &&
         host_.host_verify(from, prepare_hash(p->view, p->value), p->token)) {
       if (Slot* slot = admit_vote(p->view, p->value, from)) {
@@ -185,7 +194,7 @@ bool PbftConsensus::handle(ProcessId from, const sim::Message& msg) {
     }
     return true;
   }
-  if (const auto* c = dynamic_cast<const CommitMsg*>(&msg)) {
+  if (const auto* c = sim::message_as<CommitMsg>(&msg)) {
     if (view_admissible(c->view) &&
         host_.host_verify(from, commit_hash(c->view, c->value), c->token)) {
       if (Slot* slot = admit_vote(c->view, c->value, from)) {
@@ -195,7 +204,7 @@ bool PbftConsensus::handle(ProcessId from, const sim::Message& msg) {
     }
     return true;
   }
-  if (const auto* vc = dynamic_cast<const ViewChangeMsg*>(&msg)) {
+  if (const auto* vc = sim::message_as<ViewChangeMsg>(&msg)) {
     const ViewChangeRecord& r = vc->record;
     // Records for views already left behind can only justify NewView
     // messages every recipient would ignore; dropping them keeps the
@@ -216,7 +225,7 @@ bool PbftConsensus::handle(ProcessId from, const sim::Message& msg) {
     }
     return true;
   }
-  if (const auto* nv = dynamic_cast<const NewViewMsg*>(&msg)) {
+  if (const auto* nv = sim::message_as<NewViewMsg>(&msg)) {
     if (!started_ || decided_ || from != leader_of(nv->view) ||
         nv->view < view_) {
       return true;

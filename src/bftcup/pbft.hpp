@@ -58,7 +58,8 @@ struct PrePrepareMsg final : sim::Message {
   std::uint32_t view;
   Value value;
   std::string type_name() const override { return "pbft.preprepare"; }
-  std::uint16_t wire_type() const override { return kWireTypePrePrepare; }
+  static constexpr std::uint16_t kWireType = kWireTypePrePrepare;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(view);
     w.u64(value);
@@ -78,7 +79,8 @@ struct PrepareMsg final : sim::Message {
   Value value;
   std::uint64_t token;  // sign(sender, prepare_hash(view, value))
   std::string type_name() const override { return "pbft.prepare"; }
-  std::uint16_t wire_type() const override { return kWireTypePrepare; }
+  static constexpr std::uint16_t kWireType = kWireTypePrepare;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(view);
     w.u64(value);
@@ -100,7 +102,8 @@ struct CommitMsg final : sim::Message {
   Value value;
   std::uint64_t token;  // sign(sender, commit_hash(view, value))
   std::string type_name() const override { return "pbft.commit"; }
-  std::uint16_t wire_type() const override { return kWireTypeCommit; }
+  static constexpr std::uint16_t kWireType = kWireTypeCommit;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(view);
     w.u64(value);
@@ -136,7 +139,8 @@ struct ViewChangeMsg final : sim::Message {
   explicit ViewChangeMsg(ViewChangeRecord r) : record(std::move(r)) {}
   ViewChangeRecord record;
   std::string type_name() const override { return "pbft.viewchange"; }
-  std::uint16_t wire_type() const override { return kWireTypeViewChange; }
+  static constexpr std::uint16_t kWireType = kWireTypeViewChange;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     wire_put_viewchange_record(w, record);
   }
@@ -156,7 +160,8 @@ struct NewViewMsg final : sim::Message {
   Value value;
   std::vector<ViewChangeRecord> justification;
   std::string type_name() const override { return "pbft.newview"; }
-  std::uint16_t wire_type() const override { return kWireTypeNewView; }
+  static constexpr std::uint16_t kWireType = kWireTypeNewView;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(view);
     w.u64(value);
@@ -186,6 +191,9 @@ struct NewViewMsg final : sim::Message {
     return sim::make_message<NewViewMsg>(view, value, std::move(justification));
   }
 };
+
+/// True iff `msg` is one of the five PBFT message types above.
+bool is_pbft_message(const sim::Message& msg);
 
 // ---- statement hashes (domain-separated) ----
 

@@ -33,7 +33,7 @@ void DiscoveryLiarNode::on_message(ProcessId from,
                                    const sim::MessagePtr& msg) {
   // Answer discovery queries with the lie (parity-dependent when
   // equivocating); ignore everything else (silent in consensus).
-  if (dynamic_cast<const cup::DiscoverMsg*>(msg.get()) != nullptr) {
+  if (sim::message_as<cup::DiscoverMsg>(msg.get()) != nullptr) {
     const NodeSet& claimed =
         (second_fake_pd_ && from % 2 == 1) ? *second_fake_pd_ : fake_pd_;
     std::map<ProcessId, NodeSet> certs;

@@ -51,7 +51,7 @@ void LedgerNode::on_sink(const sinkdetector::GetSinkResult& result) {
 
 void LedgerNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
   ledger_.add_peer(from);
-  if (const auto* get_sink = dynamic_cast<const cup::GetSinkMsg*>(msg.get())) {
+  if (const auto* get_sink = sim::message_as<cup::GetSinkMsg>(msg.get())) {
     if (get_sink->origin < universe()) ledger_.add_peer(get_sink->origin);
   }
   if (detector_.handle(from, *msg)) return;

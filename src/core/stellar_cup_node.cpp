@@ -49,7 +49,7 @@ void StellarCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
   // peer for SCP broadcasts. This is how sink members learn about non-sink
   // members that need their envelopes.
   learn_peer(from);
-  if (const auto* get_sink = dynamic_cast<const cup::GetSinkMsg*>(msg.get())) {
+  if (const auto* get_sink = sim::message_as<cup::GetSinkMsg>(msg.get())) {
     // The flood origin also becomes a peer (we may never hear from it
     // directly, but it needs our SCP envelopes if it is a non-sink member).
     if (get_sink->origin < universe()) learn_peer(get_sink->origin);

@@ -40,7 +40,8 @@ struct DiscoverMsg final : sim::Message {
   explicit DiscoverMsg(PdCertificate c) : cert(std::move(c)) {}
   PdCertificate cert;
   std::string type_name() const override { return "cup.discover"; }
-  std::uint16_t wire_type() const override { return kWireTypeDiscover; }
+  static constexpr std::uint16_t kWireType = kWireTypeDiscover;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(cert.owner);
     w.node_set(cert.pd);
@@ -61,7 +62,8 @@ struct CertGossipMsg final : sim::Message {
       : certs(std::move(c)) {}
   std::map<ProcessId, NodeSet> certs;
   std::string type_name() const override { return "cup.certs"; }
-  std::uint16_t wire_type() const override { return kWireTypeCertGossip; }
+  static constexpr std::uint16_t kWireType = kWireTypeCertGossip;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(static_cast<std::uint32_t>(certs.size()));
     for (const auto& [owner, pd] : certs) {
@@ -101,7 +103,8 @@ struct KnownMsg final : sim::Message {
   explicit KnownMsg(NodeSet k) : known(std::move(k)) {}
   NodeSet known;
   std::string type_name() const override { return "cup.known"; }
-  std::uint16_t wire_type() const override { return kWireTypeKnown; }
+  static constexpr std::uint16_t kWireType = kWireTypeKnown;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(known); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     NodeSet known = r.node_set();
@@ -117,7 +120,8 @@ struct GetSinkMsg final : sim::Message {
   explicit GetSinkMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
   std::string type_name() const override { return "cup.get_sink"; }
-  std::uint16_t wire_type() const override { return kWireTypeGetSink; }
+  static constexpr std::uint16_t kWireType = kWireTypeGetSink;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const ProcessId origin = r.u32();
@@ -131,7 +135,8 @@ struct SinkValueMsg final : sim::Message {
   explicit SinkValueMsg(NodeSet s) : sink(std::move(s)) {}
   NodeSet sink;
   std::string type_name() const override { return "cup.sink_value"; }
-  std::uint16_t wire_type() const override { return kWireTypeSinkValue; }
+  static constexpr std::uint16_t kWireType = kWireTypeSinkValue;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(sink); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     NodeSet sink = r.node_set();

@@ -61,7 +61,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
 }
 
 bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
-  if (const auto* discover = dynamic_cast<const DiscoverMsg*>(&msg)) {
+  if (const auto* discover = sim::message_as<DiscoverMsg>(&msg)) {
     merge_certificate(discover->cert.owner, discover->cert.pd);
     responded_.add(from);
     // Reply with everything we hold (knowledge flows backward along the
@@ -70,13 +70,13 @@ bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
     update();
     return true;
   }
-  if (const auto* gossip = dynamic_cast<const CertGossipMsg*>(&msg)) {
+  if (const auto* gossip = sim::message_as<CertGossipMsg>(&msg)) {
     merge_certificates(gossip->certs);
     responded_.add(from);
     update();
     return true;
   }
-  if (const auto* known = dynamic_cast<const KnownMsg*>(&msg)) {
+  if (const auto* known = sim::message_as<KnownMsg>(&msg)) {
     if (known->known.universe_size() == host_.universe()) {
       // scup-lint: bounded(keyed by sender id, at most one entry per process in the universe)
       // scup-sanitize: `from` is the transport-authenticated sender id, not payload

@@ -89,7 +89,8 @@ struct Envelope final : sim::Message {
       default: return "scp.externalize";
     }
   }
-  std::uint16_t wire_type() const override { return kWireTypeEnvelope; }
+  static constexpr std::uint16_t kWireType = kWireTypeEnvelope;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override;
   static sim::MessagePtr wire_decode(sim::WireReader& r);
 };

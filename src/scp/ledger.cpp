@@ -6,7 +6,7 @@ namespace scup::scp {
 
 void LedgerMultiplexer::SlotHost::host_send(ProcessId to,
                                             sim::MessagePtr msg) {
-  const auto* env = dynamic_cast<const Envelope*>(msg.get());
+  const auto* env = sim::message_as<Envelope>(msg.get());
   if (env == nullptr) {
     throw std::logic_error("SlotHost: only SCP envelopes expected");
   }
@@ -126,7 +126,7 @@ void LedgerMultiplexer::on_decided(std::uint64_t slot, Value value) {
 }
 
 bool LedgerMultiplexer::handle(ProcessId from, const sim::MessagePtr& msg) {
-  const auto* wrapped = dynamic_cast<const SlotEnvelope*>(msg.get());
+  const auto* wrapped = sim::message_as<SlotEnvelope>(msg.get());
   if (wrapped == nullptr) return false;
   if (wrapped->slot == 0 ||
       (target_slots_ != 0 && wrapped->slot > target_slots_)) {

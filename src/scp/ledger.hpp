@@ -61,7 +61,8 @@ struct SlotEnvelope final : sim::Message {
   std::string type_name() const override {
     return "scp.slot." + envelope.type_name().substr(4);
   }
-  std::uint16_t wire_type() const override { return kWireTypeSlotEnvelope; }
+  static constexpr std::uint16_t kWireType = kWireTypeSlotEnvelope;
+  std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u64(slot);
     wire_put_envelope(w, envelope);

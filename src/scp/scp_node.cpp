@@ -94,6 +94,8 @@ ScpNode::ScpNode(sim::ProtocolHost& host, std::size_t universe,
       config_(config),
       peers_(universe),
       nom_unechoed_(universe),
+      latest_nom_(universe),
+      latest_ballot_(universe),
       owned_engine_(engine == nullptr
                         ? std::make_unique<fbqs::QuorumEngine>()
                         : nullptr),
@@ -128,10 +130,9 @@ void ScpNode::add_peer(ProcessId peer) {
   peers_.add(peer);
   if (!started_) return;
   // Late joiners need our current state (both streams).
-  for (const auto* map : {&latest_nom_, &latest_ballot_}) {
-    const auto it = map->find(host_.self());
-    if (it != map->end()) {
-      host_.host_send(peer, sim::make_message<Envelope>(*it->second));
+  for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
+    if (const EnvelopePtr& own = (*stream)[host_.self()]) {
+      host_.host_send(peer, sim::make_message<Envelope>(*own));
     }
   }
 }
@@ -152,16 +153,16 @@ void ScpNode::start() {
 }
 
 bool ScpNode::handle(ProcessId from, const sim::MessagePtr& msg) {
-  const auto* env = dynamic_cast<const Envelope*>(msg.get());
+  const auto* env = sim::message_as<Envelope>(msg.get());
   if (env == nullptr) return false;
-  if (env->sender != from) return true;  // forged sender field: drop
+  // Forged sender field, or a sender with no slot: drop.
+  if (env->sender != from || from >= latest_nom_.size()) return true;
   const auto* nom = std::get_if<NominateStmt>(&env->statement);
+  // Stale first: most deliveries are, and the check is one index.
+  const auto& stream = nom == nullptr ? latest_ballot_ : latest_nom_;
+  if (stream[from] != nullptr && stream[from]->seq >= env->seq) return true;
   // Malformed NOMINATE: drop before it can touch any state.
   if (nom != nullptr && !well_formed(*nom)) return true;
-
-  const auto& stream = nom == nullptr ? latest_ballot_ : latest_nom_;
-  const auto it = stream.find(from);
-  if (it != stream.end() && it->second->seq >= env->seq) return true;  // stale
   // scup-sanitize: msg holds env, whose sender was checked against from
   const EnvelopePtr prev = store_statement(EnvelopePtr(msg, env));
 
@@ -188,7 +189,7 @@ bool ScpNode::handle(ProcessId from, const sim::MessagePtr& msg) {
       bool grew = false;
       diff_nominations(seen, *nom, [&](Value v, Naming before, Naming after) {
         if (!after.named || before.named) return;
-        if (!started_ || nom_voted_.insert(v).second) {
+        if (!started_ || nom_voted_.insert(v)) {
           nom_open_.insert(v);
           grew = true;
         }
@@ -242,8 +243,10 @@ ScpNode::SupportView& ScpNode::support_view(const PredKey& key) const {
   // store_statement().
   SupportView view;
   view.members = NodeSet(peers_.universe_size());
-  for (const auto& [id, env] : nomination ? latest_nom_ : latest_ballot_) {
-    if (pred_holds(key, env->statement)) view.members.add(id);
+  for (const EnvelopePtr& env : nomination ? latest_nom_ : latest_ballot_) {
+    if (env != nullptr && pred_holds(key, env->statement)) {
+      view.members.add(env->sender);
+    }
   }
   engine_->count_support_rebuild();
   return table.emplace(key, std::move(view)).first->second;
@@ -299,9 +302,8 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
   // Effective qset: the ballot-stream envelope wins when both exist (they
   // are the same for correct senders anyway).
   const Envelope* effective = &stored;
-  if (!ballot) {
-    const auto it = latest_ballot_.find(id);
-    if (it != latest_ballot_.end()) effective = it->second.get();
+  if (!ballot && latest_ballot_[id] != nullptr) {
+    effective = latest_ballot_[id].get();
   }
   bind_qset(id, effective->qset);
   return prev;
@@ -353,9 +355,11 @@ bool ScpNode::support_views_consistent() const {
         return false;
       }
       NodeSet fresh(peers_.universe_size());
-      for (const auto* map : {&latest_nom_, &latest_ballot_}) {
-        for (const auto& [id, env] : *map) {
-          if (pred_holds(key, env->statement)) fresh.add(id);
+      for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
+        for (const EnvelopePtr& env : *stream) {
+          if (env != nullptr && pred_holds(key, env->statement)) {
+            fresh.add(env->sender);
+          }
         }
       }
       if (!(fresh == view.members)) return false;
@@ -377,13 +381,14 @@ bool ScpNode::nomination_worklist_consistent() const {
   if (decided_) return nom_open_.empty();
   // S: our votes plus every value a stored NOMINATE names. A NOMINATE
   // handled after start() has been echoed: all it names is in our votes.
-  std::set<Value> seen = nom_voted_;
-  for (const auto& [id, env] : latest_nom_) {
+  ValueSet seen = nom_voted_;
+  for (const EnvelopePtr& env : latest_nom_) {
+    if (env == nullptr) continue;
     const auto& nom = std::get<NominateStmt>(env->statement);
     for (const auto* values : {&nom.voted, &nom.accepted}) {
       for (Value v : *values) {
-        if (started_ && !nom_unechoed_.contains(id) &&
-            nom_voted_.count(v) == 0) {
+        if (started_ && !nom_unechoed_.contains(env->sender) &&
+            !nom_voted_.contains(v)) {
           return false;
         }
         seen.insert(v);
@@ -391,16 +396,16 @@ bool ScpNode::nomination_worklist_consistent() const {
     }
   }
   for (Value v : seen) {
-    if (candidates_.count(v) == 0 && nom_open_.count(v) == 0) return false;
+    if (!candidates_.contains(v) && !nom_open_.contains(v)) return false;
   }
   for (Value v : nom_open_) {
-    if (candidates_.count(v) > 0) return false;
-    if (seen.count(v) > 0) continue;
+    if (candidates_.contains(v)) return false;
+    if (seen.contains(v)) continue;
     // Listed but outside S: nobody may vote for or accept it.
     const PredKey votes{PredClass::kNomVote, 0, v};
-    for (const auto* map : {&latest_nom_, &latest_ballot_}) {
-      for (const auto& [id, env] : *map) {
-        if (pred_holds(votes, env->statement)) return false;
+    for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
+      for (const EnvelopePtr& env : *stream) {
+        if (env != nullptr && pred_holds(votes, env->statement)) return false;
       }
     }
   }
@@ -476,35 +481,30 @@ void ScpNode::advance() {
 bool ScpNode::step_nomination() {
   bool changed = false;
   // Candidate values: everything anyone has mentioned that is not yet
-  // confirmed (the work list; see the class comment).
-  for (auto it = nom_open_.begin(); it != nom_open_.end();) {
-    const Value v = *it;
-    if (nom_accepted_.count(v) == 0) {
+  // confirmed (the work list; see the class comment). A value leaves the
+  // list once confirmed.
+  nom_open_.retain([&](Value v) {
+    if (!nom_accepted_.contains(v)) {
       const bool accepted =
           federated_accept(PredKey{PredClass::kNomVote, 0, v},
                            PredKey{PredClass::kNomAccept, 0, v});
-      if (accepted) {
-        nom_accepted_.insert(v);
-        nom_voted_.insert(v);
-        changed = true;
-      }
-    }
-    if (nom_accepted_.count(v) > 0 &&
-        federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) {
-      candidates_.insert(v);
-      it = nom_open_.erase(it);
+      if (!accepted) return true;
+      nom_accepted_.insert(v);
+      nom_voted_.insert(v);
       changed = true;
-    } else {
-      ++it;
     }
-  }
+    if (!federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) return true;
+    candidates_.insert(v);
+    changed = true;
+    return false;
+  });
   if (changed) emit_nomination();
   return changed;
 }
 
 Value ScpNode::composite_candidate() const {
   // Deterministic combine: maximum of the confirmed candidates.
-  return candidates_.empty() ? own_value_ : *candidates_.rbegin();
+  return candidates_.empty() ? own_value_ : candidates_.max();
 }
 
 bool ScpNode::maybe_start_ballot() {
@@ -520,8 +520,8 @@ bool ScpNode::maybe_start_ballot() {
       return false;
     }
     Ballot best;
-    for (const auto& [id, env] : latest_ballot_) {
-      if (id == host_.self()) continue;
+    for (const EnvelopePtr& env : latest_ballot_) {
+      if (env == nullptr || env->sender == host_.self()) continue;
       const Ballot wb = working_ballot(env->statement);
       if (wb.valid() && best < wb) best = wb;
     }
@@ -557,7 +557,8 @@ const std::vector<Ballot>& ScpNode::candidate_ballots() {
     if (b.valid()) out.push_back(b);
   };
   push(b_);
-  for (const auto& [id, env] : latest_ballot_) {
+  for (const EnvelopePtr& env : latest_ballot_) {
+    if (env == nullptr) continue;
     if (const auto* p = std::get_if<PrepareStmt>(&env->statement)) {
       push(p->b);
       push(p->p);
@@ -655,7 +656,8 @@ std::vector<std::uint32_t> ScpNode::commit_boundaries(Value x) const {
     push(c_.n);
     push(h_.n);
   }
-  for (const auto& [id, env] : latest_ballot_) {
+  for (const EnvelopePtr& env : latest_ballot_) {
+    if (env == nullptr) continue;
     if (const auto* p = std::get_if<PrepareStmt>(&env->statement)) {
       if (p->b.x == x) {
         push(p->c_n);
@@ -777,8 +779,7 @@ Statement ScpNode::ballot_statement() const {
 
 void ScpNode::emit_nomination() {
   ++seq_;
-  NominateStmt nom{{nom_voted_.begin(), nom_voted_.end()},
-                   {nom_accepted_.begin(), nom_accepted_.end()}};
+  NominateStmt nom{nom_voted_.values(), nom_accepted_.values()};
   const auto msg = sim::make_message<Envelope>(host_.self(), seq_, qset_,
                                                Statement{std::move(nom)});
   store_statement(std::static_pointer_cast<const Envelope>(msg));

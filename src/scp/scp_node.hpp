@@ -57,21 +57,24 @@
 //
 // A received NOMINATE costs what it changes. Stored envelopes are shared
 // pointers to the delivered messages (our own: to the message we send), not
-// copies. A NOMINATE's lists are strictly ascending, so the sender's
-// previous and new statement diff in one merge walk: only the nomination
-// views whose membership changed are touched, and only values the sender
-// did not name before are echoed. Views depend only on each sender's latest
-// statement, so this leaves every view, and hence every engine query,
-// exactly as a full re-test would. The echo is exact because every value of
-// a NOMINATE handled after start() is already in our votes; a sender whose
-// stored NOMINATE was buffered before start() gets one full walk instead.
+// copies, kept in one slot per sender and stream (null = nothing stored):
+// finding a sender's statement is an index, walks over them run in
+// ascending sender order, and handle() drops a stale envelope on that
+// lookup before it reads anything else. A NOMINATE's lists are strictly
+// ascending, so the sender's previous and new statement diff in one merge
+// walk: only the nomination views whose membership changed are touched,
+// and only values the sender did not name before are echoed. Views depend
+// only on each sender's latest statement, so this leaves every view, and
+// hence every engine query, exactly as a full re-test would. The echo is
+// exact because every value of a NOMINATE handled after start() is already
+// in our votes; a sender whose stored NOMINATE was buffered before start()
+// gets one full walk instead.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -100,6 +103,43 @@ struct ScpConfig {
 void flush_quorum_counters(sim::ProtocolHost& host,
                            const fbqs::QuorumEngineStats& now,
                            fbqs::QuorumEngineStats& last);
+
+/// A set of values as one strictly ascending vector: membership is a binary
+/// search, walks are contiguous, and the vector is a NominateStmt list as it
+/// stands. Nomination's sets hold the values of one slot, so they stay small.
+class ValueSet {
+ public:
+  bool contains(Value v) const {
+    return std::binary_search(values_.begin(), values_.end(), v);
+  }
+  /// Adds `v`; true iff it was not there.
+  bool insert(Value v) {
+    const auto it = std::lower_bound(values_.begin(), values_.end(), v);
+    if (it != values_.end() && *it == v) return false;
+    values_.insert(it, v);
+    return true;
+  }
+  /// Calls keep(v) once per value in ascending order and drops the values
+  /// it returns false for.
+  template <class Keep>
+  void retain(Keep keep) {
+    auto out = values_.begin();
+    for (const Value v : values_) {
+      if (keep(v)) *out++ = v;
+    }
+    values_.erase(out, values_.end());
+  }
+  void clear() { values_.clear(); }
+  bool empty() const { return values_.empty(); }
+  /// The highest value; the set must not be empty.
+  Value max() const { return values_.back(); }
+  const std::vector<Value>& values() const { return values_; }
+  std::vector<Value>::const_iterator begin() const { return values_.begin(); }
+  std::vector<Value>::const_iterator end() const { return values_.end(); }
+
+ private:
+  std::vector<Value> values_;
+};
 
 class ScpNode {
  public:
@@ -135,7 +175,9 @@ class ScpNode {
   /// Feeds a received message; returns true if consumed (it was an SCP
   /// envelope). A consumed envelope is stored by sharing `msg` (an aliasing
   /// pointer to an envelope nested in a larger message works too), never
-  /// copied. A NOMINATE whose lists are not strictly ascending is dropped.
+  /// copied. Dropped without touching any state: an envelope whose sender
+  /// is outside the universe, a stale one (checked before anything reads
+  /// its statement), and a NOMINATE whose lists are not strictly ascending.
   bool handle(ProcessId from, const sim::MessagePtr& msg);
 
   /// Must be called by the host when kScpBallotTimerId fires.
@@ -149,7 +191,7 @@ class ScpNode {
 
   // ---- Introspection for tests and experiments ----
   std::uint32_t ballot_counter() const { return b_.n; }
-  const std::set<Value>& candidates() const { return candidates_; }
+  const ValueSet& candidates() const { return candidates_; }
   std::size_t envelopes_emitted() const { return seq_; }
 
   enum class Phase { kNominate, kPrepare, kConfirm, kExternalize };
@@ -165,14 +207,15 @@ class ScpNode {
   /// sender keeps its current binding.
   static constexpr std::size_t kMaxQsetRebinds = 8;
 
-  /// Latest ballot-protocol envelopes by sender (self included) — lets
-  /// tests audit every statement this node currently believes / has
-  /// emitted (e.g. the PREPARE commit-range invariant).
-  const std::map<ProcessId, EnvelopePtr>& ballot_envelopes() const {
+  /// Latest ballot-protocol envelope of each sender (self included),
+  /// indexed by sender id, null where none is stored — lets tests audit
+  /// every statement this node currently believes / has emitted (e.g. the
+  /// PREPARE commit-range invariant).
+  const std::vector<EnvelopePtr>& ballot_envelopes() const {
     return latest_ballot_;
   }
-  /// Latest NOMINATE envelopes by sender (self included).
-  const std::map<ProcessId, EnvelopePtr>& nomination_envelopes() const {
+  /// Latest NOMINATE envelope of each sender (self included), likewise.
+  const std::vector<EnvelopePtr>& nomination_envelopes() const {
     return latest_nom_;
   }
 
@@ -304,12 +347,12 @@ class ScpNode {
   std::uint64_t seq_ = 0;
 
   // Nomination state.
-  std::set<Value> nom_voted_;
-  std::set<Value> nom_accepted_;
-  std::set<Value> candidates_;
+  ValueSet nom_voted_;
+  ValueSet nom_accepted_;
+  ValueSet candidates_;
   /// step_nomination()'s work list: values named by a stored NOMINATE, plus
   /// our own proposal, that are not yet candidates (ascending, as walked).
-  std::set<Value> nom_open_;
+  ValueSet nom_open_;
 
   // Ballot state.
   Phase phase_ = Phase::kNominate;
@@ -336,8 +379,9 @@ class ScpNode {
   // Nomination and ballot protocols are separate message streams (as in
   // stellar-core): a sender's latest envelope of each kind is stored
   // independently, so progress on one never erases evidence for the other.
-  std::map<ProcessId, EnvelopePtr> latest_nom_;
-  std::map<ProcessId, EnvelopePtr> latest_ballot_;
+  // One slot per process id, sized to the universe; null = none stored.
+  std::vector<EnvelopePtr> latest_nom_;
+  std::vector<EnvelopePtr> latest_ballot_;
 
   // -- quorum evaluation layer --
   std::unique_ptr<fbqs::QuorumEngine> owned_engine_;  // null when shared

@@ -2,8 +2,9 @@
 //
 // Each protocol layer (certificate gossip, SINK discovery, sink detector,
 // SCP, PBFT) defines its own Message subclasses and dispatches on them in
-// Process::on_message. Messages are immutable once sent and shared between
-// the sender's log and all recipients.
+// Process::on_message through message_as<T>(), which compares wire type ids
+// instead of walking RTTI. Messages are immutable once sent and shared
+// between the sender's log and all recipients.
 //
 // The per-send hot path reads two lazily-filled per-object caches instead of
 // making virtual calls: metrics_type_id() (interned type name) and
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -126,6 +128,20 @@ class Message {
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
+
+/// `m` as a T when it is one, else null: the delivery router. A message
+/// class with a codec declares its frame id as `static constexpr
+/// std::uint16_t kWireType` and returns it from wire_type(); ids are unique
+/// per class and T is final, so an equal id means `m` is exactly a T. One
+/// virtual call and an integer compare, where a dynamic_cast walks RTTI.
+template <typename T>
+const T* message_as(const Message* m) {
+  static_assert(std::is_final_v<T>, "message_as<T>: T must be final");
+  static_assert(T::kWireType != kWireTypeNone,
+                "message_as<T>: T must have a wire type id");
+  if (m == nullptr || m->wire_type() != T::kWireType) return nullptr;
+  return static_cast<const T*>(m);
+}
 
 /// The construction chokepoint for every message in the system.
 template <typename T, typename... Args>

@@ -46,7 +46,7 @@ bool SinkDetector::on_timer(int timer_id) {
 bool SinkDetector::handle(ProcessId from, const sim::Message& msg) {
   if (discovery_.handle(from, msg)) return true;
 
-  if (const auto* get_sink = dynamic_cast<const GetSinkMsg*>(&msg)) {
+  if (const auto* get_sink = sim::message_as<GetSinkMsg>(&msg)) {
     const ProcessId origin = get_sink->origin;
     if (origin >= host_.universe()) return true;  // malformed
     // Record the requester (upon reachable_deliver, line 17).
@@ -63,7 +63,7 @@ bool SinkDetector::handle(ProcessId from, const sim::Message& msg) {
     return true;
   }
 
-  if (const auto* value = dynamic_cast<const SinkValueMsg*>(&msg)) {
+  if (const auto* value = sim::message_as<SinkValueMsg>(&msg)) {
     if (value->sink.universe_size() != host_.universe()) return true;
     // Line 22: values ← values ∪ {V}, one vote per sender: its first
     // well-formed value counts and later ones are ignored. Correct sink

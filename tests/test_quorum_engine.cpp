@@ -380,7 +380,7 @@ TEST(ScpNodeEngineTest, RebindDropsCachedQuorumVerdicts) {
                        p, 1, majority4(),
                        Statement{NominateStmt{{42}, {42}}}));
   }
-  ASSERT_EQ(node.candidates().count(42), 1u);
+  ASSERT_TRUE(node.candidates().contains(42));
   ASSERT_TRUE(node.support_views_consistent());
 
   const fbqs::QSet all4 =
@@ -428,9 +428,9 @@ TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
 
 TEST(ScpNodeEngineTest, MalformedNominateIsDroppedBeforeAnyStateChanges) {
   // A NOMINATE whose voted or accepted list is not strictly ascending is
-  // dropped by handle() before it touches any state. It must not even reach
-  // the stale-seq check: had it been stored, its high seq would make the
-  // sender's later, lower-seq NOMINATE stale.
+  // dropped by handle() before it touches any state. It must not be stored
+  // either: its high seq would make the sender's later, lower-seq NOMINATE
+  // stale.
   constexpr std::size_t kN = 4;
   FakeHost host(0, kN);
   ScpNode node(host, kN, majority4(), /*own_value=*/42);
@@ -470,6 +470,76 @@ TEST(ScpNodeEngineTest, MalformedNominateIsDroppedBeforeAnyStateChanges) {
   EXPECT_GT(node.envelopes_emitted(), emitted);
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_TRUE(node.nomination_worklist_consistent());
+}
+
+TEST(ScpNodeEngineTest, StaleAndMalformedNominatesLeaveViewsAndWorkList) {
+  // handle() drops a stale envelope on its sequence check, before it walks a
+  // NOMINATE's lists, and a fresh malformed NOMINATE right after that check;
+  // a sender outside the universe goes before either. None of them may touch
+  // a support view or the nomination work list. Node `hit` gets those
+  // deliveries and `twin` does not; both then handle the same well-formed
+  // NOMINATE, and must agree on every stored statement, every emission and
+  // every engine counter (a view touched or a value listed would move
+  // support updates, rebuilds or verdict counts).
+  constexpr std::size_t kN = 4;
+  FakeHost hit_host(0, kN);
+  FakeHost twin_host(0, kN);
+  ScpNode hit(hit_host, kN, majority4(), /*own_value=*/42);
+  ScpNode twin(twin_host, kN, majority4(), /*own_value=*/42);
+  const auto stored = sim::make_message<Envelope>(
+      1, 5, majority4(), Statement{NominateStmt{{42, 50}, {42}}});
+  for (ScpNode* node : {&hit, &twin}) {
+    for (ProcessId p = 1; p < kN; ++p) node->add_peer(p);
+    node->start();
+    node->handle(1, stored);
+  }
+
+  const auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(hit.engine().stats(), twin.engine().stats());
+    EXPECT_EQ(hit.envelopes_emitted(), twin.envelopes_emitted());
+    EXPECT_EQ(hit_host.sent.size(), twin_host.sent.size());
+    EXPECT_EQ(hit.candidates().values(), twin.candidates().values());
+    ASSERT_EQ(hit.nomination_envelopes().size(),
+              twin.nomination_envelopes().size());
+    for (ProcessId p = 0; p < kN; ++p) {
+      const auto& a = hit.nomination_envelopes()[p];
+      const auto& b = twin.nomination_envelopes()[p];
+      ASSERT_EQ(a == nullptr, b == nullptr) << "sender " << p;
+      if (a == nullptr) continue;
+      EXPECT_EQ(a->seq, b->seq) << "sender " << p;
+      const auto& na = std::get<NominateStmt>(a->statement);
+      const auto& nb = std::get<NominateStmt>(b->statement);
+      EXPECT_EQ(na.voted, nb.voted) << "sender " << p;
+      EXPECT_EQ(na.accepted, nb.accepted) << "sender " << p;
+    }
+    EXPECT_TRUE(hit.support_views_consistent());
+    EXPECT_TRUE(hit.nomination_worklist_consistent());
+  };
+
+  const auto nominate = [](ProcessId sender, std::uint64_t seq,
+                           NominateStmt nom) {
+    return sim::make_message<Envelope>(sender, seq, majority4(),
+                                       Statement{std::move(nom)});
+  };
+  // Stale (seq not above the stored 5) and unordered.
+  EXPECT_TRUE(hit.handle(1, nominate(1, 5, {{77, 60}, {}})));
+  EXPECT_TRUE(hit.handle(1, nominate(1, 3, {{60}, {77, 60}})));
+  // Fresh and malformed.
+  EXPECT_TRUE(hit.handle(1, nominate(1, 9, {{77, 60}, {}})));
+  EXPECT_TRUE(hit.handle(1, nominate(1, 10, {{60, 77}, {77, 77}})));
+  // A sender with no slot.
+  EXPECT_TRUE(hit.handle(kN, nominate(kN, 1, {{77}, {}})));
+  EXPECT_EQ(hit.nomination_envelopes().at(1), stored);
+  expect_same("after the dropped deliveries");
+
+  // The next well-formed NOMINATE names 60 and 77: had either been listed
+  // or echoed already, the two nodes would now differ.
+  const auto next = nominate(1, 6, {{42, 50, 60, 77}, {42}});
+  EXPECT_TRUE(hit.handle(1, next));
+  EXPECT_TRUE(twin.handle(1, next));
+  EXPECT_EQ(hit.nomination_envelopes().at(1), next);
+  expect_same("after the next NOMINATE");
 }
 
 /// A random statement of either stream over values 100..103 (ballot
@@ -592,7 +662,7 @@ TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
                                                  random_statement(rng)));
       ASSERT_NO_FATAL_FAILURE(check("run", step));
     }
-    EXPECT_EQ(node.candidates().count(kDropped), 0u);
+    EXPECT_FALSE(node.candidates().contains(kDropped));
     expect_prepare_invariant(host);
   }
 }

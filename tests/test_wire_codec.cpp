@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,13 @@
 #include "core/experiment.hpp"
 #include "core/wire_codecs.hpp"
 #include "cup/messages.hpp"
+#include "cup/sink_discovery.hpp"
 #include "scp/envelope.hpp"
 #include "scp/ledger.hpp"
 #include "sim/message.hpp"
 #include "sim/simulation.hpp"
 #include "sim/wire.hpp"
+#include "sinkdetector/sink_detector.hpp"
 
 namespace scup {
 namespace {
@@ -323,6 +326,93 @@ TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
   EXPECT_FALSE(sized.from_codec);
   EXPECT_EQ(sized.bytes, 57u);
   EXPECT_TRUE(msg->encode_frame().empty());
+}
+
+// ---- Delivery routing ----
+//
+// Handlers find their message type with sim::message_as<T>, which compares
+// wire type ids; dynamic_cast is the oracle here.
+
+/// A test message without a codec: its wire type id is kWireTypeNone.
+struct CodeclessMsg final : sim::Message {
+  std::string type_name() const override { return "test.codeless"; }
+};
+
+template <class T>
+void route_one(const sim::Message& m, std::vector<std::uint16_t>& ids) {
+  const T* routed = sim::message_as<T>(&m);
+  EXPECT_EQ(routed, dynamic_cast<const T*>(&m)) << "type " << T::kWireType;
+  if (routed != nullptr) ids.push_back(T::kWireType);
+}
+
+/// The wire type ids of every registered class message_as routes `m` to.
+template <class... Ts>
+std::vector<std::uint16_t> routes_among(const sim::Message& m) {
+  std::vector<std::uint16_t> ids;
+  (route_one<Ts>(m, ids), ...);
+  return ids;
+}
+
+std::vector<std::uint16_t> routes_of(const sim::Message& m) {
+  return routes_among<cup::DiscoverMsg, cup::CertGossipMsg, cup::KnownMsg,
+                      cup::GetSinkMsg, cup::SinkValueMsg, scp::Envelope,
+                      scp::SlotEnvelope, bftcup::PrePrepareMsg,
+                      bftcup::PrepareMsg, bftcup::CommitMsg,
+                      bftcup::ViewChangeMsg, bftcup::NewViewMsg,
+                      bftcup::DecisionRequestMsg, bftcup::DecisionMsg>(m);
+}
+
+TEST_F(WireCodecTest, DeliveriesRouteByWireTypeId) {
+  std::set<std::uint16_t> covered;
+  for (const MessagePtr& msg : sample_messages()) {
+    SCOPED_TRACE(msg->type_name());
+    const MessagePtr decoded = sim::decode_frame(frame_of(*msg));
+    ASSERT_NE(decoded, nullptr);
+    // Its own class, and none of the other 13.
+    EXPECT_EQ(routes_of(*decoded),
+              std::vector<std::uint16_t>{decoded->wire_type()});
+    covered.insert(decoded->wire_type());
+  }
+  const auto registered = sim::WireCodecRegistry::registered_types();
+  EXPECT_EQ(covered,
+            std::set<std::uint16_t>(registered.begin(), registered.end()));
+  EXPECT_TRUE(routes_of(CodeclessMsg{}).empty());
+}
+
+class SilentHost : public sim::ProtocolHost {
+ public:
+  ProcessId self() const override { return 0; }
+  std::size_t universe() const override { return 4; }
+  std::size_t fault_threshold() const override { return 1; }
+  void host_send(ProcessId, sim::MessagePtr) override { ++sends; }
+  void host_set_timer(int, SimTime) override {}
+  SimTime host_now() const override { return 0; }
+  std::uint64_t host_sign(std::uint64_t) const override { return 0; }
+  bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
+    return true;
+  }
+
+  std::size_t sends = 0;
+};
+
+TEST_F(WireCodecTest, HandlersDeclineACodeclessMessage) {
+  SilentHost host;
+  const NodeSet all(4, {0, 1, 2, 3});
+  const fbqs::QSet qset =
+      fbqs::QSet::threshold_of(3, std::vector<ProcessId>{0, 1, 2, 3});
+  scp::ScpNode scp(host, 4, qset, Value{7});
+  scp::LedgerMultiplexer ledger(host, 4, qset, 1);
+  cup::SinkDiscovery discovery(host, all);
+  sinkdetector::SinkDetector detector(host, all);
+  bftcup::PbftConsensus pbft(host, all);
+  const MessagePtr msg = sim::make_message<CodeclessMsg>();
+  EXPECT_FALSE(scp.handle(1, msg));
+  EXPECT_FALSE(ledger.handle(1, msg));
+  EXPECT_FALSE(discovery.handle(1, *msg));
+  EXPECT_FALSE(detector.handle(1, *msg));
+  EXPECT_FALSE(pbft.handle(1, *msg));
+  EXPECT_FALSE(bftcup::is_pbft_message(*msg));
+  EXPECT_EQ(host.sends, 0u);
 }
 
 // ---- Message ownership ----

@@ -9,7 +9,8 @@
 // functions whose summary says that parameter reaches a sink. Sanitizers:
 // a branch condition that *checks* the value (comparison operand or
 // argument of a validating call — cast-like calls are stripped first so
-// `dynamic_cast<...>(&msg)` never launders msg), std::min/max/clamp on
+// neither `dynamic_cast<...>(&msg)` nor the `sim::message_as<...>(&msg)`
+// type test launders msg), std::min/max/clamp on
 // assignment, or an explicit `// scup-sanitize: <reason>`.
 //
 // Summaries (FunctionSym::sink_params, bit i = parameter i reaches a sink)
@@ -40,7 +41,7 @@ const std::unordered_set<std::string>& grow_calls() {
 bool cast_like(const std::string& name) {
   return name == "static_cast" || name == "dynamic_cast" ||
          name == "const_cast" || name == "reinterpret_cast" ||
-         name == "get_if";
+         name == "get_if" || name == "message_as";
 }
 
 bool comparison_op(const std::string& t) {

@@ -199,6 +199,13 @@ TEST(ByzTaint, DynamicCastDoesNotLaunder) {
   EXPECT_TRUE(has_finding(findings, kRuleByzTaint, 23)) << render(findings);
 }
 
+TEST(ByzTaint, MessageAsDoesNotLaunder) {
+  const auto findings =
+      analyze_fixture("byz_taint_message_as_bad.cpp", "src/scp/fix.cpp");
+  EXPECT_EQ(count_rule(findings, kRuleByzTaint), 1u) << render(findings);
+  EXPECT_TRUE(has_finding(findings, kRuleByzTaint, 27)) << render(findings);
+}
+
 TEST(ByzTaint, CrossTuSummaryPropagates) {
   // The helper lives in another TU; the summary must still flow.
   std::vector<TU> tus;
