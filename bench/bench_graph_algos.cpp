@@ -65,7 +65,7 @@ void BM_KosrFullCheck(benchmark::State& state) {
   state.counters["kosr_holds"] = report.ok() ? 1 : 0;
 }
 BENCHMARK(BM_KosrFullCheck)
-    ->ArgsProduct({{8, 16, 32, 64}, {3}})
+    ->ArgsProduct({{8, 16, 32, 64, 128, 256}, {3}})
     ->Args({32, 5})
     ->Unit(benchmark::kMillisecond);
 
@@ -86,7 +86,7 @@ void BM_ByzantineSafeCheck(benchmark::State& state) {
   }
   state.counters["safe"] = safe ? 1 : 0;
 }
-BENCHMARK(BM_ByzantineSafeCheck)->Arg(8)->Arg(16)->Arg(32)
+BENCHMARK(BM_ByzantineSafeCheck)->Arg(8)->Arg(16)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 void BM_KosrGeneration(benchmark::State& state) {

@@ -192,15 +192,22 @@ bool has_k_vertex_disjoint_paths(const Digraph& g, ProcessId u, ProcessId v,
 
 bool is_k_strongly_connected(const Digraph& g, std::size_t k,
                              const NodeSet& active) {
+  // Even's reduction (DESIGN.md §4.10): a pair short of k paths has a
+  // separator of at most k - 1 nodes, which misses one of the first k
+  // active nodes, and a pair through that anchor is short too. So only
+  // pairs with an anchor endpoint are checked, in both directions; pairs
+  // of two anchors are checked once, from the lower anchor.
   const auto nodes = active.to_vector();
   if (nodes.size() <= 1) return true;
-  // One prepared network serves every ordered pair.
+  const std::size_t anchors = std::min(k, nodes.size());
   DisjointPathEngine engine;
   engine.prepare(g, active);
-  for (ProcessId u : nodes) {
-    for (ProcessId v : nodes) {
-      if (u == v) continue;
-      if (!engine.has_k_paths(u, v, k)) return false;
+  for (std::size_t a = 0; a < anchors; ++a) {
+    for (std::size_t w = a + 1; w < nodes.size(); ++w) {
+      if (!engine.has_k_paths(nodes[a], nodes[w], k) ||
+          !engine.has_k_paths(nodes[w], nodes[a], k)) {
+        return false;
+      }
     }
   }
   return true;

@@ -108,7 +108,12 @@ bool has_k_vertex_disjoint_paths(const Digraph& g, ProcessId u, ProcessId v,
 
 /// True iff g restricted to `active` is k-strongly connected: every ordered
 /// pair of distinct active nodes is joined by >= k vertex-disjoint paths
-/// (footnote 1 of the paper).
+/// (footnote 1 of the paper; a direct edge counts as one path).
+///
+/// Runs at most 2·k·(|active| - 1) max-flow queries on one prepared network,
+/// not one per ordered pair: only pairs with one of the first min(k,
+/// |active|) active nodes as an endpoint are checked, which decides the
+/// all-pairs definition exactly (Even's reduction, DESIGN.md §4.10).
 bool is_k_strongly_connected(const Digraph& g, std::size_t k,
                              const NodeSet& active);
 bool is_k_strongly_connected(const Digraph& g, std::size_t k);

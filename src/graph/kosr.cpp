@@ -1,6 +1,7 @@
 #include "graph/kosr.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "graph/disjoint_paths.hpp"
 #include "graph/scc.hpp"
@@ -30,14 +31,20 @@ KosrReport check_kosr(const Digraph& g, std::size_t k, const NodeSet& active) {
   report.sink_k_connected = is_k_strongly_connected(g, k, report.sink);
 
   // Clause (4): k node-disjoint paths from every non-sink node to every sink
-  // node. Paths may pass through any active node, so one flow network on
-  // `active` serves every pair.
+  // node, through any active node. No active arc leaves the sink, so when
+  // it is k-strongly connected a node short of k paths to some sink member
+  // is also short of k paths to one of the first k sink members (DESIGN.md
+  // §4.10), and those are the only targets. When clause (3) fails every
+  // sink member stays a target, so paths_to_sink still reports clause (4)
+  // alone.
+  std::vector<ProcessId> targets = report.sink.to_vector();
+  if (report.sink_k_connected && targets.size() > k) targets.resize(k);
   report.paths_to_sink = true;
   DisjointPathEngine engine;
   engine.prepare(g, active);
   for (ProcessId i : active) {
     if (report.sink.contains(i)) continue;
-    for (ProcessId j : report.sink) {
+    for (ProcessId j : targets) {
       if (!engine.has_k_paths(i, j, k)) {
         report.paths_to_sink = false;
         return report;

@@ -25,6 +25,12 @@ struct KosrReport {
 };
 
 /// Checks whether g restricted to `active` satisfies k-OSR.
+///
+/// Clause (3) runs at most 2·k·(|sink| - 1) max-flow queries (see
+/// is_k_strongly_connected). Clause (4) runs at most k per non-sink node
+/// when clause (3) holds, against the first k sink members only, and
+/// |sink| per non-sink node when it fails; every flag is exact either way
+/// (DESIGN.md §4.10).
 KosrReport check_kosr(const Digraph& g, std::size_t k, const NodeSet& active);
 KosrReport check_kosr(const Digraph& g, std::size_t k);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 
@@ -114,6 +116,48 @@ TEST(KConnectivityTest, TrivialCases) {
   Digraph h(4);
   EXPECT_TRUE(is_k_strongly_connected(h, 2, NodeSet(4, {2})));
   EXPECT_TRUE(is_k_strongly_connected(h, 0));
+}
+
+TEST(KConnectivityTest, MatchesAllPairsReference) {
+  // is_k_strongly_connected checks only the pairs through its first k
+  // active nodes; the reference checks every ordered pair, as footnote 1
+  // states it. Verdicts are counted only where |active| > k, the cases in
+  // which the anchors are not every active node.
+  Rng rng(23);
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  for (std::size_t n = 3; n <= 12; ++n) {
+    for (const double density : {0.2, 0.4, 0.6, 0.8}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const Digraph g = random_digraph(n, density, 100 * n + seed);
+        // The full set, then the complements of random 1- and 2-node
+        // failures.
+        std::vector<NodeSet> actives{NodeSet::full(n)};
+        for (const std::size_t failures : {1, 1, 2, 2}) {
+          actives.push_back(
+              NodeSet(n, rng.sample_ids(n, failures)).complement());
+        }
+        for (const NodeSet& active : actives) {
+          DisjointPathEngine reference;
+          reference.prepare(g, active);
+          for (std::size_t k = 0; k <= 4; ++k) {
+            bool expected = true;
+            for (ProcessId u : active) {
+              for (ProcessId v : active) {
+                if (u != v && !reference.has_k_paths(u, v, k)) expected = false;
+              }
+            }
+            ASSERT_EQ(is_k_strongly_connected(g, k, active), expected)
+                << "n=" << n << " density=" << density << " seed=" << seed
+                << " k=" << k << " active=" << active;
+            if (active.count() > k) ++(expected ? holds : fails);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(fails, 0u);
 }
 
 TEST(FReachabilityTest, Definition9) {

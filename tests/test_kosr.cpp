@@ -93,12 +93,45 @@ TEST(KosrTest, InsufficientPathsFromNonSink) {
   EXPECT_TRUE(check_kosr(g, 1).ok());
 }
 
+// Sink C4(1,2) on {0..3}; the non-sink nodes 4 and 5 point at each other
+// and at sink member 0 only, so each has two disjoint paths to 0 but one to
+// every other sink member.
+Digraph short_at_second_sink_member() {
+  Digraph g(6);
+  for (ProcessId i = 0; i < 4; ++i) {
+    g.add_edge(i, (i + 1) % 4);
+    g.add_edge(i, (i + 2) % 4);
+  }
+  g.add_edge(4, 0);
+  g.add_edge(4, 5);
+  g.add_edge(5, 0);
+  g.add_edge(5, 4);
+  return g;
+}
+
+TEST(KosrTest, PathsToSinkShortAtSecondSinkMember) {
+  // Clause (3) holds, so clause (4) is decided against the first two sink
+  // members; only the second shows the shortfall.
+  const Digraph g = short_at_second_sink_member();
+  EXPECT_EQ(max_vertex_disjoint_paths(g, 4, 0), 2u);
+  EXPECT_EQ(max_vertex_disjoint_paths(g, 4, 1), 1u);
+  const KosrReport r = check_kosr(g, 2);
+  EXPECT_TRUE(r.weakly_connected);
+  EXPECT_TRUE(r.single_sink);
+  EXPECT_TRUE(r.sink_k_connected);
+  EXPECT_FALSE(r.paths_to_sink);
+  EXPECT_EQ(r.sink, NodeSet(6, {0, 1, 2, 3}));
+}
+
 TEST(KosrTest, PathsToSinkMatchesFreshNetworkPerPair) {
-  // check_kosr answers clause (4) from one flow network shared by every
-  // (non-sink, sink) pair. The reference builds a fresh network per pair
-  // and, unlike check_kosr, keeps querying after a failed pair, so the
-  // shared network is also checked for reuse after a failed query.
-  std::vector<Digraph> graphs;
+  // check_kosr decides clause (4) against the first k sink members when
+  // clause (3) holds and against every sink member when it fails. The
+  // reference checks clause (3) on every ordered pair of sink members and
+  // clause (4) on every (non-sink, sink) pair, with a fresh network per
+  // pair. Unlike check_kosr it keeps querying after a failed pair, so a
+  // network shared by those pairs is also checked for reuse after a failed
+  // query.
+  std::vector<Digraph> graphs{short_at_second_sink_member()};
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     graphs.push_back(random_digraph(8 + seed % 4, 0.25 + 0.05 * (seed % 3),
                                     seed));
@@ -110,8 +143,8 @@ TEST(KosrTest, PathsToSinkMatchesFreshNetworkPerPair) {
     graphs.push_back(random_kosr_graph(params));
   }
   Rng rng(77);
-  std::size_t holds = 0;
-  std::size_t fails = 0;
+  // Clause (4) verdicts, [clause (3) holds][clause (4) holds].
+  std::size_t verdicts[2][2] = {{0, 0}, {0, 0}};
   std::size_t queries_after_failure = 0;
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const Digraph& g = graphs[gi];
@@ -125,6 +158,16 @@ TEST(KosrTest, PathsToSinkMatchesFreshNetworkPerPair) {
       for (std::size_t k = 1; k <= 3; ++k) {
         const KosrReport r = check_kosr(g, k, active);
         if (!r.single_sink) continue;
+        bool sink_connected = true;
+        for (ProcessId u : r.sink) {
+          for (ProcessId v : r.sink) {
+            if (u != v && !has_k_vertex_disjoint_paths(g, u, v, k, r.sink)) {
+              sink_connected = false;
+            }
+          }
+        }
+        EXPECT_EQ(r.sink_k_connected, sink_connected)
+            << "graph=" << gi << " k=" << k << " active=" << active;
         DisjointPathEngine shared;
         shared.prepare(g, active);
         bool expected = true;
@@ -141,13 +184,16 @@ TEST(KosrTest, PathsToSinkMatchesFreshNetworkPerPair) {
         }
         EXPECT_EQ(r.paths_to_sink, expected)
             << "graph=" << gi << " k=" << k << " active=" << active;
-        ++(expected ? holds : fails);
+        ++verdicts[sink_connected][expected];
       }
     }
   }
-  // The sample must exercise both verdicts of clause (4).
-  EXPECT_GT(holds, 0u);
-  EXPECT_GT(fails, 0u);
+  // The sample must exercise both verdicts of clause (4) on both of its
+  // target lists.
+  for (const auto& branch : verdicts) {
+    EXPECT_GT(branch[false], 0u);
+    EXPECT_GT(branch[true], 0u);
+  }
   EXPECT_GT(queries_after_failure, 0u);
 }
 
