@@ -6,15 +6,22 @@
 // fraction 1/2, the E5 shape) with discovery-only processes and reports,
 // alongside wall time:
 //  - nodes_per_sec        processed system size per second of wall time,
-//  - flow_evals           disjoint-path evaluations the incremental
-//                         algorithm actually ran,
+//  - flow_evals           max-flow evaluations the incremental algorithm
+//                         actually ran,
+//  - domtree_passes       f = 1 dominator passes, each deciding every
+//                         pending node of one update,
 //  - flow_evals_baseline  evaluations the recompute-everything baseline
 //                         would have run (counted by the same code path),
-//  - recheck_savings      their ratio (the E11 acceptance bar is >= 10x),
-//  - messages/kilobytes   discovery traffic (~quadratic, DESIGN.md E5),
-// plus memoized/degree-pruned skip counts. The FullStack rows run the same
-// large_scale_scenario family end to end (BFT-CUP: discovery -> PBFT ->
-// decide) to show the pipeline, not just the oracle, at large n. The
+//  - recheck_savings      baseline / (flow_evals + domtree_passes), the
+//                         E11 acceptance bar (>= 10x),
+//  - degree_prunes        evaluations skipped by Menger's degree bounds,
+//  - cut_skips            evaluations skipped by a cached max-flow cut,
+//  - messages/kilobytes   discovery traffic (~quadratic, DESIGN.md E5).
+// Wall times mean something only from runs of at least a second per row;
+// the smoke and CI runs use a 0.01 s minimum and gate counters only.
+// The FullStack rows run the same large_scale_scenario family end to end
+// (BFT-CUP: discovery -> PBFT -> decide) to show the pipeline, not just the
+// oracle, at large n. The
 // PayloadSharing rows report the shared-payload counters of the discovery
 // broadcast plane on E12 scenario shapes: payload_shared / (payload_builds
 // + payload_shared) is the fraction of sends served by a cached message
@@ -90,7 +97,6 @@ ScaleRun run_discovery(std::size_t n, std::size_t f, std::uint64_t seed) {
     const auto& d = nodes[i]->discovery_;
     r.stats.flow_evals += d.stats().flow_evals;
     r.stats.flow_evals_baseline += d.stats().flow_evals_baseline;
-    r.stats.memoized_skips += d.stats().memoized_skips;
     r.stats.degree_prunes += d.stats().degree_prunes;
     r.stats.cut_skips += d.stats().cut_skips;
     r.stats.domtree_passes += d.stats().domtree_passes;
@@ -137,8 +143,6 @@ void BM_ScaleDiscovery_Sweep(benchmark::State& state) {
           ? 0.0
           : static_cast<double>(r.stats.flow_evals_baseline) /
                 admission_evals;
-  state.counters["memoized_skips"] =
-      static_cast<double>(r.stats.memoized_skips);
   state.counters["degree_prunes"] = static_cast<double>(r.stats.degree_prunes);
   state.counters["cut_skips"] = static_cast<double>(r.stats.cut_skips);
   state.counters["messages"] = static_cast<double>(r.messages);

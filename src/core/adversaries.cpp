@@ -36,10 +36,8 @@ void DiscoveryLiarNode::on_message(ProcessId from,
   if (sim::message_as<cup::DiscoverMsg>(msg.get()) != nullptr) {
     const NodeSet& claimed =
         (second_fake_pd_ && from % 2 == 1) ? *second_fake_pd_ : fake_pd_;
-    std::map<ProcessId, NodeSet> certs;
-    // scup-sanitize: local one-entry reply map; this node IS the adversary
-    certs.emplace(id(), claimed);
-    send(from, sim::make_message<cup::CertGossipMsg>(std::move(certs)));
+    send(from, sim::make_message<cup::CertGossipMsg>(
+                   std::vector<cup::PdCertificate>{{id(), claimed}}));
   }
 }
 

@@ -8,7 +8,7 @@
 // discovery families.
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "common/node_set.hpp"
 #include "sim/message.hpp"
@@ -56,11 +56,10 @@ struct DiscoverMsg final : sim::Message {
 };
 
 /// Reply to DISCOVER (and general gossip): all certificates the sender
-/// holds, merged per owner.
+/// holds, merged per owner, in strictly ascending owner order.
 struct CertGossipMsg final : sim::Message {
-  explicit CertGossipMsg(std::map<ProcessId, NodeSet> c)
-      : certs(std::move(c)) {}
-  std::map<ProcessId, NodeSet> certs;
+  explicit CertGossipMsg(std::vector<PdCertificate> c) : certs(std::move(c)) {}
+  std::vector<PdCertificate> certs;
   std::string type_name() const override { return "cup.certs"; }
   static constexpr std::uint16_t kWireType = kWireTypeCertGossip;
   std::uint16_t wire_type() const override { return kWireType; }
@@ -74,23 +73,22 @@ struct CertGossipMsg final : sim::Message {
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const std::uint32_t count = r.u32();
     // Smallest possible entry is 12 bytes (owner + empty NodeSet), so a
-    // forged count cannot force an oversized map reservation.
+    // forged count cannot force an oversized reservation.
     if (!r.fits(count, 12)) {
       r.fail();
       return nullptr;
     }
-    std::map<ProcessId, NodeSet> certs;
-    ProcessId prev = kInvalidProcess;
+    std::vector<PdCertificate> certs;
+    certs.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const ProcessId owner = r.u32();
-      if (i > 0 && owner <= prev) {
-        // Canonical frames list owners in ascending order (std::map
-        // iteration); anything else is a forgery or corruption.
+      if (i > 0 && owner <= certs.back().owner) {
+        // Canonical frames list owners in ascending order; anything else
+        // is a forgery or corruption.
         r.fail();
         return nullptr;
       }
-      certs.emplace(owner, r.node_set());
-      prev = owner;
+      certs.push_back({owner, r.node_set()});
       if (!r.ok()) return nullptr;
     }
     return sim::make_message<CertGossipMsg>(std::move(certs));

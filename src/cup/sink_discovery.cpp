@@ -1,7 +1,5 @@
 #include "cup/sink_discovery.hpp"
 
-#include <map>
-
 #include "graph/dominators.hpp"
 
 namespace scup::cup {
@@ -15,14 +13,12 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       cert_rows_(pd_.universe_size()),
       cert_owners_(pd_.universe_size()),
       cert_graph_(pd_.universe_size()),
-      new_edge_heads_(pd_.universe_size()),
       admitted_(pd_.universe_size()),
       candidate_(pd_.universe_size()),
       queried_(pd_.universe_size()),
       responded_(pd_.universe_size()),
       last_published_(pd_.universe_size()),
-      neg_cuts_(pd_.universe_size()),
-      prev_reachable_(pd_.universe_size()) {}
+      neg_cuts_(pd_.universe_size()) {}
 
 void SinkDiscovery::start() {
   merge_certificate(host_.self(), pd_);
@@ -97,9 +93,10 @@ sim::MessagePtr SinkDiscovery::gossip_reply() {
   // large-n discovery cost. Owners are listed in ascending order, as the
   // canonical frame requires.
   return shared_payload(cached_gossip_, [this] {
-    std::map<ProcessId, NodeSet> certs;
+    std::vector<PdCertificate> certs;
+    certs.reserve(cert_owners_.count());
     for (ProcessId owner : cert_owners_) {
-      certs.emplace_hint(certs.end(), owner, cert_rows_[owner]);
+      certs.push_back({owner, cert_rows_[owner]});
     }
     return sim::make_message<CertGossipMsg>(std::move(certs));
   });
@@ -125,21 +122,20 @@ void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
   for (ProcessId target : row) {
     if (!cert_graph_.has_edge(owner, target)) {
       cert_graph_.add_edge(owner, target);
-      new_edge_heads_.add(target);
       new_edges_.emplace_back(owner, target);
     }
   }
 }
 
 void SinkDiscovery::merge_certificates(
-    const std::map<ProcessId, NodeSet>& certs) {
+    const std::vector<PdCertificate>& certs) {
   for (const auto& [owner, pd] : certs) merge_certificate(owner, pd);
 }
 
 void SinkDiscovery::update() {
   if (finished_) return;
   ++stats_.updates;
-  if (!new_edge_heads_.empty() || candidate_.empty()) {
+  if (!new_edges_.empty() || candidate_.empty()) {
     recheck_admissions();
   }
   maybe_publish_known();
@@ -149,7 +145,6 @@ void SinkDiscovery::update() {
 void SinkDiscovery::recheck_admissions() {
   const ProcessId self = host_.self();
   ++stats_.dirty_updates;
-  if (!new_edges_.empty()) ++stats_.cert_epoch;
 
   // Plain reachability bounds both the query set and the f-reachability
   // candidates (f-reachable implies reachable).
@@ -167,35 +162,14 @@ void SinkDiscovery::recheck_admissions() {
     }));
   }
 
-  // Candidate set: self, own PD (trusted oracle output), and every node
-  // f-reachable in the certified graph (Definition 9). Both the graph and
-  // the property are monotone, so previously admitted nodes stay — and a
-  // cached *negative* verdict stays valid until new knowledge can reach the
-  // node: only nodes downstream of this batch's new edge heads are
-  // re-evaluated. (A path created by a new edge (u, v) ends with a v→…→j
-  // suffix, so j is reachable from v; the same argument covers nodes that
-  // became reachable or gained active interior nodes since the last check.)
-  const NodeSet affected =
-      cert_graph_.reachable_from_any(new_edge_heads_, reachable);
-  new_edge_heads_.clear();
-
-  // Nodes that became reachable bring their previously-inactive in-edges
-  // into the network; treat those as part of this batch for the
-  // cut-crossing test below.
-  for (ProcessId w : reachable) {
-    if (prev_reachable_.contains(w)) continue;
-    for (ProcessId p : cert_graph_.predecessors(w)) {
-      new_edges_.emplace_back(p, w);
-    }
-  }
-  prev_reachable_ = reachable;
-
   // A cached failure certificate stays conclusive unless some new edge
   // jumps from its source side past its separator (then a path avoiding
-  // the old cut may exist and the node must be re-evaluated). Every cached
-  // cut must be tested against every batch — a node can sit outside this
-  // batch's `affected` set (sound: no new path reaches it yet) while a
-  // crossing edge already voids its certificate for a later batch.
+  // the old cut may exist and the node must be re-evaluated). Only an edge
+  // added after the cut was extracted can: the max-flow ran on everything
+  // reachable from self, which no edge leaves, and inside it every edge out
+  // of the source side ends in the source side or the cut, or enters the
+  // target from a cut vertex or from self (DisjointPathEngine::extract_cut).
+  // Every added edge passes through merge_certificate into this batch.
   const auto cut_still_separates =
       [this](const graph::DisjointPathEngine::VertexCut& cut) {
         for (const auto& [tail, head] : new_edges_) {
@@ -206,11 +180,10 @@ void SinkDiscovery::recheck_admissions() {
         }
         return true;
       };
-  if (!new_edges_.empty()) {
-    for (auto& cut : neg_cuts_) {
-      if (cut && !cut_still_separates(*cut)) cut.reset();
-    }
+  for (auto& cut : neg_cuts_) {
+    if (cut && !cut_still_separates(*cut)) cut.reset();
   }
+  new_edges_.clear();
 
   // Menger bound at the source: f+1 disjoint paths leave self through f+1
   // distinct certified out-edges.
@@ -220,19 +193,19 @@ void SinkDiscovery::recheck_admissions() {
   }
   const bool source_can_admit = self_out_degree >= f_ + 1;
 
+  // Candidate set: self, own PD (trusted oracle output), and every node
+  // f-reachable in the certified graph (Definition 9). Both the graph and
+  // the property are monotone, so admitted nodes stay admitted; every other
+  // reachable node goes through the steps below again, each of which gives
+  // an exact verdict.
   bool engine_ready = false;
   bool domtree_ready = false;
   std::vector<ProcessId> idom;
-  std::map<ProcessId, NodeSet> dom_subtrees;  // separator -> dominated set
   for (ProcessId j : reachable) {
     if (admitted_.contains(j) || j == self || pd_.contains(j)) continue;
     // The pre-incremental algorithm re-ran the max-flow check here
     // unconditionally; count what it would have cost (E11's baseline).
     ++stats_.flow_evals_baseline;
-    if (!affected.contains(j)) {
-      ++stats_.memoized_skips;
-      continue;
-    }
     // Menger bound at the target: f+1 disjoint paths arrive over f+1
     // distinct certified in-edges from active nodes.
     std::size_t in_degree = 0;
@@ -252,7 +225,6 @@ void SinkDiscovery::recheck_admissions() {
     if (f_ == 0) {
       // One path suffices and j is reachable by construction of the loop.
       admitted_.add(j);
-      neg_cuts_[j].reset();
       continue;
     }
     if (f_ == 1 && !cert_graph_.has_edge(self, j)) {
@@ -267,23 +239,7 @@ void SinkDiscovery::recheck_admissions() {
         ++stats_.domtree_passes;
         domtree_ready = true;
       }
-      if (idom[j] == self) {
-        admitted_.add(j);
-        neg_cuts_[j].reset();
-      } else {
-        // idom(j) is a one-vertex separator: cache it like a flow-derived
-        // cut so j is not reconsidered until an edge bypasses it.
-        const ProcessId c = idom[j];
-        auto it = dom_subtrees.find(c);
-        if (it == dom_subtrees.end()) {
-          it = dom_subtrees
-                   .emplace(c, graph::dominated_by(idom, self, c,
-                                                   pd_.universe_size()))
-                   .first;
-        }
-        neg_cuts_[j] = graph::DisjointPathEngine::VertexCut{
-            reachable - it->second, NodeSet(pd_.universe_size(), {c})};
-      }
+      if (idom[j] == self) admitted_.add(j);
       continue;
     }
     if (!engine_ready) {
@@ -293,12 +249,10 @@ void SinkDiscovery::recheck_admissions() {
     ++stats_.flow_evals;
     if (path_engine_.has_k_paths(self, j, f_ + 1)) {
       admitted_.add(j);
-      neg_cuts_[j].reset();
     } else {
       neg_cuts_[j] = path_engine_.extract_cut(self, j);
     }
   }
-  new_edges_.clear();
   candidate_ = admitted_ | pd_;
   candidate_.add(self);
 }

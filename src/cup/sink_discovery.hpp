@@ -24,20 +24,19 @@
 //     path.
 //
 // Incremental admission (the discovery→consensus hot path): the certified
-// graph and the f-reachability property are both monotone, so an admission
-// verdict only needs re-evaluation when the certificate batch since the
-// last update() could have created a new path to the node. update() keeps a
-// dirty set of new-edge heads and re-checks only nodes downstream of them
-// (everything else keeps its memoized verdict from the epoch it was last
-// evaluated at), applies Menger's degree bounds before paying for a real
-// evaluation, caches a vertex-separator certificate for every negative
-// verdict (re-evaluated only when an edge crosses its frontier), and for
-// f = 1 decides whole batches with one dominator-tree pass (idom(j) == self
-// ⟺ two disjoint paths, graph/dominators.hpp) instead of per-node
-// max-flows. The remaining max-flow runs share one prepared flow network
-// per update (graph::DisjointPathEngine). DiscoveryStats counts both the
-// evaluations actually run and what a recompute-everything baseline would
-// have run; bench_scale_discovery (E11) reports the ratio.
+// graph and the f-reachability property are both monotone, so an admitted
+// node stays admitted and update() re-decides only pending nodes, and only
+// after a certificate batch added edges. Each pending node goes through
+// Menger's degree bounds, then through its cached vertex-cut certificate
+// from an earlier failed max-flow (dropped once a new edge crosses it),
+// then through an exact decision: for f = 1 one dominator-tree pass decides
+// every pending node at once (idom(j) == self ⟺ two disjoint paths,
+// graph/dominators.hpp), otherwise a max-flow on one flow network prepared
+// per update (graph::DisjointPathEngine) decides it and caches its cut on
+// failure. DESIGN.md §4.11 says why these and only these are cached.
+// DiscoveryStats counts the evaluations actually run and what a
+// recompute-everything baseline would have run; bench_scale_discovery (E11)
+// reports the ratio.
 #pragma once
 
 #include <cstdint>
@@ -61,19 +60,14 @@ struct DiscoveryStats {
   std::uint64_t flow_evals = 0;
   /// Evaluations the pre-incremental algorithm would have run: one per
   /// reachable, not-yet-admitted node per dirty update. Directly comparable
-  /// with flow_evals because both algorithms admit identical sets (the
-  /// property is monotone and the dirty set over-approximates the nodes a
-  /// batch can affect).
+  /// with flow_evals because every verdict of both algorithms is exact, so
+  /// they admit identical sets.
   std::uint64_t flow_evals_baseline = 0;
-  /// Evaluations skipped because the node was not downstream of any new
-  /// edge (its memoized verdict from an earlier epoch is still valid).
-  std::uint64_t memoized_skips = 0;
   /// Evaluations skipped by Menger's bound (fewer than f+1 active
   /// in-neighbours means f+1 disjoint paths cannot exist).
   std::uint64_t degree_prunes = 0;
-  /// Evaluations skipped because a cached vertex-cut certificate from an
-  /// earlier failed evaluation still separates the node (no new edge
-  /// crossed its frontier).
+  /// Evaluations skipped because the vertex-cut certificate of an earlier
+  /// failed max-flow still separates the node (no new edge crossed it).
   std::uint64_t cut_skips = 0;
   /// Dominator-tree passes run for f = 1 batch admission. One pass decides
   /// every pending node at once (idom(j) == self ⟺ two disjoint paths for
@@ -81,7 +75,6 @@ struct DiscoveryStats {
   std::uint64_t domtree_passes = 0;
   std::uint64_t updates = 0;        // update() invocations
   std::uint64_t dirty_updates = 0;  // updates with new certified edges
-  std::uint64_t cert_epoch = 0;     // number of new-edge batches merged
 };
 
 /// Timer id used by the discovery retransmission path (see
@@ -142,9 +135,9 @@ class SinkDiscovery {
 
  private:
   void merge_certificate(ProcessId owner, const NodeSet& pd);
-  void merge_certificates(const std::map<ProcessId, NodeSet>& certs);
-  /// Queries newly reachable nodes, re-evaluates admission for nodes the
-  /// new-edge batch can affect, and re-evaluates steps 2-3.
+  void merge_certificates(const std::vector<PdCertificate>& certs);
+  /// Queries newly reachable nodes, re-decides pending admissions after a
+  /// batch that added edges, and re-evaluates steps 2-3.
   void update();
   void recheck_admissions();
   void maybe_publish_known();
@@ -182,11 +175,8 @@ class SinkDiscovery {
   std::vector<NodeSet> cert_rows_;
   NodeSet cert_owners_;        // owners with a stored row
   graph::Digraph cert_graph_;  // the certified knowledge graph
-  /// Heads (targets) of edges added since the last admission recheck; the
-  /// nodes they can reach are exactly the nodes whose verdict may change.
-  NodeSet new_edge_heads_;
-  /// The same batch as (tail, head) pairs, for the per-edge cut-crossing
-  /// test against cached negative verdicts.
+  /// Edges added since the last admission recheck as (tail, head) pairs,
+  /// for the cut-crossing test against cached negative verdicts.
   std::vector<std::pair<ProcessId, ProcessId>> new_edges_;
 
   NodeSet admitted_;  // f-reachability is monotone; cache positives
@@ -201,15 +191,11 @@ class SinkDiscovery {
   bool requery_stopped_ = false;
 
   graph::DisjointPathEngine path_engine_;  // scratch reused across updates
-  /// Per-node cut certificate from the last failed evaluation (empty
-  /// optional: never evaluated, or admitted). Invalidated only by an edge
-  /// crossing its frontier, so permanently-unreachable nodes stop costing
-  /// max-flow runs after their first failure.
+  /// Per-node cut certificate from the last failed max-flow (empty
+  /// optional: none cached, or admitted). Invalidated only by a new edge
+  /// crossing its frontier, so nodes that stay short of f+1 paths stop
+  /// costing max-flow runs after their first failure.
   std::vector<std::optional<graph::DisjointPathEngine::VertexCut>> neg_cuts_;
-  /// Reachability as of the last recheck; nodes that became reachable since
-  /// act like new edges for cut invalidation (their previously-inactive
-  /// in-edges just joined the network).
-  NodeSet prev_reachable_;
   // ---- shared broadcast payloads: every discovery broadcast constructs
   // ---- (and size-accounts) one immutable message per *state change*, not
   // ---- per destination; sends reuse the cache until the state moves.

@@ -109,32 +109,6 @@ NodeSet Digraph::reachable_from(ProcessId start) const {
   return reachable_from(start, NodeSet::full(n_));
 }
 
-NodeSet Digraph::reachable_from_any(const NodeSet& starts,
-                                    const NodeSet& active) const {
-  if (starts.universe_size() != n_) {
-    throw std::invalid_argument("reachable_from_any: universe mismatch");
-  }
-  NodeSet visited(n_);
-  std::vector<ProcessId> stack;
-  for (ProcessId s : starts) {
-    if (active.contains(s)) {
-      visited.add(s);
-      stack.push_back(s);
-    }
-  }
-  while (!stack.empty()) {
-    const ProcessId u = stack.back();
-    stack.pop_back();
-    for (ProcessId v : succ_[u]) {
-      if (active.contains(v) && !visited.contains(v)) {
-        visited.add(v);
-        stack.push_back(v);
-      }
-    }
-  }
-  return visited;
-}
-
 std::string Digraph::to_string() const {
   std::ostringstream os;
   os << "Digraph(n=" << n_ << ", m=" << edge_count_ << ")";

@@ -50,12 +50,6 @@ class Digraph {
   NodeSet reachable_from(ProcessId start, const NodeSet& active) const;
   NodeSet reachable_from(ProcessId start) const;
 
-  /// Multi-source variant: nodes reachable from any member of `starts`
-  /// (sources outside `active` are ignored). One BFS over the union, so the
-  /// cost is O(V + E) regardless of |starts| — used by incremental
-  /// discovery to bound the set of nodes a batch of new edges can affect.
-  NodeSet reachable_from_any(const NodeSet& starts, const NodeSet& active) const;
-
   /// The participant-detector view: PD_i = successors of i as a NodeSet.
   NodeSet pd_of(ProcessId i) const { return successor_set(i); }
 

@@ -69,23 +69,4 @@ std::vector<ProcessId> immediate_dominators(const Digraph& g, ProcessId root,
   return idom;
 }
 
-NodeSet dominated_by(const std::vector<ProcessId>& idom, ProcessId root,
-                     ProcessId v, std::size_t universe) {
-  NodeSet result(universe);
-  for (ProcessId u = 0; u < idom.size(); ++u) {
-    if (idom[u] == kInvalidProcess) continue;
-    // Walk the dominator chain from u up to the root.
-    ProcessId w = u;
-    while (true) {
-      if (w == v) {
-        result.add(u);
-        break;
-      }
-      if (w == root) break;
-      w = idom[w];
-    }
-  }
-  return result;
-}
-
 }  // namespace scup::graph

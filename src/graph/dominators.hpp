@@ -6,9 +6,8 @@
 // internally-vertex-disjoint paths from r exactly when it has no proper
 // dominator other than r — i.e. idom(j) == r. One O(V+E)-ish pass therefore
 // answers 2-vertex-connectivity from r to EVERY node at once, which is what
-// lets f = 1 sink discovery admit whole batches without per-node max-flow
-// runs (and hands each rejected node a one-vertex separator certificate:
-// its dominator).
+// lets f = 1 sink discovery decide whole batches without per-node max-flow
+// runs.
 #pragma once
 
 #include <vector>
@@ -24,10 +23,5 @@ namespace scup::graph {
 /// O(V·E) but converges in 2-3 passes on real graphs.
 std::vector<ProcessId> immediate_dominators(const Digraph& g, ProcessId root,
                                             const NodeSet& active);
-
-/// Set of nodes dominated by `v` (v's subtree in the dominator tree,
-/// including v itself), given the idom array from immediate_dominators.
-NodeSet dominated_by(const std::vector<ProcessId>& idom, ProcessId root,
-                     ProcessId v, std::size_t universe);
 
 }  // namespace scup::graph

@@ -74,6 +74,44 @@ TEST(DisjointPathsTest, ActiveMaskRemovesPaths) {
   EXPECT_EQ(max_vertex_disjoint_paths(g, 0, 4, active), 0u);
 }
 
+TEST(DisjointPathEngineTest, ExtractCutSourceSideIsClosed) {
+  // The certificate SinkDiscovery caches for a failed admission. On the
+  // network the query ran on (everything reachable from the source), every
+  // edge out of the source side ends in the source side or the cut, or
+  // enters the target from a cut vertex or from the source; no edge leaves
+  // that network. So only an edge added after the cut was extracted can
+  // cross it, and the cut has fewer than k vertices.
+  constexpr std::size_t kN = 16;
+  std::size_t failed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Digraph g = random_digraph(kN, 0.12 + 0.02 * (seed % 6), seed);
+    const auto u = static_cast<ProcessId>(seed % kN);
+    const NodeSet active = g.reachable_from(u);
+    DisjointPathEngine engine;
+    engine.prepare(g, active);
+    for (ProcessId v : active) {
+      if (v == u) continue;
+      for (std::size_t k = 1; k <= 4; ++k) {
+        if (engine.has_k_paths(u, v, k)) continue;
+        ++failed;
+        const auto cut = engine.extract_cut(u, v);
+        EXPECT_TRUE(cut.source_side.contains(u));
+        EXPECT_LT(cut.cut.count(), k);
+        for (ProcessId w : cut.source_side) {
+          for (ProcessId x : g.successors(w)) {
+            const bool closed =
+                cut.source_side.contains(x) || cut.cut.contains(x) ||
+                (x == v && (w == u || cut.cut.contains(w)));
+            EXPECT_TRUE(closed) << "seed=" << seed << " u=" << u << " v=" << v
+                                << " k=" << k << " edge " << w << "->" << x;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed, 200u);
+}
+
 TEST(KConnectivityTest, CompleteGraph) {
   const std::size_t n = 5;
   Digraph g(n);

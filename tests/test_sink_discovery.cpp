@@ -1,9 +1,9 @@
 // Unit tests for the SINK algorithm (cup::SinkDiscovery) driven through a
 // fake ProtocolHost, without a simulation: the step-3 matching rules, the
-// incremental admission machinery (memoized verdicts + dirty-set recheck)
-// against a recompute-from-scratch reference, and the shared gossip-reply
-// cache. The simulation-level behaviour is covered by test_sink_detector
-// and test_sink_convergence.
+// incremental admission path (degree bounds, cached max-flow cuts, the f = 1
+// dominator batch) against a recompute-from-scratch reference, and the
+// shared gossip-reply cache. The simulation-level behaviour is covered by
+// test_sink_detector and test_sink_convergence.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -43,6 +43,14 @@ class FakeHost : public sim::ProtocolHost {
   std::size_t n_;
   std::size_t f_;
 };
+
+/// The certificate `reply` carries for `owner`, or nullptr.
+const NodeSet* cert_of(const CertGossipMsg& reply, ProcessId owner) {
+  for (const auto& cert : reply.certs) {
+    if (cert.owner == owner) return &cert.pd;
+  }
+  return nullptr;
+}
 
 /// Every gossip reply `host` has sent so far, in send order.
 std::vector<const CertGossipMsg*> gossip_replies(const FakeHost& host) {
@@ -115,7 +123,7 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   discovery.start();
 
   // Two DISCOVERs carrying already-known certificates: the replies must be
-  // the same shared immutable object, not two map copies.
+  // the same shared immutable object, not two copies.
   discovery.handle(1, DiscoverMsg({0, NodeSet(n, {1, 2})}));
   discovery.handle(2, DiscoverMsg({0, NodeSet(n, {1, 2})}));
   auto replies = gossip_replies(host);
@@ -127,7 +135,7 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_NE(replies[1], replies[2]);
-  EXPECT_EQ(replies[2]->certs.count(3), 1u);
+  EXPECT_NE(cert_of(*replies[2], 3), nullptr);
 }
 
 TEST(SinkDiscoveryGossip, ConflictingCertificatesUnionMerge) {
@@ -145,8 +153,9 @@ TEST(SinkDiscoveryGossip, ConflictingCertificatesUnionMerge) {
   auto replies = gossip_replies(host);
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_NE(replies[0], replies[1]);
-  ASSERT_EQ(replies[1]->certs.count(3), 1u);
-  EXPECT_EQ(replies[1]->certs.at(3), NodeSet(n, {4, 5}));
+  const NodeSet* merged = cert_of(*replies[1], 3);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(*merged, NodeSet(n, {4, 5}));
 
   // A certificate the union already covers changes nothing: the reply
   // stays shared and no admission recheck runs.
@@ -213,16 +222,13 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
         std::swap(order[i - 1], order[rng.uniform_range(0, i - 1)]);
       }
       for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+        discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
         ASSERT_EQ(discovery.candidate_set(),
                   reference_candidate(discovery, self, g.pd_of(self), f))
             << "trial=" << trial << " self=" << self << " owner=" << owner;
       }
       // The incremental run must not have paid more flow evaluations than
-      // the recompute-everything baseline, and redundant deliveries must
-      // hit the memoized verdicts.
+      // the recompute-everything baseline.
       const auto& stats = discovery.stats();
       EXPECT_LE(stats.flow_evals, stats.flow_evals_baseline);
 
@@ -231,9 +237,7 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       const auto evals_before = stats.flow_evals;
       const auto dirty_before = stats.dirty_updates;
       for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+        discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
       }
       EXPECT_EQ(discovery.stats().flow_evals, evals_before);
       EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
@@ -242,36 +246,51 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
 }
 
 TEST(SinkDiscoveryIncremental, CutCertificateInvalidatedByEdgeFromEarlierEpoch) {
-  // Regression: a frontier-crossing edge must void a cached negative
-  // verdict even when it arrives in an epoch where the rejected node is
-  // outside the `affected` set (the crossing and the path completion can
-  // land in different batches). Here node 3 is first rejected with
-  // separator {2} (only path 0→1→2→3); the bypass is then built in two
-  // steps — 5→6 first (crosses the frontier, but nothing reaches 3 through
-  // it yet), 6→3 second. A cut checked only against the current batch
-  // would keep 3 rejected forever.
-  const std::size_t n = 8;
-  FakeHost host(0, n, 1);
-  SinkDiscovery discovery(host, NodeSet(n, {1, 5}));
+  // A max-flow rejection caches its vertex cut, and the cut must be voided
+  // by the first edge that crosses it, even when that edge completes no
+  // path yet. f = 2, so node 3 needs three disjoint paths from 0. It is
+  // first rejected with source side {0, 5} and separator {1, 2}: its three
+  // in-edges come from 1, 2 and 4, and 4 hangs off 1. The bypass 0→5→6→3
+  // is then built in two deliveries: 5→6 crosses the cut (nothing reaches
+  // 3 through it yet) and 6→3 completes it. 6 is outside the first cut's
+  // source side, so a cut that survived the 5→6 delivery would keep 3
+  // rejected forever.
+  const std::size_t n = 10;
+  const NodeSet pd(n, {1, 2, 5});
+  FakeHost host(0, n, 2);
+  SinkDiscovery discovery(host, pd);
   discovery.start();
-  discovery.handle(1, DiscoverMsg({1, NodeSet(n, {2})}));
-  discovery.handle(2, DiscoverMsg({2, NodeSet(n, {3, 4})}));
+  discovery.handle(1, DiscoverMsg({1, NodeSet(n, {3, 4})}));
+  discovery.handle(2, DiscoverMsg({2, NodeSet(n, {3})}));
+  EXPECT_EQ(discovery.stats().flow_evals, 0u)
+      << "two in-edges are below the degree bound of three";
   discovery.handle(4, DiscoverMsg({4, NodeSet(n, {3})}));
-  EXPECT_EQ(discovery.candidate_set(), NodeSet(n, {0, 1, 5}))
-      << "3 must be rejected while 2 separates it";
+  EXPECT_EQ(discovery.stats().flow_evals, 1u);
+  EXPECT_EQ(discovery.candidate_set(), NodeSet(n, {0, 1, 2, 5}))
+      << "3 must be rejected while {1, 2} separates it";
+
+  // An edge outside the source side leaves the cut standing: 3 is skipped
+  // without a max-flow.
+  discovery.handle(7, DiscoverMsg({7, NodeSet(n, {8})}));
+  EXPECT_EQ(discovery.stats().flow_evals, 1u);
+  EXPECT_EQ(discovery.stats().cut_skips, 1u);
+
   discovery.handle(5, DiscoverMsg({5, NodeSet(n, {6})}));
+  EXPECT_EQ(discovery.stats().flow_evals, 2u) << "5→6 crosses the cut";
+  EXPECT_FALSE(discovery.candidate_set().contains(3));
   discovery.handle(6, DiscoverMsg({6, NodeSet(n, {3})}));
-  // Ground truth now has 0→1→2→3 and 0→5→6→3.
+  // Ground truth now has 0→1→3, 0→2→3 and 0→5→6→3.
   EXPECT_TRUE(discovery.candidate_set().contains(3));
   EXPECT_EQ(discovery.candidate_set(),
-            reference_candidate(discovery, 0, NodeSet(n, {1, 5}), 1));
+            reference_candidate(discovery, 0, pd, 2));
 }
 
 TEST(SinkDiscoveryIncremental, MemoizedVerdictsSkipUnaffectedNodes) {
-  // Line graph into a far island: 0 -> 1 -> 2 -> 3 with f = 1, so nothing
-  // beyond PD is ever admitted (a single path is not 2 disjoint paths).
-  // Certificates about the far end must not re-evaluate near nodes that no
-  // new path can reach.
+  // Line graph into a far island: 0 -> 1 -> 2 -> 3 -> 4 with f = 1, so
+  // nothing beyond PD is ever admitted (a single path is not 2 disjoint
+  // paths). The far certificates cost no max-flow and no dominator pass:
+  // every evaluation the recompute-everything baseline would run is pruned
+  // by the degree bound, since self has a single out-edge.
   const std::size_t n = 6;
   FakeHost host(0, n, 1);
   SinkDiscovery discovery(host, NodeSet(n, {1}));
@@ -279,14 +298,15 @@ TEST(SinkDiscoveryIncremental, MemoizedVerdictsSkipUnaffectedNodes) {
   discovery.handle(1, DiscoverMsg({1, NodeSet(n, {2})}));
   discovery.handle(2, DiscoverMsg({2, NodeSet(n, {3})}));
   const auto baseline = discovery.stats().flow_evals_baseline;
-  EXPECT_GT(baseline, 0u);
-  // Node 3's certificate about 4 only affects {4}: nodes 2 and 3 keep
-  // their memoized negative verdicts.
+  EXPECT_EQ(baseline, 3u);  // {2}, then {2, 3}
+  // Node 3's certificate about 4 puts 2, 3 and 4 up for evaluation again.
   discovery.handle(3, DiscoverMsg({3, NodeSet(n, {4})}));
   const auto& stats = discovery.stats();
-  EXPECT_GT(stats.memoized_skips, 0u);
-  EXPECT_EQ(stats.flow_evals, 0u);  // degree bound prunes every check here
-  EXPECT_GT(stats.degree_prunes, 0u);
+  EXPECT_EQ(stats.flow_evals_baseline, baseline + 3);
+  EXPECT_EQ(stats.degree_prunes, stats.flow_evals_baseline);
+  EXPECT_EQ(stats.flow_evals, 0u);
+  EXPECT_EQ(stats.domtree_passes, 0u);
+  EXPECT_EQ(stats.cut_skips, 0u);
   EXPECT_EQ(discovery.candidate_set(), NodeSet(n, {0, 1}));
 }
 

@@ -14,7 +14,6 @@
 //     contract.
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -70,7 +69,7 @@ std::vector<MessagePtr> sample_messages() {
   out.push_back(sim::make_message<cup::DiscoverMsg>(
       cup::PdCertificate{2, pd}));
   out.push_back(sim::make_message<cup::CertGossipMsg>(
-      std::map<ProcessId, NodeSet>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
+      std::vector<cup::PdCertificate>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
   out.push_back(sim::make_message<cup::KnownMsg>(pd));
   out.push_back(sim::make_message<cup::GetSinkMsg>(ProcessId{9}));
   out.push_back(sim::make_message<cup::SinkValueMsg>(NodeSet(12, {1, 2})));
@@ -193,6 +192,40 @@ TEST_F(WireCodecTest, NonCanonicalNodeSetOrderIsRejected) {
   w.u32(5);
   w.u32(3);  // descending: must be rejected
   EXPECT_EQ(sim::decode_frame(frame), nullptr);
+}
+
+TEST_F(WireCodecTest, CertGossipOwnersMustAscend) {
+  // A gossip frame is u16 type ++ u32 count ++ (u32 owner ++ NodeSet) per
+  // certificate, owners strictly ascending. The hand-written canonical
+  // frame equals the message's own encoding and decodes back to it.
+  const NodeSet pd(8, {1, 6});
+  const auto gossip_frame = [&pd](ProcessId first, ProcessId second) {
+    std::vector<std::uint8_t> frame;
+    WireWriter w(frame);
+    w.u16(cup::kWireTypeCertGossip);
+    w.u32(2);
+    w.u32(first);
+    w.node_set(pd);
+    w.u32(second);
+    w.node_set(NodeSet(8));
+    return frame;
+  };
+  const auto canonical = gossip_frame(2, 5);
+  const cup::CertGossipMsg msg(
+      std::vector<cup::PdCertificate>{{2, pd}, {5, NodeSet(8)}});
+  EXPECT_EQ(frame_of(msg), canonical);
+  const MessagePtr decoded = sim::decode_frame(canonical);
+  ASSERT_NE(decoded, nullptr);
+  const auto* gossip = sim::message_as<cup::CertGossipMsg>(decoded.get());
+  ASSERT_NE(gossip, nullptr);
+  ASSERT_EQ(gossip->certs.size(), 2u);
+  EXPECT_EQ(gossip->certs[0].owner, 2u);
+  EXPECT_EQ(gossip->certs[0].pd, pd);
+  EXPECT_EQ(gossip->certs[1].owner, 5u);
+
+  // A repeated or descending owner is a forgery or corruption.
+  EXPECT_EQ(sim::decode_frame(gossip_frame(5, 5)), nullptr);
+  EXPECT_EQ(sim::decode_frame(gossip_frame(5, 2)), nullptr);
 }
 
 TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
@@ -487,9 +520,9 @@ TEST(MessagePoolTest, OversizedRequestsFallBackToHeap) {
   EXPECT_EQ(jumbo->send_size().bytes, 8192u);
   EXPECT_FALSE(jumbo->send_size().from_codec);
 
-  std::map<ProcessId, NodeSet> certs;
+  std::vector<cup::PdCertificate> certs;
   for (ProcessId owner = 0; owner < 12; ++owner) {
-    certs.emplace(owner, NodeSet(12, {0, 3, 4, 7, 11}));
+    certs.push_back({owner, NodeSet(12, {0, 3, 4, 7, 11})});
   }
   const MessagePtr gossip =
       sim::make_message<cup::CertGossipMsg>(std::move(certs));

@@ -3,7 +3,10 @@
 
 Compares a candidate bench summary (written by SCUP_BENCH_MAIN, see
 bench/bench_common.hpp) against a committed reference and fails (exit 1)
-on regressions. Three checks, in decreasing order of trust:
+on regressions. A reference row missing from the candidate fails, and so
+does a reference counter missing from a candidate row, so a bench change
+that drops either must re-record the reference. Three checks, in
+decreasing order of trust:
 
  1. Ratio floors. Counters that encode an experiment's headline promise
     (E16's sends per encode, E13's rescan savings, E11's recheck savings)
@@ -39,6 +42,9 @@ Usage:
                    --candidate build/BENCH_E13.json
   bench_compare.py --reference tools/bench_reference_e11.json \
                    --candidate build/BENCH_E11.json
+
+tools/test_bench_compare.py checks the gate itself (CTest
+bench_compare_selftest).
 """
 
 from __future__ import annotations
@@ -131,6 +137,11 @@ def main():
     for name in shared:
         ref = dict(ref_rows[name].get("counters", {}))
         cand = dict(cand_rows[name].get("counters", {}))
+        for counter in sorted(set(ref) - set(cand)):
+            failures.append(
+                f"{name}: counter disappeared from the candidate run: "
+                f"{counter}"
+            )
         for counter in sorted(set(ref) & set(cand)):
             if skipped_counter(counter):
                 continue

@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Self-test of the bench regression gate (tools/bench_compare.py).
+
+Each case writes a candidate derived from tools/bench_reference_e11.json
+to a temporary directory and runs the gate on it as CI does: identical
+files pass, and a changed deterministic counter, a deleted counter, a
+ratio below its floor or a deleted row fails.
+
+Run directly (python3 tools/test_bench_compare.py) or through CTest
+(bench_compare_selftest).
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+GATE = os.path.join(TOOLS, "bench_compare.py")
+REFERENCE = os.path.join(TOOLS, "bench_reference_e11.json")
+SWEEP = "BM_ScaleDiscovery_Sweep/64/1"
+FULL_STACK = "BM_ScaleDiscovery_FullStack/n:64/threads:1"
+
+
+class BenchCompareTest(unittest.TestCase):
+    def setUp(self):
+        with open(REFERENCE, "r", encoding="utf-8") as f:
+            self.reference = json.load(f)
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def row(self, doc, name):
+        for row in doc["rows"]:
+            if row["name"] == name:
+                return row
+        self.fail(f"reference lacks row {name}")
+
+    def gate(self, candidate):
+        path = os.path.join(self.tmp.name, "BENCH_E11.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(candidate, f)
+        return subprocess.run(
+            [sys.executable, GATE, "--reference", REFERENCE,
+             "--candidate", path],
+            capture_output=True, text=True, check=False)
+
+    def candidate(self):
+        return copy.deepcopy(self.reference)
+
+    def test_identical_files_pass(self):
+        result = self.gate(self.candidate())
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_deterministic_counter_off_by_one_fails(self):
+        cand = self.candidate()
+        self.row(cand, SWEEP)["counters"]["messages"] += 1
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("messages", result.stdout)
+
+    def test_deleted_counter_fails(self):
+        cand = self.candidate()
+        del self.row(cand, FULL_STACK)["counters"]["p99_decide"]
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn(
+            "counter disappeared from the candidate run: p99_decide",
+            result.stdout)
+
+    def test_ratio_below_floor_fails(self):
+        cand = self.candidate()
+        self.row(cand, SWEEP)["counters"]["recheck_savings"] = 9.99
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("recheck_savings", result.stdout)
+
+    def test_deleted_row_fails(self):
+        cand = self.candidate()
+        cand["rows"] = [r for r in cand["rows"] if r["name"] != SWEEP]
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn(
+            f"row disappeared from the candidate run: {SWEEP}", result.stdout)
+
+
+if __name__ == "__main__":
+    unittest.main()
