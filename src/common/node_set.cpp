@@ -1,22 +1,10 @@
 #include "common/node_set.hpp"
 
-#include <bit>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace scup {
-
-namespace {
-constexpr std::size_t kBits = 64;
-
-std::size_t word_count(std::size_t universe) {
-  return (universe + kBits - 1) / kBits;
-}
-}  // namespace
-
-NodeSet::NodeSet(std::size_t universe)
-    : universe_(universe), words_(word_count(universe), 0) {}
 
 NodeSet::NodeSet(std::size_t universe, std::initializer_list<ProcessId> members)
     : NodeSet(universe) {
@@ -30,75 +18,26 @@ NodeSet::NodeSet(std::size_t universe, const std::vector<ProcessId>& members)
 
 NodeSet NodeSet::full(std::size_t universe) {
   NodeSet s(universe);
-  for (std::size_t w = 0; w < s.words_.size(); ++w) s.words_[w] = ~0ULL;
+  std::uint64_t* w = s.data();
+  std::fill_n(w, s.words(), ~0ULL);
   // Clear the bits beyond the universe in the last word.
   const std::size_t used = universe % kBits;
-  if (used != 0 && !s.words_.empty()) {
-    s.words_.back() &= (1ULL << used) - 1;
-  }
+  if (used != 0) w[s.words() - 1] &= (1ULL << used) - 1;
   return s;
 }
 
-bool NodeSet::empty() const {
-  for (std::uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
+void NodeSet::clear() { std::fill_n(data(), words(), 0); }
+
+void NodeSet::throw_out_of_universe(ProcessId id, std::size_t universe) {
+  throw std::out_of_range("NodeSet::add: id " + std::to_string(id) +
+                          " outside universe of size " +
+                          std::to_string(universe));
 }
 
-std::size_t NodeSet::count() const {
-  std::size_t c = 0;
-  for (std::uint64_t w : words_) c += static_cast<std::size_t>(std::popcount(w));
-  return c;
-}
-
-bool NodeSet::contains(ProcessId id) const {
-  if (id >= universe_) return false;
-  return (words_[id / kBits] >> (id % kBits)) & 1ULL;
-}
-
-void NodeSet::add(ProcessId id) {
-  if (id >= universe_) {
-    throw std::out_of_range("NodeSet::add: id " + std::to_string(id) +
-                            " outside universe of size " +
-                            std::to_string(universe_));
-  }
-  words_[id / kBits] |= 1ULL << (id % kBits);
-}
-
-void NodeSet::remove(ProcessId id) {
-  if (id >= universe_) return;
-  words_[id / kBits] &= ~(1ULL << (id % kBits));
-}
-
-void NodeSet::clear() {
-  for (auto& w : words_) w = 0;
-}
-
-void NodeSet::check_same_universe(const NodeSet& other) const {
-  if (universe_ != other.universe_) {
-    throw std::invalid_argument(
-        "NodeSet operation on mismatched universes: " +
-        std::to_string(universe_) + " vs " + std::to_string(other.universe_));
-  }
-}
-
-NodeSet& NodeSet::operator|=(const NodeSet& other) {
-  check_same_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-NodeSet& NodeSet::operator&=(const NodeSet& other) {
-  check_same_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-NodeSet& NodeSet::operator-=(const NodeSet& other) {
-  check_same_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-  return *this;
+void NodeSet::throw_universe_mismatch(std::size_t lhs, std::size_t rhs) {
+  throw std::invalid_argument("NodeSet operation on mismatched universes: " +
+                              std::to_string(lhs) + " vs " +
+                              std::to_string(rhs));
 }
 
 NodeSet NodeSet::complement() const {
@@ -107,39 +46,23 @@ NodeSet NodeSet::complement() const {
   return result;
 }
 
-bool NodeSet::subset_of(const NodeSet& other) const {
-  check_same_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
-  }
-  return true;
-}
-
-bool NodeSet::intersects(const NodeSet& other) const {
-  check_same_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
 std::size_t NodeSet::intersection_count(const NodeSet& other) const {
   check_same_universe(other);
+  const std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
   std::size_t c = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    c += static_cast<std::size_t>(std::popcount(words_[i] & other.words_[i]));
+  for (std::size_t i = 0; i < words(); ++i) {
+    c += static_cast<std::size_t>(std::popcount(w[i] & o[i]));
   }
   return c;
 }
 
-bool NodeSet::operator==(const NodeSet& other) const {
-  return universe_ == other.universe_ && words_ == other.words_;
-}
-
 std::strong_ordering NodeSet::operator<=>(const NodeSet& other) const {
   if (auto c = universe_ <=> other.universe_; c != 0) return c;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (auto c = words_[i] <=> other.words_[i]; c != 0) return c;
+  const std::uint64_t* w = data();
+  const std::uint64_t* o = other.data();
+  for (std::size_t i = 0; i < words(); ++i) {
+    if (auto c = w[i] <=> o[i]; c != 0) return c;
   }
   return std::strong_ordering::equal;
 }
@@ -156,22 +79,6 @@ ProcessId NodeSet::min_member() const {
   return first == universe_ ? kInvalidProcess : first;
 }
 
-ProcessId NodeSet::next_member(ProcessId from) const {
-  if (from >= universe_) return static_cast<ProcessId>(universe_);
-  std::size_t word = from / kBits;
-  std::uint64_t current = words_[word] & (~0ULL << (from % kBits));
-  while (true) {
-    if (current != 0) {
-      const ProcessId id = static_cast<ProcessId>(
-          word * kBits + static_cast<std::size_t>(std::countr_zero(current)));
-      return id < universe_ ? id : static_cast<ProcessId>(universe_);
-    }
-    ++word;
-    if (word >= words_.size()) return static_cast<ProcessId>(universe_);
-    current = words_[word];
-  }
-}
-
 std::size_t NodeSet::hash() const {
   // FNV-1a over the words plus the universe size.
   std::size_t h = 1469598103934665603ULL;
@@ -180,7 +87,8 @@ std::size_t NodeSet::hash() const {
     h *= 1099511628211ULL;
   };
   mix(universe_);
-  for (std::uint64_t w : words_) mix(w);
+  const std::uint64_t* w = data();
+  for (std::size_t i = 0; i < words(); ++i) mix(w[i]);
   return h;
 }
 

@@ -13,6 +13,7 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       cert_rows_(pd_.universe_size()),
       cert_owners_(pd_.universe_size()),
       cert_graph_(pd_.universe_size()),
+      reachable_(pd_.universe_size()),
       admitted_(pd_.universe_size()),
       candidate_(pd_.universe_size()),
       queried_(pd_.universe_size()),
@@ -119,10 +120,32 @@ void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
     row |= pd;
   }
   cached_gossip_.reset();
+  if (reachable_.empty()) reachable_.add(host_.self());
+  const bool owner_reachable = reachable_.contains(owner);
   for (ProcessId target : row) {
     if (!cert_graph_.has_edge(owner, target)) {
       cert_graph_.add_edge(owner, target);
       new_edges_.emplace_back(owner, target);
+      if (owner_reachable && !reachable_.contains(target)) {
+        extend_reachable(target);
+      }
+    }
+  }
+}
+
+void SinkDiscovery::extend_reachable(ProcessId from) {
+  // reachable_ is closed under successors in the graph before this edge,
+  // so the search stops at every node it already holds.
+  reachable_.add(from);
+  reach_stack_.assign(1, from);
+  while (!reach_stack_.empty()) {
+    const ProcessId u = reach_stack_.back();
+    reach_stack_.pop_back();
+    for (ProcessId v : cert_graph_.successors(u)) {
+      if (!reachable_.contains(v)) {
+        reachable_.add(v);
+        reach_stack_.push_back(v);
+      }
     }
   }
 }
@@ -147,14 +170,15 @@ void SinkDiscovery::recheck_admissions() {
   ++stats_.dirty_updates;
 
   // Plain reachability bounds both the query set and the f-reachability
-  // candidates (f-reachable implies reachable).
-  const NodeSet reachable = cert_graph_.reachable_from(self);
+  // candidates (f-reachable implies reachable); merge_certificate keeps the
+  // set. Before the first merge it is empty, which changes nothing below:
+  // without edges self has no successor, and self is skipped anyway.
 
   // Query everything reachable — their certificates may be needed to
   // certify disjoint paths — even nodes not (yet) admitted. One immutable
   // query message serves every target, across every update *and* every
   // retransmission (own_cert() is frozen at construction).
-  for (ProcessId j : reachable) {
+  for (ProcessId j : reachable_) {
     if (j == self || queried_.contains(j)) continue;
     queried_.add(j);
     host_.host_send(j, shared_payload(cached_discover_, [this] {
@@ -167,8 +191,8 @@ void SinkDiscovery::recheck_admissions() {
   // the old cut may exist and the node must be re-evaluated). Only an edge
   // added after the cut was extracted can: the max-flow ran on everything
   // reachable from self, which no edge leaves, and inside it every edge out
-  // of the source side ends in the source side or the cut, or enters the
-  // target from a cut vertex or from self (DisjointPathEngine::extract_cut).
+  // of the source side ends in the source side or the cut, or is the direct
+  // edge from self to the target (DisjointPathEngine::extract_cut).
   // Every added edge passes through merge_certificate into this batch.
   const auto cut_still_separates =
       [this](const graph::DisjointPathEngine::VertexCut& cut) {
@@ -189,7 +213,7 @@ void SinkDiscovery::recheck_admissions() {
   // distinct certified out-edges.
   std::size_t self_out_degree = 0;
   for (ProcessId x : cert_graph_.successors(self)) {
-    if (reachable.contains(x)) ++self_out_degree;
+    if (reachable_.contains(x)) ++self_out_degree;
   }
   const bool source_can_admit = self_out_degree >= f_ + 1;
 
@@ -201,7 +225,7 @@ void SinkDiscovery::recheck_admissions() {
   bool engine_ready = false;
   bool domtree_ready = false;
   std::vector<ProcessId> idom;
-  for (ProcessId j : reachable) {
+  for (ProcessId j : reachable_) {
     if (admitted_.contains(j) || j == self || pd_.contains(j)) continue;
     // The pre-incremental algorithm re-ran the max-flow check here
     // unconditionally; count what it would have cost (E11's baseline).
@@ -211,7 +235,7 @@ void SinkDiscovery::recheck_admissions() {
     std::size_t in_degree = 0;
     if (source_can_admit) {
       for (ProcessId p : cert_graph_.predecessors(j)) {
-        if (reachable.contains(p) && ++in_degree > f_) break;
+        if (reachable_.contains(p) && ++in_degree > f_) break;
       }
     }
     if (in_degree < f_ + 1) {
@@ -235,7 +259,7 @@ void SinkDiscovery::recheck_admissions() {
       // certificates create one, since honest self edges are exactly
       // pd_) falls through to the exact max-flow path.
       if (!domtree_ready) {
-        idom = graph::immediate_dominators(cert_graph_, self, reachable);
+        idom = graph::immediate_dominators(cert_graph_, self, reachable_);
         ++stats_.domtree_passes;
         domtree_ready = true;
       }
@@ -243,7 +267,7 @@ void SinkDiscovery::recheck_admissions() {
       continue;
     }
     if (!engine_ready) {
-      path_engine_.prepare(cert_graph_, reachable);
+      path_engine_.prepare(cert_graph_, reachable_);
       engine_ready = true;
     }
     ++stats_.flow_evals;

@@ -26,7 +26,9 @@
 // Incremental admission (the discovery→consensus hot path): the certified
 // graph and the f-reachability property are both monotone, so an admitted
 // node stays admitted and update() re-decides only pending nodes, and only
-// after a certificate batch added edges. Each pending node goes through
+// after a certificate batch added edges. The set reachable from self also
+// only grows, so it is kept as edges arrive: an edge out of it extends it by
+// one DFS from the edge's head. Each pending node goes through
 // Menger's degree bounds, then through its cached vertex-cut certificate
 // from an earlier failed max-flow (dropped once a new edge crosses it),
 // then through an exact decision: for f = 1 one dominator-tree pass decides
@@ -135,6 +137,8 @@ class SinkDiscovery {
 
  private:
   void merge_certificate(ProcessId owner, const NodeSet& pd);
+  /// Adds `from` and everything reachable from it to reachable_.
+  void extend_reachable(ProcessId from);
   void merge_certificates(const std::vector<PdCertificate>& certs);
   /// Queries newly reachable nodes, re-decides pending admissions after a
   /// batch that added edges, and re-evaluates steps 2-3.
@@ -175,6 +179,11 @@ class SinkDiscovery {
   std::vector<NodeSet> cert_rows_;
   NodeSet cert_owners_;        // owners with a stored row
   graph::Digraph cert_graph_;  // the certified knowledge graph
+  /// Nodes reachable from self in cert_graph_, kept closed under successors
+  /// as edges arrive (the graph only grows). Seeded with self by the first
+  /// merge: the host binds self() only after constructing this object.
+  NodeSet reachable_;
+  std::vector<ProcessId> reach_stack_;  // DFS scratch for extend_reachable
   /// Edges added since the last admission recheck as (tail, head) pairs,
   /// for the cut-crossing test against cached negative verdicts.
   std::vector<std::pair<ProcessId, ProcessId>> new_edges_;

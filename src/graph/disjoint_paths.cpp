@@ -110,10 +110,13 @@ DisjointPathEngine::VertexCut DisjointPathEngine::extract_cut(ProcessId u,
   }
   // Cover every saturated arc crossing the frontier with one vertex on it:
   //  - a split arc w_in -> w_out is covered by w,
-  //  - an edge arc a_out -> b_in by b (or by a when b is the target v,
-  //    which must not join the cut; a == u means the direct edge u -> v,
-  //    which no internal vertex covers and which contributes exactly one
-  //    path on its own).
+  //  - an edge arc a_out -> b_in by b, unless b is the target v. Then a is
+  //    the source u: the arc is the direct edge u -> v, which no internal
+  //    vertex covers and which contributes exactly one path on its own.
+  //    A saturated arc a_out -> v_in from any other a would carry the one
+  //    unit of flow through a's split arc, so a_out would be
+  //    residual-reachable only from v_in, which a failed query leaves
+  //    unreachable; such an a is never on the source side.
   for (ProcessId w : active_) {
     if (level_[2 * w] != -1 && level_[2 * w + 1] == -1) result.cut.add(w);
     if (level_[2 * w + 1] == -1) continue;
@@ -122,11 +125,7 @@ DisjointPathEngine::VertexCut DisjointPathEngine::extract_cut(ProcessId u,
       const int to = arcs_[e].to;
       if (level_[to] != -1) continue;  // not crossing
       const auto b = static_cast<ProcessId>(to / 2);
-      if (b != v) {
-        result.cut.add(b);
-      } else if (w != u) {
-        result.cut.add(w);
-      }
+      if (b != v) result.cut.add(b);
     }
   }
   return result;

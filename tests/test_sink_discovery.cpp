@@ -63,6 +63,34 @@ std::vector<const CertGossipMsg*> gossip_replies(const FakeHost& host) {
   return replies;
 }
 
+/// The first process `host` has not sent exactly the DISCOVER queries it
+/// owes: one to every node reachable from self in the certified graph, none
+/// to any other. kInvalidProcess when every count is right.
+ProcessId first_misqueried(const FakeHost& host, const SinkDiscovery& d) {
+  std::vector<std::size_t> counts(host.universe(), 0);
+  for (const auto& [to, msg] : host.sent) {
+    if (dynamic_cast<const DiscoverMsg*>(msg.get()) != nullptr) ++counts[to];
+  }
+  NodeSet targets = d.certified_graph().reachable_from(host.self());
+  targets.remove(host.self());
+  for (ProcessId j = 0; j < counts.size(); ++j) {
+    if (counts[j] != (targets.contains(j) ? 1u : 0u)) return j;
+  }
+  return kInvalidProcess;
+}
+
+/// Every process id below `n` but `self`, in a random order.
+std::vector<ProcessId> shuffled(std::size_t n, ProcessId self, Rng& rng) {
+  std::vector<ProcessId> order;
+  for (ProcessId v = 0; v < n; ++v) {
+    if (v != self) order.push_back(v);
+  }
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.uniform_range(0, i - 1)]);
+  }
+  return order;
+}
+
 /// Builds a discovery at process 0 over a triangle {0,1,2} (f = 1) and
 /// brings it to the published-KNOWN state.
 struct TriangleFixture {
@@ -189,7 +217,9 @@ class SinkDiscoveryEquivalenceTest
 
 // f = 1 exercises the dominator-tree batch path, f = 2 the max-flow path
 // with cut-certificate caching; both must agree with the from-scratch
-// reference after every single certificate merge.
+// reference after every single certificate merge. The incrementally kept
+// reachable set must match a fresh search too: after every delivery each
+// node reachable from self has been queried exactly once, and no other.
 INSTANTIATE_TEST_SUITE_P(FaultThresholds, SinkDiscoveryEquivalenceTest,
                          ::testing::Values(1, 2));
 
@@ -214,17 +244,13 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
 
       // Feed single-owner certificates in random order, interleaved with
       // updates, and compare against the reference after every step.
-      std::vector<ProcessId> order;
-      for (ProcessId v = 0; v < n; ++v) {
-        if (v != self) order.push_back(v);
-      }
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[rng.uniform_range(0, i - 1)]);
-      }
+      const std::vector<ProcessId> order = shuffled(n, self, rng);
       for (ProcessId owner : order) {
         discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
         ASSERT_EQ(discovery.candidate_set(),
                   reference_candidate(discovery, self, g.pd_of(self), f))
+            << "trial=" << trial << " self=" << self << " owner=" << owner;
+        ASSERT_EQ(first_misqueried(host, discovery), kInvalidProcess)
             << "trial=" << trial << " self=" << self << " owner=" << owner;
       }
       // The incremental run must not have paid more flow evaluations than
@@ -283,6 +309,34 @@ TEST(SinkDiscoveryIncremental, CutCertificateInvalidatedByEdgeFromEarlierEpoch) 
   EXPECT_TRUE(discovery.candidate_set().contains(3));
   EXPECT_EQ(discovery.candidate_set(),
             reference_candidate(discovery, 0, pd, 2));
+}
+
+TEST(SinkDiscoveryIncremental, HeapBackedUniverseMatchesReference) {
+  // 300 processes put every NodeSet of the run past the inline bound, so the
+  // discovery's tables, its reachable set and the dominator and flow inputs
+  // all live on the heap-backed path (the one sanitizer builds must see).
+  graph::KosrGenParams params;
+  params.sink_size = 150;
+  params.non_sink_size = 150;
+  params.k = 3;
+  params.seed = 7;
+  const auto g = graph::random_kosr_graph(params);
+  const std::size_t n = g.node_count();
+  ASSERT_GT(n, NodeSet::kInlineUniverse);
+  Rng rng(99);
+  for (const ProcessId self : {ProcessId{0}, static_cast<ProcessId>(n - 1)}) {
+    FakeHost host(self, n, 1);
+    SinkDiscovery discovery(host, g.pd_of(self));
+    discovery.start();
+    for (ProcessId owner : shuffled(n, self, rng)) {
+      discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
+    }
+    EXPECT_EQ(discovery.candidate_set(),
+              reference_candidate(discovery, self, g.pd_of(self), 1))
+        << "self=" << self;
+    EXPECT_EQ(first_misqueried(host, discovery), kInvalidProcess)
+        << "self=" << self;
+  }
 }
 
 TEST(SinkDiscoveryIncremental, MemoizedVerdictsSkipUnaffectedNodes) {
