@@ -46,10 +46,11 @@ void report(benchmark::State& state, const core::ScenarioReport& r) {
 void BM_StellarSd_Sweep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t f = static_cast<std::size_t>(state.range(1));
+  // Every iteration of every row runs the row's one seed, so the reported
+  // counters do not depend on how many iterations the harness picks.
   core::ScenarioReport r;
-  std::uint64_t seed = 1;
   for (auto _ : state) {
-    r = run_once(n, f, seed++, core::AdversaryKind::kSilent);
+    r = run_once(n, f, /*seed=*/1, core::AdversaryKind::kSilent);
     benchmark::DoNotOptimize(r);
   }
   state.counters["n"] = static_cast<double>(n);
@@ -64,9 +65,8 @@ BENCHMARK(BM_StellarSd_Sweep)
 
 void BM_StellarSd_ScpEquivocator(benchmark::State& state) {
   core::ScenarioReport r;
-  std::uint64_t seed = 3;
   for (auto _ : state) {
-    r = run_once(12, 1, seed++, core::AdversaryKind::kScpEquivocator);
+    r = run_once(12, 1, /*seed=*/3, core::AdversaryKind::kScpEquivocator);
     benchmark::DoNotOptimize(r);
   }
   report(state, r);
@@ -75,9 +75,9 @@ BENCHMARK(BM_StellarSd_ScpEquivocator)->Unit(benchmark::kMillisecond);
 
 void BM_StellarSd_PreGstAsynchrony(benchmark::State& state) {
   core::ScenarioReport r;
-  std::uint64_t seed = 11;
   for (auto _ : state) {
-    r = run_once(12, 1, seed++, core::AdversaryKind::kSilent, /*gst=*/5'000);
+    r = run_once(12, 1, /*seed=*/11, core::AdversaryKind::kSilent,
+                 /*gst=*/5'000);
     benchmark::DoNotOptimize(r);
   }
   report(state, r);
