@@ -42,15 +42,16 @@ bool QSet::satisfied_by(const NodeSet& nodes) const {
 
 bool QSet::blocked_by(const NodeSet& nodes) const {
   if (threshold_ == 0) return false;  // empty qset cannot be blocked
-  // Count elements that could still appear in a slice avoiding `nodes`.
+  // Count elements that could still appear in a slice avoiding `nodes`;
+  // `threshold` of them leave such a slice, so the rest need no look.
   std::size_t alive = 0;
   for (ProcessId v : validators_) {
-    if (!nodes.contains(v)) ++alive;
+    if (!nodes.contains(v) && ++alive >= threshold_) return false;
   }
   for (const QSet& q : inner_) {
-    if (!q.blocked_by(nodes)) ++alive;
+    if (!q.blocked_by(nodes) && ++alive >= threshold_) return false;
   }
-  return alive < threshold_;
+  return true;
 }
 
 NodeSet QSet::all_members(std::size_t universe) const {

@@ -39,11 +39,13 @@ class QSet {
   /// True iff some slice denoted by this QSet is contained in `nodes`
   /// (i.e. at least `threshold` members/inner sets are satisfied by
   /// `nodes`). This is the "∃ S ∈ S_i : S ⊆ Q" test of Definition 1.
+  /// Returns as soon as `threshold` elements are satisfied.
   bool satisfied_by(const NodeSet& nodes) const;
 
   /// True iff `nodes` is a v-blocking set for this QSet: it intersects
   /// every slice. Equivalently, fewer than `threshold` members/inner sets
-  /// remain satisfiable when `nodes` is excluded.
+  /// remain satisfiable when `nodes` is excluded. Returns as soon as
+  /// `threshold` elements remain satisfiable.
   bool blocked_by(const NodeSet& nodes) const;
 
   /// All processes mentioned anywhere in the QSet.

@@ -23,80 +23,20 @@ QSetId QuorumEngine::intern(const QSet& q) {
   const std::size_t h = qset_hash(q);
   auto& bucket = by_hash_[h];
   for (QSetId id : bucket) {
-    if (interned_[id].qset == q) {
+    if (interned_[id] == q) {
       ++stats_.intern_hits;
       return id;
     }
   }
-  Interned entry;
-  entry.qset = q;
-  entry.nodes_begin = static_cast<std::uint32_t>(nodes_.size());
-  flatten(entry.qset);
-  entry.nodes_end = static_cast<std::uint32_t>(nodes_.size());
   const auto id = static_cast<QSetId>(interned_.size());
-  interned_.push_back(std::move(entry));
+  interned_.push_back(q);
   bucket.push_back(id);
   return id;
 }
 
-std::uint32_t QuorumEngine::flatten(const QSet& q) {
-  // Explicit-stack post-order: a frame emits its node only after all inner
-  // sets have been emitted, so children always precede parents in nodes_.
-  struct Frame {
-    const QSet* qset;
-    std::size_t next_inner = 0;
-    std::vector<std::uint32_t> child_ids;
-  };
-  std::vector<Frame> stack;
-  stack.push_back(Frame{&q, 0, {}});
-  std::uint32_t root = 0;
-  while (!stack.empty()) {
-    Frame& top = stack.back();
-    if (top.next_inner < top.qset->inner_sets().size()) {
-      const QSet* inner = &top.qset->inner_sets()[top.next_inner++];
-      stack.push_back(Frame{inner, 0, {}});
-      continue;
-    }
-    FlatNode node;
-    node.threshold = static_cast<std::uint32_t>(top.qset->threshold());
-    node.validators_begin = static_cast<std::uint32_t>(validators_.size());
-    validators_.insert(validators_.end(), top.qset->validators().begin(),
-                       top.qset->validators().end());
-    node.validators_end = static_cast<std::uint32_t>(validators_.size());
-    node.children_begin = static_cast<std::uint32_t>(children_.size());
-    children_.insert(children_.end(), top.child_ids.begin(),
-                     top.child_ids.end());
-    node.children_end = static_cast<std::uint32_t>(children_.size());
-    const auto node_id = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(node);
-    stack.pop_back();
-    if (stack.empty()) {
-      root = node_id;
-    } else {
-      stack.back().child_ids.push_back(node_id);
-    }
-  }
-  return root;
-}
-
 bool QuorumEngine::eval_satisfied(QSetId id, const NodeSet& nodes) {
   ++stats_.qset_evals;
-  const Interned& q = interned_[id];
-  if (scratch_.size() < nodes_.size()) scratch_.resize(nodes_.size());
-  for (std::uint32_t i = q.nodes_begin; i < q.nodes_end; ++i) {
-    const FlatNode& fn = nodes_[i];
-    std::uint32_t count = 0;
-    for (std::uint32_t v = fn.validators_begin;
-         count < fn.threshold && v < fn.validators_end; ++v) {
-      if (nodes.contains(validators_[v])) ++count;
-    }
-    for (std::uint32_t c = fn.children_begin;
-         count < fn.threshold && c < fn.children_end; ++c) {
-      if (scratch_[children_[c]]) ++count;
-    }
-    scratch_[i] = count >= fn.threshold ? 1 : 0;
-  }
-  return scratch_[q.nodes_end - 1] != 0;
+  return interned_[id].satisfied_by(nodes);
 }
 
 bool QuorumEngine::satisfied_by(QSetId id, const NodeSet& nodes) {
@@ -107,25 +47,7 @@ bool QuorumEngine::satisfied_by(QSetId id, const NodeSet& nodes) {
 
 bool QuorumEngine::eval_blocked(QSetId id, const NodeSet& nodes) {
   ++stats_.qset_evals;
-  const Interned& q = interned_[id];
-  if (scratch_.size() < nodes_.size()) scratch_.resize(nodes_.size());
-  for (std::uint32_t i = q.nodes_begin; i < q.nodes_end; ++i) {
-    const FlatNode& fn = nodes_[i];
-    // Count elements that could still appear in a slice avoiding `nodes`;
-    // blocked iff fewer than `threshold` stay alive. threshold == 0 (the
-    // empty qset) is never blocked: alive >= 0 == threshold.
-    std::uint32_t alive = 0;
-    for (std::uint32_t v = fn.validators_begin;
-         alive < fn.threshold && v < fn.validators_end; ++v) {
-      if (!nodes.contains(validators_[v])) ++alive;
-    }
-    for (std::uint32_t c = fn.children_begin;
-         alive < fn.threshold && c < fn.children_end; ++c) {
-      if (scratch_[children_[c]]) ++alive;  // scratch = "not blocked"
-    }
-    scratch_[i] = alive >= fn.threshold ? 1 : 0;
-  }
-  return scratch_[q.nodes_end - 1] == 0;
+  return interned_[id].blocked_by(nodes);
 }
 
 bool QuorumEngine::blocked_by(QSetId id, const NodeSet& nodes) {

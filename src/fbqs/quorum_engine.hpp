@@ -10,11 +10,12 @@
 //     QSetId; "did this sender's qset change?" becomes an id compare, and a
 //     LedgerMultiplexer running hundreds of slots stores each distinct qset
 //     once instead of once per (slot, sender).
-//  2. A flattened, non-recursive evaluation form: each interned QSet is
-//     compiled into a post-order array of threshold nodes (children before
-//     parents), so satisfied_by / blocked_by are two tight loops over
-//     contiguous memory — no pointer chasing, no recursion, no risk from
-//     adversarially deep nesting at evaluation time.
+//  2. Evaluation on the interned QSet itself: satisfied_by / blocked_by
+//     run QSet::satisfied_by / QSet::blocked_by on the stored copy, as
+//     stellar-core's LocalNode checks slices and v-blocking sets on the
+//     quorum set it stores. Both stop once the verdict is settled. Their
+//     recursion is as deep as the qset's nesting: Algorithm-2 qsets are
+//     flat, and decoded frames are capped at scp::kWireMaxQsetDepth.
 //  3. Algorithm-1 closure over one monotone tier: quorum_contains() runs
 //     the greatest-fixpoint member-removal loop at qset-group granularity,
 //     and keeps a few failed supports (FALSE for every subset), engine-wide
@@ -43,7 +44,7 @@ using QSetId = std::uint32_t;
 inline constexpr QSetId kNoQSetId = 0xffff'ffffu;
 
 struct QuorumEngineStats {
-  /// Flattened QSet evaluations actually run (satisfied_by + blocked_by).
+  /// QSet evaluations actually run (satisfied_by + blocked_by).
   std::uint64_t qset_evals = 0;
   /// Evaluations the recompute-every-check baseline would have run.
   std::uint64_t qset_evals_baseline = 0;
@@ -67,13 +68,13 @@ class QuorumEngine {
   QuorumEngine() = default;
 
   /// Hash-conses `q`: returns the existing id when a structurally equal
-  /// QSet was interned before, otherwise compiles the flattened form.
+  /// QSet was interned before, otherwise stores a copy under a new id.
   QSetId intern(const QSet& q);
 
-  const QSet& qset(QSetId id) const { return interned_[id].qset; }
+  const QSet& qset(QSetId id) const { return interned_[id]; }
   std::size_t interned_count() const { return interned_.size(); }
 
-  /// Flattened equivalents of QSet::satisfied_by / QSet::blocked_by.
+  /// QSet::satisfied_by / QSet::blocked_by on the interned qset `id`.
   /// Each call counts one qset_eval (and one baseline eval: the rescan
   /// baseline ran exactly one such evaluation per check too). ScpNode's
   /// v-blocking checks call blocked_by directly; quorum checks go through
@@ -118,23 +119,7 @@ class QuorumEngine {
   void debug_rehash(std::size_t bucket_count) { by_hash_.rehash(bucket_count); }
 
  private:
-  /// One threshold node of the flattened form. Children precede parents in
-  /// `nodes_`, and a QSet's nodes are contiguous with the root last.
-  struct FlatNode {
-    std::uint32_t threshold = 0;
-    std::uint32_t validators_begin = 0;  // into validators_
-    std::uint32_t validators_end = 0;
-    std::uint32_t children_begin = 0;  // into children_ (absolute node ids)
-    std::uint32_t children_end = 0;
-  };
-  struct Interned {
-    QSet qset;
-    std::uint32_t nodes_begin = 0;  // into nodes_; root at nodes_end - 1
-    std::uint32_t nodes_end = 0;
-  };
-
-  std::uint32_t flatten(const QSet& q);  // returns root node index
-  // Raw flattened evaluations: count one qset_eval, no baseline.
+  // Raw evaluations: count one qset_eval, no baseline.
   bool eval_satisfied(QSetId id, const NodeSet& nodes);
   bool eval_blocked(QSetId id, const NodeSet& nodes);
 
@@ -144,16 +129,10 @@ class QuorumEngine {
   static std::uint64_t assignment_fp(const NodeSet& set, ProcessId member,
                                      const std::vector<QSetId>& qset_ids);
 
-  std::vector<Interned> interned_;
+  std::vector<QSet> interned_;
   std::unordered_map<std::size_t, std::vector<QSetId>> by_hash_;
 
-  // Flattened-form pools, shared by all interned qsets.
-  std::vector<FlatNode> nodes_;
-  std::vector<ProcessId> validators_;
-  std::vector<std::uint32_t> children_;
-
-  std::vector<std::uint8_t> scratch_;  // per-node verdicts, reused
-  std::vector<QSetId> qid_scratch_;    // distinct ids per closure pass
+  std::vector<QSetId> qid_scratch_;  // distinct ids per closure pass
 
   // ---- failed-support tier (engine-wide, self-validating entries) ----
   struct MonotoneEntry {

@@ -1,5 +1,6 @@
-// QuorumEngine unit suite: hash-consed interning, flattened-vs-recursive
-// evaluation equivalence on randomized nested qsets, the closure against a
+// QuorumEngine unit suite: hash-consed interning, engine evaluation of
+// randomized nested qsets against QSet's own and against the v-blocking
+// duality, with one counted evaluation per call, the closure against a
 // reference under random rebinds, its failed-support tier (hits,
 // invalidation), and — at the ScpNode level — from-scratch
 // equivalence of the incrementally maintained support views and their
@@ -12,6 +13,7 @@
 
 #include <array>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,21 +74,35 @@ TEST(QuorumEngineTest, InterningIdentity) {
   EXPECT_EQ(engine.interned_count(), 3u);
 }
 
+// The name dates from the engine's former flattened evaluation form. The
+// engine now evaluates the interned QSet itself; this pins that each call
+// answers as QSet does, costs exactly one counted evaluation, and that
+// blocked_by's early exit keeps the duality with satisfied_by: `nodes`
+// blocks q iff the rest of the universe satisfies no slice of q.
 TEST(QuorumEngineTest, FlattenedMatchesRecursiveOnRandomNestedQSets) {
   constexpr std::size_t kUniverse = 12;
   Rng rng(20260802);
   QuorumEngine engine;
+  const auto expect_one_eval = [&engine](const QuorumEngineStats& before) {
+    EXPECT_EQ(engine.stats().qset_evals, before.qset_evals + 1);
+    EXPECT_EQ(engine.stats().qset_evals_baseline,
+              before.qset_evals_baseline + 1);
+  };
   for (int trial = 0; trial < 200; ++trial) {
     const QSet q = random_qset(rng, kUniverse, /*depth=*/3);
     const QSetId id = engine.intern(q);
     for (int probe = 0; probe < 10; ++probe) {
       const NodeSet nodes = random_set(rng, kUniverse);
-      EXPECT_EQ(engine.satisfied_by(id, nodes), q.satisfied_by(nodes))
-          << "trial=" << trial << " qset=" << q.to_string()
-          << " nodes=" << nodes.to_string();
-      EXPECT_EQ(engine.blocked_by(id, nodes), q.blocked_by(nodes))
-          << "trial=" << trial << " qset=" << q.to_string()
-          << " nodes=" << nodes.to_string();
+      SCOPED_TRACE("trial=" + std::to_string(trial) + " qset=" +
+                   q.to_string() + " nodes=" + nodes.to_string());
+      QuorumEngineStats before = engine.stats();
+      EXPECT_EQ(engine.satisfied_by(id, nodes), q.satisfied_by(nodes));
+      expect_one_eval(before);
+      before = engine.stats();
+      const bool blocked = engine.blocked_by(id, nodes);
+      expect_one_eval(before);
+      EXPECT_EQ(blocked, q.blocked_by(nodes));
+      EXPECT_EQ(blocked, !q.satisfied_by(nodes.complement()));
     }
   }
 }
