@@ -248,20 +248,26 @@ TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
 }
 
 TEST_F(WireCodecTest, OverDeepQsetIsRejected) {
-  // Hand-encode an Envelope whose qset nests past kWireMaxQsetDepth:
-  // each level is threshold=1, no validators, one inner set.
-  std::vector<std::uint8_t> frame;
-  WireWriter w(frame);
-  w.u16(scp::kWireTypeEnvelope);
-  w.u32(1);   // sender
-  w.u64(1);   // seq
-  for (std::size_t d = 0; d <= scp::kWireMaxQsetDepth + 1; ++d) {
-    w.u32(1);  // threshold
-    w.u32(0);  // no validators
-    w.u32(1);  // one inner set
-  }
-  w.u32(0);  // innermost: threshold 0, then truncation does the rest
-  EXPECT_EQ(sim::decode_frame(frame), nullptr);
+  // A qset whose innermost set sits `depth` levels below its root; each
+  // level is threshold 1 over one validator and one inner set.
+  const auto nested = [](std::size_t depth) {
+    fbqs::QSet q = fbqs::QSet::threshold_of(1, std::vector<ProcessId>{0});
+    for (std::size_t d = 0; d < depth; ++d) {
+      q = fbqs::QSet(1, {static_cast<ProcessId>(d + 1)}, {std::move(q)});
+    }
+    return q;
+  };
+  // The encoder has no cap, so both frames are complete and canonical:
+  // only the decoder's depth cap tells them apart.
+  const auto frame_at = [&nested](std::size_t depth) {
+    return frame_of(scp::Envelope(1, 1, nested(depth),
+                                  scp::Statement{scp::NominateStmt{}}));
+  };
+  const std::vector<std::uint8_t> at_cap = frame_at(scp::kWireMaxQsetDepth);
+  const MessagePtr decoded = sim::decode_frame(at_cap);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(frame_of(*decoded), at_cap);
+  EXPECT_EQ(sim::decode_frame(frame_at(scp::kWireMaxQsetDepth + 1)), nullptr);
 }
 
 TEST_F(WireCodecTest, MutationFuzzNeverCrashesAndStaysCanonical) {
