@@ -10,8 +10,9 @@
 //   sequences := u32 count ++ elements (canonical order: ascending where the
 //                in-memory container is ordered)
 //
-// Encoding is canonical: for every registered type, decode(encode(m))
-// re-encodes to the same bytes, which is what the differential tests pin.
+// Encoding is canonical: for every type in core::wire_codecs(),
+// decode(encode(m)) re-encodes to the same bytes, which is what the
+// differential tests pin.
 // Decoding is Byzantine input handling: WireReader is bounds-checked, count
 // fields are validated against the remaining byte budget *before* any
 // allocation, non-canonical element order is rejected, and a frame must be
@@ -21,16 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/node_set.hpp"
 #include "common/types.hpp"
 
 namespace scup::sim {
-
-class Message;
-using MessagePtr = std::shared_ptr<const Message>;
 
 /// Largest NodeSet universe a decoder accepts (see WireReader::node_set).
 inline constexpr std::uint32_t kWireMaxUniverse = 1u << 20;
@@ -160,25 +157,5 @@ class WireReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
-
-/// Process-wide table mapping wire type ids to decoders. Encoding never
-/// consults it (wire_encode is a virtual on the message); it exists for the
-/// decode side — differential tests today, a real network backend tomorrow.
-/// Registration is explicit (core::register_wire_codecs) because decoders
-/// live above sim/ in the layer graph; it is idempotent and thread-safe.
-class WireCodecRegistry {
- public:
-  using DecodeFn = MessagePtr (*)(WireReader&);
-
-  static void register_type(std::uint16_t type, const char* name, DecodeFn fn);
-  static DecodeFn find(std::uint16_t type);
-  static const char* name_of(std::uint16_t type);
-  static std::vector<std::uint16_t> registered_types();
-};
-
-/// Decodes one full frame (u16 type header ++ payload). Returns nullptr on
-/// unknown type, any reader failure, or trailing bytes left unconsumed.
-MessagePtr decode_frame(const std::uint8_t* data, std::size_t size);
-MessagePtr decode_frame(const std::vector<std::uint8_t>& frame);
 
 }  // namespace scup::sim

@@ -1,7 +1,7 @@
 // Wire codec differential suite (DESIGN.md §4.9).
 //
 // The broadcast plane's contract has three legs, each pinned here:
-//  1. Canonical roundtrip: for every registered frame type,
+//  1. Canonical roundtrip: for every frame type in core::wire_codecs(),
 //     decode(encode(m)) re-encodes to byte-identical bytes.
 //  2. Byzantine rejection: truncated prefixes, trailing bytes, forged
 //     counts, non-canonical element order and over-deep qsets decode to
@@ -42,10 +42,7 @@ using sim::MessagePtr;
 using sim::WireReader;
 using sim::WireWriter;
 
-class WireCodecTest : public ::testing::Test {
- protected:
-  void SetUp() override { core::register_wire_codecs(); }
-};
+class WireCodecTest : public ::testing::Test {};
 
 /// The frame of a message via its public encoder.
 std::vector<std::uint8_t> frame_of(const sim::Message& m) {
@@ -60,7 +57,7 @@ fbqs::QSet sample_qset() {
                      fbqs::QSet::threshold_of(2, std::vector<ProcessId>{4, 6, 7})});
 }
 
-/// One representative instance of every registered wire type (several for
+/// One representative instance of every tabled wire type (several for
 /// Envelope: one per statement kind).
 std::vector<MessagePtr> sample_messages() {
   std::vector<MessagePtr> out;
@@ -128,13 +125,15 @@ std::vector<MessagePtr> sample_messages() {
 }
 
 TEST_F(WireCodecTest, RegistryCoversEveryFamily) {
-  const auto types = sim::WireCodecRegistry::registered_types();
-  EXPECT_EQ(types.size(), 14u);
-  for (const std::uint16_t t : types) {
-    EXPECT_NE(sim::WireCodecRegistry::find(t), nullptr);
-    EXPECT_NE(sim::WireCodecRegistry::name_of(t), nullptr);
+  const auto codecs = core::wire_codecs();
+  EXPECT_EQ(codecs.size(), 14u);
+  std::set<std::uint16_t> types;
+  for (const core::WireCodec& codec : codecs) {
+    EXPECT_NE(codec.decode, nullptr);
+    EXPECT_NE(codec.name, nullptr);
+    types.insert(codec.type);
   }
-  EXPECT_EQ(sim::WireCodecRegistry::find(0xfffe), nullptr);
+  EXPECT_EQ(types.size(), codecs.size()) << "one entry per wire type";
 }
 
 TEST_F(WireCodecTest, RoundtripReencodesByteIdentically) {
@@ -142,7 +141,7 @@ TEST_F(WireCodecTest, RoundtripReencodesByteIdentically) {
     SCOPED_TRACE(msg->type_name());
     const std::vector<std::uint8_t> frame = frame_of(*msg);
     ASSERT_GE(frame.size(), 2u);
-    const MessagePtr decoded = sim::decode_frame(frame);
+    const MessagePtr decoded = core::decode_frame(frame);
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->wire_type(), msg->wire_type());
     EXPECT_EQ(decoded->type_name(), msg->type_name());
@@ -158,7 +157,7 @@ TEST_F(WireCodecTest, TruncatedPrefixesAreRejected) {
     SCOPED_TRACE(msg->type_name());
     const std::vector<std::uint8_t> frame = frame_of(*msg);
     for (std::size_t len = 0; len < frame.size(); ++len) {
-      EXPECT_EQ(sim::decode_frame(frame.data(), len), nullptr)
+      EXPECT_EQ(core::decode_frame(frame.data(), len), nullptr)
           << "prefix of length " << len << " decoded";
     }
   }
@@ -169,7 +168,7 @@ TEST_F(WireCodecTest, TrailingBytesAreRejected) {
     SCOPED_TRACE(msg->type_name());
     std::vector<std::uint8_t> frame = frame_of(*msg);
     frame.push_back(0);
-    EXPECT_EQ(sim::decode_frame(frame), nullptr);
+    EXPECT_EQ(core::decode_frame(frame), nullptr);
   }
 }
 
@@ -178,7 +177,7 @@ TEST_F(WireCodecTest, UnknownTypeIsRejected) {
   WireWriter w(frame);
   w.u16(0xfffe);
   w.u32(1);
-  EXPECT_EQ(sim::decode_frame(frame), nullptr);
+  EXPECT_EQ(core::decode_frame(frame), nullptr);
 }
 
 TEST_F(WireCodecTest, NonCanonicalNodeSetOrderIsRejected) {
@@ -191,7 +190,7 @@ TEST_F(WireCodecTest, NonCanonicalNodeSetOrderIsRejected) {
   w.u32(2);  // count
   w.u32(5);
   w.u32(3);  // descending: must be rejected
-  EXPECT_EQ(sim::decode_frame(frame), nullptr);
+  EXPECT_EQ(core::decode_frame(frame), nullptr);
 }
 
 TEST_F(WireCodecTest, CertGossipOwnersMustAscend) {
@@ -214,7 +213,7 @@ TEST_F(WireCodecTest, CertGossipOwnersMustAscend) {
   const cup::CertGossipMsg msg(
       std::vector<cup::PdCertificate>{{2, pd}, {5, NodeSet(8)}});
   EXPECT_EQ(frame_of(msg), canonical);
-  const MessagePtr decoded = sim::decode_frame(canonical);
+  const MessagePtr decoded = core::decode_frame(canonical);
   ASSERT_NE(decoded, nullptr);
   const auto* gossip = sim::message_as<cup::CertGossipMsg>(decoded.get());
   ASSERT_NE(gossip, nullptr);
@@ -224,8 +223,8 @@ TEST_F(WireCodecTest, CertGossipOwnersMustAscend) {
   EXPECT_EQ(gossip->certs[1].owner, 5u);
 
   // A repeated or descending owner is a forgery or corruption.
-  EXPECT_EQ(sim::decode_frame(gossip_frame(5, 5)), nullptr);
-  EXPECT_EQ(sim::decode_frame(gossip_frame(5, 2)), nullptr);
+  EXPECT_EQ(core::decode_frame(gossip_frame(5, 5)), nullptr);
+  EXPECT_EQ(core::decode_frame(gossip_frame(5, 2)), nullptr);
 }
 
 TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
@@ -236,7 +235,7 @@ TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
   w.u16(cup::kWireTypeCertGossip);
   w.u32(0x8000'0000u);
   w.u32(0);
-  EXPECT_EQ(sim::decode_frame(frame), nullptr);
+  EXPECT_EQ(core::decode_frame(frame), nullptr);
 
   // Same for a NodeSet count exceeding the byte budget.
   std::vector<std::uint8_t> frame2;
@@ -244,7 +243,7 @@ TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
   w2.u16(cup::kWireTypeKnown);
   w2.u32(0xffff'ffffu);  // universe
   w2.u32(0x4000'0000u);  // count: way past the remaining bytes
-  EXPECT_EQ(sim::decode_frame(frame2), nullptr);
+  EXPECT_EQ(core::decode_frame(frame2), nullptr);
 }
 
 TEST_F(WireCodecTest, OverDeepQsetIsRejected) {
@@ -264,10 +263,10 @@ TEST_F(WireCodecTest, OverDeepQsetIsRejected) {
                                   scp::Statement{scp::NominateStmt{}}));
   };
   const std::vector<std::uint8_t> at_cap = frame_at(scp::kWireMaxQsetDepth);
-  const MessagePtr decoded = sim::decode_frame(at_cap);
+  const MessagePtr decoded = core::decode_frame(at_cap);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(frame_of(*decoded), at_cap);
-  EXPECT_EQ(sim::decode_frame(frame_at(scp::kWireMaxQsetDepth + 1)), nullptr);
+  EXPECT_EQ(core::decode_frame(frame_at(scp::kWireMaxQsetDepth + 1)), nullptr);
 }
 
 TEST_F(WireCodecTest, MutationFuzzNeverCrashesAndStaysCanonical) {
@@ -285,7 +284,7 @@ TEST_F(WireCodecTest, MutationFuzzNeverCrashesAndStaysCanonical) {
         const std::size_t pos = rng.next_u64() % frame.size();
         frame[pos] = static_cast<std::uint8_t>(rng.next_u64());
       }
-      const MessagePtr decoded = sim::decode_frame(frame);
+      const MessagePtr decoded = core::decode_frame(frame);
       if (decoded != nullptr) {
         // Accepted mutants must still be canonical fixed points.
         EXPECT_EQ(frame_of(*decoded), frame) << msg->type_name();
@@ -384,7 +383,7 @@ void route_one(const sim::Message& m, std::vector<std::uint16_t>& ids) {
   if (routed != nullptr) ids.push_back(T::kWireType);
 }
 
-/// The wire type ids of every registered class message_as routes `m` to.
+/// The wire type ids of every tabled class message_as routes `m` to.
 template <class... Ts>
 std::vector<std::uint16_t> routes_among(const sim::Message& m) {
   std::vector<std::uint16_t> ids;
@@ -405,16 +404,18 @@ TEST_F(WireCodecTest, DeliveriesRouteByWireTypeId) {
   std::set<std::uint16_t> covered;
   for (const MessagePtr& msg : sample_messages()) {
     SCOPED_TRACE(msg->type_name());
-    const MessagePtr decoded = sim::decode_frame(frame_of(*msg));
+    const MessagePtr decoded = core::decode_frame(frame_of(*msg));
     ASSERT_NE(decoded, nullptr);
     // Its own class, and none of the other 13.
     EXPECT_EQ(routes_of(*decoded),
               std::vector<std::uint16_t>{decoded->wire_type()});
     covered.insert(decoded->wire_type());
   }
-  const auto registered = sim::WireCodecRegistry::registered_types();
-  EXPECT_EQ(covered,
-            std::set<std::uint16_t>(registered.begin(), registered.end()));
+  std::set<std::uint16_t> tabled;
+  for (const core::WireCodec& codec : core::wire_codecs()) {
+    tabled.insert(codec.type);
+  }
+  EXPECT_EQ(covered, tabled);
   EXPECT_TRUE(routes_of(CodeclessMsg{}).empty());
 }
 

@@ -282,9 +282,9 @@ TEST(Ownership, AuditedAndBarrierAccessesAreQuiet) {
 }
 
 TEST(Ownership, ScopedToSimTree) {
-  // The simulator's own shared state — the message-type registry and the
-  // wire codec table — is owned by module mutexes: analyzing src/sim/ on
-  // its own binds every lock annotation and finds no lock violation.
+  // The simulator's own shared state — the message-type registry — is
+  // owned by a module mutex: analyzing src/sim/ on its own binds every
+  // lock annotation and finds no lock violation.
   std::vector<TU> tus;
   const fs::path sim_dir = fs::path(SCUP_ANALYZE_REPO_ROOT) / "src" / "sim";
   std::vector<fs::path> files;
