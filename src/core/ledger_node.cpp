@@ -6,14 +6,13 @@ namespace scup::core {
 
 LedgerNode::LedgerNode(NodeSet pd, std::size_t f, std::size_t target_slots,
                        scp::ScpConfig scp_config,
-                       cup::DiscoveryConfig discovery,
-                       std::size_t slot_window)
+                       cup::DiscoveryConfig discovery)
     : ComposedNode(f),
       pd_(std::move(pd)),
       target_slots_(target_slots),
       detector_(*this, pd_, discovery),
       ledger_(*this, pd_.universe_size(), fbqs::QSet(), target_slots,
-              scp_config, slot_window) {
+              scp_config) {
   detector_.on_result = [this](const sinkdetector::GetSinkResult& r) {
     on_sink(r);
   };

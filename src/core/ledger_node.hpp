@@ -15,13 +15,10 @@ class LedgerNode : public sim::ComposedNode {
  public:
   /// Proposes `value_provider(slot)` for each slot (defaults to a
   /// deterministic per-node value when not set before the sink detector
-  /// returns). Closes `target_slots` ledgers then idles. `slot_window`
-  /// bounds how far past the next slot a peer-named slot may allocate
-  /// state (see LedgerMultiplexer).
+  /// returns). Closes `target_slots` ledgers then idles.
   LedgerNode(NodeSet pd, std::size_t f, std::size_t target_slots,
              scp::ScpConfig scp_config = {},
-             cup::DiscoveryConfig discovery = {},
-             std::size_t slot_window = scp::kDefaultSlotWindow);
+             cup::DiscoveryConfig discovery = {});
 
   /// Per-slot proposal source; must be set before the simulation starts.
   void set_value_provider(std::function<Value(std::uint64_t)> provider);

@@ -32,14 +32,12 @@ void LedgerMultiplexer::SlotHost::host_set_timer(int timer_id,
 LedgerMultiplexer::LedgerMultiplexer(sim::ProtocolHost& host,
                                      std::size_t universe, fbqs::QSet qset,
                                      std::size_t target_slots,
-                                     ScpConfig scp_config,
-                                     std::size_t slot_window)
+                                     ScpConfig scp_config)
     : host_(host),
       universe_(universe),
       qset_(std::move(qset)),
       target_slots_(target_slots),
       scp_config_(scp_config),
-      slot_window_(slot_window),
       peers_(universe) {}
 
 void LedgerMultiplexer::set_qset(fbqs::QSet qset) {
@@ -135,7 +133,7 @@ bool LedgerMultiplexer::handle(ProcessId from, const sim::MessagePtr& msg) {
   // Byzantine memory-bomb bound: only slots within the window past the
   // next slot to start may allocate (or reach) an ScpNode. A peer cannot
   // honestly be further ahead than its quorums, so nothing is lost.
-  if (wrapped->slot >= next_to_start_ + slot_window_) {
+  if (wrapped->slot >= next_to_start_ + kSlotWindow) {
     ++envelopes_dropped_;
     return true;
   }

@@ -35,9 +35,9 @@ namespace scup::scp {
 
 inline constexpr int kLedgerTimerBase = 10'000;
 
-/// Default bound on how far past `next_to_start_` a SlotEnvelope may name a
-/// slot before it is dropped unprocessed.
-inline constexpr std::size_t kDefaultSlotWindow = 16;
+/// How far past `next_to_start_` a SlotEnvelope may name a slot before it
+/// is dropped unprocessed.
+inline constexpr std::size_t kSlotWindow = 16;
 
 /// Timer id for a slot's ballot timer. Throws std::overflow_error instead
 /// of silently wrapping when the slot number cannot be represented (the
@@ -78,13 +78,12 @@ struct SlotEnvelope final : sim::Message {
 class LedgerMultiplexer {
  public:
   /// `target_slots` — stop opening new slots after this many decisions
-  /// (0 = unbounded). `slot_window` — accept SlotEnvelopes only for slots
-  /// below next_to_start_ + slot_window; envelopes naming farther slots are
+  /// (0 = unbounded). SlotEnvelopes are accepted only for slots below
+  /// next_to_start_ + kSlotWindow; envelopes naming farther slots are
   /// dropped without allocating anything (Byzantine memory-bomb bound).
   LedgerMultiplexer(sim::ProtocolHost& host, std::size_t universe,
                     fbqs::QSet qset, std::size_t target_slots,
-                    ScpConfig scp_config = {},
-                    std::size_t slot_window = kDefaultSlotWindow);
+                    ScpConfig scp_config = {});
 
   /// Supplies the proposal for each slot (must be non-zero). Required
   /// before start().
@@ -192,7 +191,6 @@ class LedgerMultiplexer {
   fbqs::QSet qset_;
   std::size_t target_slots_;
   ScpConfig scp_config_;
-  std::size_t slot_window_;
   NodeSet peers_;
   bool started_ = false;
   std::uint64_t next_to_start_ = 1;

@@ -193,7 +193,7 @@ TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
 
     // Flood: 10k distinct far-future slots from the same Byzantine peer.
     for (std::uint64_t i = 0; i < 10'000; ++i) {
-      mux.handle(1, slot_nominate(scp::kDefaultSlotWindow + 2 + i, 2 + i, 7));
+      mux.handle(1, slot_nominate(scp::kSlotWindow + 2 + i, 2 + i, 7));
     }
     EXPECT_EQ(mux.allocated_slots(), before)
         << "target=" << target << ": flood must allocate nothing";
@@ -205,14 +205,13 @@ TEST(LedgerMultiplexerTest, FarFutureSlotEnvelopesAllocateNothing) {
 
     // Near-future slots inside the window still buffer (fast peers must
     // not be cut off): the last admissible slot is next_to_start_+W-1.
-    EXPECT_TRUE(
-        mux.handle(1, slot_nominate(scp::kDefaultSlotWindow + 1, 50'000, 7)));
+    EXPECT_TRUE(mux.handle(1, slot_nominate(scp::kSlotWindow + 1, 50'000, 7)));
     if (target == 0) {
-      EXPECT_NE(mux.slot_node(scp::kDefaultSlotWindow + 1), nullptr);
+      EXPECT_NE(mux.slot_node(scp::kSlotWindow + 1), nullptr);
       EXPECT_EQ(mux.allocated_slots(), before + 1);
     } else {
       // Bounded config: slots past target_slots stay out of range.
-      EXPECT_EQ(mux.slot_node(scp::kDefaultSlotWindow + 1), nullptr);
+      EXPECT_EQ(mux.slot_node(scp::kSlotWindow + 1), nullptr);
     }
   }
 }
