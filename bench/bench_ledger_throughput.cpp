@@ -7,7 +7,7 @@
 // chains at n ∈ {16, 64, 128} (k-OSR graphs, sink fraction 1/2, f = 1,
 // silent Byzantine placement) and reports, alongside wall time:
 //  - slots_per_sec       chain throughput (slots × cells per wall second),
-//  - qset_evals          flattened QSet evaluations actually run,
+//  - qset_evals          QSet evaluations actually run,
 //  - qset_evals_baseline what the rescan baseline would have run for the
 //                        same checks (counted by the same code path; a
 //                        cached closure verdict charges the baseline one

@@ -24,7 +24,8 @@ inline constexpr std::uint16_t kWireTypeSlotEnvelope = 17;
 
 /// Nesting bound on decoded quorum sets: canonical encodes never exceed it
 /// (in-tree qsets are at most two levels), and it stops an adversarial
-/// frame from driving the recursive decoder arbitrarily deep.
+/// frame from driving the recursive decoder, and the recursive QSet
+/// evaluation of what it decodes, arbitrarily deep.
 inline constexpr std::size_t kWireMaxQsetDepth = 8;
 
 /// Nomination: x ∈ voted means "I vote to nominate x"; x ∈ accepted means

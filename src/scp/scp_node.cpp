@@ -330,9 +330,9 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
 
 bool ScpNode::support_views_consistent() const {
   const ProcessId self = host_.self();
-  // Algorithm-1 closure from scratch on the recursive QSet form: drop every
-  // member whose bound qset the survivors do not satisfy (unbound members
-  // outright) until nothing changes.
+  // Algorithm-1 closure from scratch, member by member and outside the
+  // engine: drop every member whose bound qset the survivors do not satisfy
+  // (unbound members outright) until nothing changes.
   const auto quorum_for_self = [this, self](const NodeSet& support) {
     NodeSet live = support;
     for (bool changed = true; changed;) {

@@ -20,7 +20,7 @@ enum class ProtoCounter : std::uint8_t {
   /// support view, or the QuorumEngine's failed-support tier. Runs plus
   /// hits count the quorum checks asked.
   kQuorumClosureCacheHits,
-  /// Flattened QSet evaluations (satisfied_by / blocked_by) actually run.
+  /// QSet evaluations (satisfied_by / blocked_by) actually run.
   kQsetEvals,
   /// Evaluations the rescan-every-check baseline would have run (counted by
   /// the same code path; the E13 savings denominator).
