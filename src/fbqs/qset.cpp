@@ -43,7 +43,8 @@ bool QSet::satisfied_by(const NodeSet& nodes) const {
 bool QSet::blocked_by(const NodeSet& nodes) const {
   if (threshold_ == 0) return false;  // empty qset cannot be blocked
   // Count elements that could still appear in a slice avoiding `nodes`;
-  // `threshold` of them leave such a slice, so the rest need no look.
+  // once `threshold` of them are, such a slice exists and the rest of the
+  // elements cannot change the verdict.
   std::size_t alive = 0;
   for (ProcessId v : validators_) {
     if (!nodes.contains(v) && ++alive >= threshold_) return false;

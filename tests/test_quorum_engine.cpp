@@ -74,11 +74,10 @@ TEST(QuorumEngineTest, InterningIdentity) {
   EXPECT_EQ(engine.interned_count(), 3u);
 }
 
-// The name dates from the engine's former flattened evaluation form. The
-// engine now evaluates the interned QSet itself; this pins that each call
-// answers as QSet does, costs exactly one counted evaluation, and that
-// blocked_by's early exit keeps the duality with satisfied_by: `nodes`
-// blocks q iff the rest of the universe satisfies no slice of q.
+// The name is kept from the engine's flattened evaluation form. Each engine
+// call must answer as QSet does and cost exactly one counted evaluation,
+// and blocked_by's early exit must keep the duality with satisfied_by:
+// `nodes` blocks q iff its complement satisfies no slice of q.
 TEST(QuorumEngineTest, FlattenedMatchesRecursiveOnRandomNestedQSets) {
   constexpr std::size_t kUniverse = 12;
   Rng rng(20260802);
