@@ -6,7 +6,8 @@
 // Every bench uses SCUP_BENCH_MAIN("E<k>") instead of BENCHMARK_MAIN():
 // alongside the normal console output it writes a canonical machine-
 // readable summary, BENCH_E<k>.json, with one entry per benchmark row
-// (name, iterations, real/cpu time, every user counter). CI uploads these
+// (name, iterations, real/cpu time, every user counter) and the command
+// line that produced it. CI uploads these
 // files as artifacts so perf history survives log rotation. The output
 // directory defaults to the working directory and can be redirected with
 // SCUP_BENCH_OUT_DIR.
@@ -138,13 +139,25 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The arguments after the program name, space-separated. Call it before
+/// benchmark::Initialize, which strips every --benchmark_* flag it reads.
+inline std::string argument_line(int argc, char** argv) {
+  std::string line;
+  for (int i = 1; i < argc; ++i) {
+    if (i > 1) line += ' ';
+    line += argv[i];
+  }
+  return line;
+}
+
 /// Writes BENCH_<id>.json into SCUP_BENCH_OUT_DIR (or the working
-/// directory). Returns false — with a note on stderr — if the file cannot
-/// be opened; the bench's exit status is unaffected, so a read-only CWD
-/// never fails a perf run.
+/// directory); `argline` is the invocation's argument_line(). Returns
+/// false — with a note on stderr — if the file cannot be opened; the
+/// bench's exit status is unaffected, so a read-only CWD never fails a
+/// perf run.
 inline bool write_bench_summary(const std::string& id,
                                 const std::vector<SummaryReporter::Row>& rows,
-                                int argc, char** argv) {
+                                const std::string& argline) {
   std::string dir;
   if (const char* env = std::getenv("SCUP_BENCH_OUT_DIR")) dir = env;
   if (!dir.empty() && dir.back() != '/') dir += '/';
@@ -153,11 +166,6 @@ inline bool write_bench_summary(const std::string& id,
   if (out == nullptr) {
     std::fprintf(stderr, "bench summary: cannot open %s\n", path.c_str());
     return false;
-  }
-  std::string argline;
-  for (int i = 1; i < argc; ++i) {
-    if (i > 1) argline += ' ';
-    argline += argv[i];
   }
   std::fprintf(out, "{\n  \"experiment\": \"%s\",\n", json_escape(id).c_str());
   std::fprintf(out, "  \"args\": \"%s\",\n", json_escape(argline).c_str());
@@ -206,13 +214,14 @@ inline bool write_bench_summary(const std::string& id,
 /// error (SkipWithError), so a failing self-check fails the run.
 #define SCUP_BENCH_MAIN(experiment_id)                                     \
   int main(int argc, char** argv) {                                        \
+    const std::string argline = scup::bench::argument_line(argc, argv);    \
     benchmark::Initialize(&argc, argv);                                    \
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;      \
     scup::bench::SummaryReporter reporter;                                 \
     benchmark::RunSpecifiedBenchmarks(&reporter);                          \
     benchmark::Shutdown();                                                 \
-    scup::bench::write_bench_summary(experiment_id, reporter.rows, argc,   \
-                                     argv);                                \
+    scup::bench::write_bench_summary(experiment_id, reporter.rows,         \
+                                     argline);                             \
     for (const auto& row : reporter.rows) {                                \
       if (row.error) return 1;                                             \
     }                                                                      \
