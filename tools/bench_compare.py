@@ -27,12 +27,12 @@ decreasing order of trust:
     meaningless, so each row's real_time is normalized by a baseline row
     *within the same file* (--wall-baseline); the normalized ratio must
     not regress more than --wall-tolerance (default 25%). Skipped when
-    either file lacks the baseline row (E13 and E11 have none, so their
-    gates check counters only).
+    either file lacks the baseline row (E11, E12 and E13 have none, so
+    their gates check counters only).
 
 Counters derived from wall time (items_per_second, E13's slots_per_sec,
-E11's nodes_per_sec, any *_ms breakdown) and harness measurements
-(heap_allocs) are not gated.
+E11's nodes_per_sec, E12's speedup_8t, any *_ms breakdown) and harness
+measurements (heap_allocs) are not gated.
 
 Usage:
   bench_compare.py --reference tools/bench_reference_e16.json \
@@ -42,6 +42,8 @@ Usage:
                    --candidate build/BENCH_E13.json
   bench_compare.py --reference tools/bench_reference_e11.json \
                    --candidate build/BENCH_E11.json
+  bench_compare.py --reference tools/bench_reference_e12.json \
+                   --candidate build/BENCH_E12.json
 
 tools/test_bench_compare.py checks the gate itself (CTest
 bench_compare_selftest).
@@ -70,6 +72,7 @@ SKIP_COUNTERS = {
     "items_per_second",  # redundant with the normalized wall gate
     "slots_per_sec",  # E13 throughput, derived from wall time
     "nodes_per_sec",  # E11 throughput, derived from wall time
+    "speedup_8t",  # E12 serial_ms / parallel8_ms, both wall times
 }
 
 

@@ -4,7 +4,9 @@
 Each case writes a candidate derived from tools/bench_reference_e11.json
 to a temporary directory and runs the gate on it as CI does: identical
 files pass, and a changed deterministic counter, a deleted counter, a
-ratio below its floor or a deleted row fails.
+ratio below its floor or a deleted row fails. Two cases on
+tools/bench_reference_e12.json check that a wall-derived counter
+(speedup_8t) is skipped while a deterministic one is not.
 
 Run directly (python3 tools/test_bench_compare.py) or through CTest
 (bench_compare_selftest).
@@ -21,13 +23,20 @@ import unittest
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 GATE = os.path.join(TOOLS, "bench_compare.py")
 REFERENCE = os.path.join(TOOLS, "bench_reference_e11.json")
+REFERENCE_E12 = os.path.join(TOOLS, "bench_reference_e12.json")
 SWEEP = "BM_ScaleDiscovery_Sweep/64/1"
 FULL_STACK = "BM_ScaleDiscovery_FullStack/n:64/threads:1"
+SPEEDUP = "BM_E12_SpeedupProof/20"
+E12_SWEEP = "BM_E12_Sweep/proto:1/n:20/threads:8"
 
 
-class BenchCompareTest(unittest.TestCase):
+class GateCase(unittest.TestCase):
+    """Runs the gate on edited copies of `reference_path`."""
+
+    reference_path = REFERENCE
+
     def setUp(self):
-        with open(REFERENCE, "r", encoding="utf-8") as f:
+        with open(self.reference_path, "r", encoding="utf-8") as f:
             self.reference = json.load(f)
         self.tmp = tempfile.TemporaryDirectory()
 
@@ -41,17 +50,19 @@ class BenchCompareTest(unittest.TestCase):
         self.fail(f"reference lacks row {name}")
 
     def gate(self, candidate):
-        path = os.path.join(self.tmp.name, "BENCH_E11.json")
+        path = os.path.join(self.tmp.name, "BENCH_candidate.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(candidate, f)
         return subprocess.run(
-            [sys.executable, GATE, "--reference", REFERENCE,
+            [sys.executable, GATE, "--reference", self.reference_path,
              "--candidate", path],
             capture_output=True, text=True, check=False)
 
     def candidate(self):
         return copy.deepcopy(self.reference)
 
+
+class BenchCompareTest(GateCase):
     def test_identical_files_pass(self):
         result = self.gate(self.candidate())
         self.assertEqual(result.returncode, 0, result.stdout)
@@ -86,6 +97,23 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn(
             f"row disappeared from the candidate run: {SWEEP}", result.stdout)
+
+
+class BenchCompareE12Test(GateCase):
+    reference_path = REFERENCE_E12
+
+    def test_wall_derived_speedup_is_skipped(self):
+        cand = self.candidate()
+        self.row(cand, SPEEDUP)["counters"]["speedup_8t"] *= 3.0
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_sweep_messages_off_by_one_fails(self):
+        cand = self.candidate()
+        self.row(cand, E12_SWEEP)["counters"]["messages"] += 1
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("messages", result.stdout)
 
 
 if __name__ == "__main__":
