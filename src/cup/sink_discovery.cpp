@@ -59,6 +59,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
 
 bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
   if (const auto* discover = sim::message_as<DiscoverMsg>(&msg)) {
+    ++stats_.cert_entries_received;
     merge_certificate(discover->cert.owner, discover->cert.pd);
     responded_.add(from);
     // Reply with everything we hold (knowledge flows backward along the
@@ -68,6 +69,7 @@ bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
     return true;
   }
   if (const auto* gossip = sim::message_as<CertGossipMsg>(&msg)) {
+    stats_.cert_entries_received += gossip->certs.size();
     merge_certificates(gossip->certs);
     responded_.add(from);
     update();

@@ -77,6 +77,9 @@ struct DiscoveryStats {
   std::uint64_t domtree_passes = 0;
   std::uint64_t updates = 0;        // update() invocations
   std::uint64_t dirty_updates = 0;  // updates with new certified edges
+  /// Certificates received, new or not: one per DISCOVER and one per entry
+  /// of each CertGossipMsg. E11 divides wall time by it.
+  std::uint64_t cert_entries_received = 0;
 };
 
 /// Timer id used by the discovery retransmission path (see

@@ -195,6 +195,25 @@ TEST(SinkDiscoveryGossip, ConflictingCertificatesUnionMerge) {
   EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
 }
 
+TEST(SinkDiscoveryGossip, CountsEveryReceivedCertificateEntry) {
+  // One entry per DISCOVER and one per gossiped certificate, whether or not
+  // it adds knowledge; KNOWN carries no certificate.
+  const std::size_t n = 8;
+  FakeHost host(0, n, 1);
+  SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
+  discovery.start();
+  discovery.handle(1, DiscoverMsg({1, NodeSet(n, {0, 2})}));
+  EXPECT_EQ(discovery.stats().cert_entries_received, 1u);
+  const CertGossipMsg batch({{1, NodeSet(n, {0, 2})},
+                             {2, NodeSet(n, {0, 1})},
+                             {3, NodeSet(n, {4})}});
+  discovery.handle(2, batch);
+  discovery.handle(2, batch);
+  EXPECT_EQ(discovery.stats().cert_entries_received, 7u);
+  discovery.handle(2, KnownMsg(NodeSet(n, {0, 1, 2})));
+  EXPECT_EQ(discovery.stats().cert_entries_received, 7u);
+}
+
 /// Recompute-from-scratch reference for the candidate set: self, own PD,
 /// plus every reachable node with f+1 vertex-disjoint certified paths.
 NodeSet reference_candidate(const SinkDiscovery& d, ProcessId self,
