@@ -43,9 +43,10 @@ enum class ProtoCounter : std::uint8_t {
   /// Discovery sends served by a cached shared payload instead of a fresh
   /// construction + per-destination size walk.
   kDiscoveryPayloadShared,
-  /// Wire frames encoded — exactly one per codec-bearing message object,
-  /// however many destinations its broadcast fans out to (the E16
-  /// encode-once proof: kWireEncodes == distinct messages, not sends).
+  /// Wire frames sized (one counting pass of wire_encode) — exactly one
+  /// per codec-bearing message object, however many destinations its
+  /// broadcast fans out to (the E16 encode-once proof: kWireEncodes ==
+  /// distinct messages, not sends).
   kWireEncodes,
   /// Sends whose traffic accounting was served from a message's cached
   /// frame size (every send of a codec-bearing message after its first).

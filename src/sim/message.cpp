@@ -65,15 +65,10 @@ std::size_t MessageTypeRegistry::count() {
 }
 
 namespace {
-// Reused sizing scratch: a message's first send encodes its frame here and
-// keeps only the size. Capacity persists across encodes, so steady-state
-// sizing of typical messages performs zero allocations.
-thread_local std::vector<std::uint8_t> wire_scratch;
-
-/// Appends msg's frame (u16 type header ++ payload) to out. The sizing path
-/// and encode_frame() both write through here, so they cannot disagree.
-void append_frame(const Message& msg, std::vector<std::uint8_t>& out) {
-  WireWriter writer(out);
+/// Runs msg's frame (u16 type header ++ payload) through `writer`: a
+/// counting writer for the sizing path, a writing one for encode_frame(),
+/// so the two cannot disagree.
+void put_frame(const Message& msg, WireWriter& writer) {
   writer.u16(msg.wire_type());
   msg.wire_encode(writer);
 }
@@ -87,16 +82,19 @@ Message::SendSize Message::send_size_slow() const {
     size_cache_ = static_cast<std::uint32_t>(estimate);
     return {estimate, false, false};
   }
-  wire_scratch.clear();
-  append_frame(*this, wire_scratch);
-  size_cache_ = static_cast<std::uint32_t>(wire_scratch.size());
+  WireWriter counter;
+  put_frame(*this, counter);
+  size_cache_ = static_cast<std::uint32_t>(counter.size());
   size_from_codec_ = true;
   return {size_cache_, true, true};
 }
 
 std::vector<std::uint8_t> Message::encode_frame() const {
   std::vector<std::uint8_t> frame;
-  if (wire_type() != kWireTypeNone) append_frame(*this, frame);
+  if (wire_type() != kWireTypeNone) {
+    WireWriter writer(frame);
+    put_frame(*this, writer);
+  }
   return frame;
 }
 

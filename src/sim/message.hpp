@@ -8,7 +8,8 @@
 //
 // The per-send hot path reads two lazily-filled per-object caches instead of
 // making virtual calls: metrics_type_id() (interned type name) and
-// send_size() (exact encoded frame size for types with a wire codec, the
+// send_size() (exact frame size for types with a wire codec, counted by
+// running wire_encode against a WireWriter that writes nothing; the
 // memoized byte_size() estimate otherwise). A message keeps its frame's
 // size, never the frame: encode_frame() encodes afresh on each call. The
 // caches are plain fields: each Simulation runs on one thread and no
@@ -91,16 +92,16 @@ class Message {
   struct SendSize {
     /// Bytes charged to SimMetrics for one send of this message.
     std::size_t bytes = 0;
-    /// True iff this call performed the once-per-message sizing encode.
+    /// True iff this call performed the once-per-message sizing pass.
     bool encoded_now = false;
     /// True iff `bytes` is an exact encoded frame size (vs. estimate).
     bool from_codec = false;
   };
 
   /// Size charged per send: the exact frame size when this type has a
-  /// codec, else the memoized byte_size() estimate. The first call encodes
-  /// the frame into thread-local scratch and keeps only its size; every
-  /// later send is a field read.
+  /// codec, else the memoized byte_size() estimate. The first call runs
+  /// wire_encode against a counting WireWriter, which sums field widths
+  /// and writes nothing; every later send is a field read.
   SendSize send_size() const {
     if (size_cache_ != kNoCachedSize) {
       return {size_cache_, false, size_from_codec_};

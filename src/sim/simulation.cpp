@@ -157,7 +157,7 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   if (crashed_[from]) return;  // a crashed process sends nothing
   metrics_.messages_sent += 1;
   // Wire-once accounting: codec-bearing messages are charged their exact
-  // encoded frame size, built once per message object and read from the
+  // frame size, counted once per message object and read from the
   // cache on every further send; codec-less types use the memoized
   // byte_size() estimate. The encode/cached split is deterministic: it
   // depends only on which sends a message object fans out to.

@@ -12,7 +12,11 @@
 //
 // Encoding is canonical: for every type in core::wire_codecs(),
 // decode(encode(m)) re-encodes to the same bytes, which is what the
-// differential tests pin.
+// differential tests pin. Every field has a fixed width, so a frame's size
+// follows from its field counts alone: a WireWriter built without a buffer
+// runs the same wire_encode and only counts (Message::send_size()), and
+// one built on a buffer writes (Message::encode_frame()). One encoder, two
+// sinks, so the charged size and the written frame cannot disagree.
 // Decoding is Byzantine input handling: WireReader is bounds-checked, count
 // fields are validated against the remaining byte budget *before* any
 // allocation, non-canonical element order is rejected, and a frame must be
@@ -32,40 +36,47 @@ namespace scup::sim {
 /// Largest NodeSet universe a decoder accepts (see WireReader::node_set).
 inline constexpr std::uint32_t kWireMaxUniverse = 1u << 20;
 
-/// Appends fixed-width little-endian fields to a byte buffer. The buffer is
-/// caller-owned so the per-message encode path can reuse a thread-local
-/// scratch vector (zero steady-state allocation).
+/// Appends fixed-width little-endian fields to a caller-owned byte buffer,
+/// or, built without one, only counts the bytes it would append.
 class WireWriter {
  public:
-  explicit WireWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  /// A counting writer: every field adds its width to size(), nothing is
+  /// written.
+  WireWriter() = default;
+  explicit WireWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void u8(std::uint8_t v) { put(v, 1); }
+  void u16(std::uint16_t v) { put(v, 2); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
 
-  /// u32 universe ++ u32 count ++ ascending member ids.
+  /// u32 universe ++ u32 count ++ ascending member ids. Counting costs one
+  /// popcount instead of a walk over the members.
   void node_set(const NodeSet& set) {
+    const std::size_t count = set.count();
     u32(static_cast<std::uint32_t>(set.universe_size()));
-    u32(static_cast<std::uint32_t>(set.count()));
+    u32(static_cast<std::uint32_t>(count));
+    if (out_ == nullptr) {
+      size_ += 4 * count;
+      return;
+    }
     for (ProcessId id : set) u32(id);
   }
 
-  std::size_t size() const { return out_.size(); }
+  /// Bytes counted or written by this writer so far.
+  std::size_t size() const { return size_; }
 
  private:
-  std::vector<std::uint8_t>& out_;
+  void put(std::uint64_t v, std::size_t width) {
+    size_ += width;
+    if (out_ == nullptr) return;
+    for (std::size_t i = 0; i < width; ++i) {
+      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  std::vector<std::uint8_t>* out_ = nullptr;  // null: count only
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked reader over an untrusted frame. All accessors return a

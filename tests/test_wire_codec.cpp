@@ -7,11 +7,11 @@
 //     counts, non-canonical element order and over-deep qsets decode to
 //     nullptr — never to UB (the fuzz loop runs the decoder over mutated
 //     frames under the sanitizer jobs).
-//  3. Cache and ownership invariants: the size cache encodes exactly once
-//     per message object and keeps no frame bytes, a copy keeps the type id
-//     but sizes its own frame, and messages are plain make_shared objects
-//     whose lifetime and addresses are invisible to the determinism
-//     contract.
+//  3. Cache and ownership invariants: the size cache sizes exactly once
+//     per message object, by counting, to the written frame's size, and
+//     keeps no frame bytes; a copy keeps the type id but sizes its own
+//     frame, and messages are plain make_shared objects whose lifetime and
+//     addresses are invisible to the determinism contract.
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -286,11 +286,29 @@ TEST_F(WireCodecTest, MutationFuzzNeverCrashesAndStaysCanonical) {
       }
       const MessagePtr decoded = core::decode_frame(frame);
       if (decoded != nullptr) {
-        // Accepted mutants must still be canonical fixed points.
+        // Accepted mutants must still be canonical fixed points, and the
+        // size charged for them must be the size of the frame written.
         EXPECT_EQ(frame_of(*decoded), frame) << msg->type_name();
+        EXPECT_EQ(decoded->send_size().bytes, frame.size())
+            << msg->type_name();
       }
     }
   }
+}
+
+TEST_F(WireCodecTest, CountedSizeEqualsWrittenSize) {
+  // send_size() counts field widths through wire_encode without writing;
+  // encode_frame() writes through the same wire_encode. Sets of every
+  // sample hold fewer members than their universe, so a count that used
+  // either number for the other would show here.
+  for (const MessagePtr& msg : sample_messages()) {
+    EXPECT_EQ(msg->send_size().bytes, frame_of(*msg).size())
+        << msg->type_name();
+  }
+  WireWriter counter;
+  counter.u8(1);
+  counter.node_set(NodeSet(300, {0, 299}));
+  EXPECT_EQ(counter.size(), 1u + 8u + 2u * 4u);
 }
 
 TEST_F(WireCodecTest, FrameCacheEncodesOncePerMessage) {
