@@ -8,8 +8,9 @@
 //  - nodes_per_sec        processed system size per second of wall time,
 //  - flow_evals           max-flow evaluations the incremental algorithm
 //                         actually ran,
-//  - domtree_passes       f = 1 dominator passes, each deciding every
-//                         pending node of one update,
+//  - domtree_passes       f = 1 updates decided by the dominator tree,
+//                         each a batch of lookups covering every pending
+//                         node (the tree takes edges as they arrive),
 //  - flow_evals_baseline  evaluations the recompute-everything baseline
 //                         would have run (counted by the same code path),
 //  - recheck_savings      baseline / (flow_evals + domtree_passes), the
@@ -138,9 +139,9 @@ void BM_ScaleDiscovery_Sweep(benchmark::State& state) {
   state.counters["flow_evals_baseline"] =
       static_cast<double>(r.stats.flow_evals_baseline);
   // Admission work actually paid: max-flow runs plus dominator passes
-  // (each pass is one linear-time batch evaluation covering every pending
-  // node). The baseline is one max-flow run per pending node per dirty
-  // update — what the pre-incremental algorithm executed.
+  // (each pass is one batch of lookups in the kept dominator tree covering
+  // every pending node). The baseline is one max-flow run per pending node
+  // per dirty update — what the pre-incremental algorithm executed.
   const double admission_evals =
       static_cast<double>(r.stats.flow_evals + r.stats.domtree_passes);
   state.counters["recheck_savings"] =

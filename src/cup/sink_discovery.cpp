@@ -1,7 +1,5 @@
 #include "cup/sink_discovery.hpp"
 
-#include "graph/dominators.hpp"
-
 namespace scup::cup {
 
 SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
@@ -122,12 +120,18 @@ void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
     row |= pd;
   }
   cached_gossip_.reset();
-  if (reachable_.empty()) reachable_.add(host_.self());
+  if (reachable_.empty()) {
+    reachable_.add(host_.self());
+    if (f_ == 1) {
+      dom_tree_ = graph::DominatorTree(cert_graph_.node_count(), host_.self());
+    }
+  }
   const bool owner_reachable = reachable_.contains(owner);
   for (ProcessId target : row) {
     if (!cert_graph_.has_edge(owner, target)) {
       cert_graph_.add_edge(owner, target);
       new_edges_.emplace_back(owner, target);
+      if (f_ == 1) dom_tree_.insert(cert_graph_, owner);
       if (owner_reachable && !reachable_.contains(target)) {
         extend_reachable(target);
       }
@@ -225,8 +229,7 @@ void SinkDiscovery::recheck_admissions() {
   // reachable node goes through the steps below again, each of which gives
   // an exact verdict.
   bool engine_ready = false;
-  bool domtree_ready = false;
-  std::vector<ProcessId> idom;
+  bool domtree_consulted = false;
   for (ProcessId j : reachable_) {
     if (admitted_.contains(j) || j == self || pd_.contains(j)) continue;
     // The pre-incremental algorithm re-ran the max-flow check here
@@ -256,16 +259,16 @@ void SinkDiscovery::recheck_admissions() {
     if (f_ == 1 && !cert_graph_.has_edge(self, j)) {
       // Menger for k = 2, single source: a non-adjacent j has two
       // internally-disjoint paths from self iff its only proper dominator
-      // is self. One dominator pass decides every pending node this
-      // update; a certified direct edge self → j (only forged self
-      // certificates create one, since honest self edges are exactly
-      // pd_) falls through to the exact max-flow path.
-      if (!domtree_ready) {
-        idom = graph::immediate_dominators(cert_graph_, self, reachable_);
+      // is self. The dominator tree, kept up to date edge by edge by
+      // merge_certificate, decides every pending node of this update; a
+      // certified direct edge self → j (only forged self certificates
+      // create one, since honest self edges are exactly pd_) falls
+      // through to the exact max-flow path.
+      if (!domtree_consulted) {
         ++stats_.domtree_passes;
-        domtree_ready = true;
+        domtree_consulted = true;
       }
-      if (idom[j] == self) admitted_.add(j);
+      if (dom_tree_.idom(j) == self) admitted_.add(j);
       continue;
     }
     if (!engine_ready) {

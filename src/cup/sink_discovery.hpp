@@ -28,14 +28,16 @@
 // node stays admitted and update() re-decides only pending nodes, and only
 // after a certificate batch added edges. The set reachable from self also
 // only grows, so it is kept as edges arrive: an edge out of it extends it by
-// one DFS from the edge's head. Each pending node goes through
+// one DFS from the edge's head. At f = 1 the dominator tree rooted at self
+// is kept the same way: merge_certificate hands it every new edge
+// (graph::DominatorTree). Each pending node goes through
 // Menger's degree bounds, then through its cached vertex-cut certificate
 // from an earlier failed max-flow (dropped once a new edge crosses it),
-// then through an exact decision: for f = 1 one dominator-tree pass decides
-// every pending node at once (idom(j) == self ⟺ two disjoint paths,
+// then through an exact decision: for f = 1 the kept tree decides every
+// pending node at once (idom(j) == self ⟺ two disjoint paths,
 // graph/dominators.hpp), otherwise a max-flow on one flow network prepared
 // per update (graph::DisjointPathEngine) decides it and caches its cut on
-// failure. DESIGN.md §4.11 says why these and only these are cached.
+// failure. DESIGN.md §4.11 says why these and only these are kept.
 // DiscoveryStats counts the evaluations actually run and what a
 // recompute-everything baseline would have run; bench_scale_discovery (E11)
 // reports the ratio.
@@ -52,6 +54,7 @@
 #include "cup/messages.hpp"
 #include "graph/digraph.hpp"
 #include "graph/disjoint_paths.hpp"
+#include "graph/dominators.hpp"
 #include "sim/host.hpp"
 
 namespace scup::cup {
@@ -71,9 +74,12 @@ struct DiscoveryStats {
   /// Evaluations skipped because the vertex-cut certificate of an earlier
   /// failed max-flow still separates the node (no new edge crossed it).
   std::uint64_t cut_skips = 0;
-  /// Dominator-tree passes run for f = 1 batch admission. One pass decides
-  /// every pending node at once (idom(j) == self ⟺ two disjoint paths for
-  /// non-adjacent j), so it replaces up to |reachable| max-flow runs.
+  /// f = 1 updates whose pending nodes the dominator tree decided: one per
+  /// update that reads the tree, however many nodes it decides (idom(j) ==
+  /// self ⟺ two disjoint paths for non-adjacent j), so each replaces up to
+  /// |reachable| max-flow runs. The tree is kept edge by edge, so a pass is
+  /// a batch of lookups, not a rebuild; the count is the one a rebuild per
+  /// such update would give, which keeps E11's recheck_savings comparable.
   std::uint64_t domtree_passes = 0;
   std::uint64_t updates = 0;        // update() invocations
   std::uint64_t dirty_updates = 0;  // updates with new certified edges
@@ -186,6 +192,9 @@ class SinkDiscovery {
   /// as edges arrive (the graph only grows). Seeded with self by the first
   /// merge: the host binds self() only after constructing this object.
   NodeSet reachable_;
+  /// f = 1 only: the dominator tree of cert_graph_ rooted at self, handed
+  /// every edge as it arrives. Built by the first merge, like reachable_.
+  graph::DominatorTree dom_tree_;
   std::vector<ProcessId> reach_stack_;  // DFS scratch for extend_reachable
   /// Edges added since the last admission recheck as (tail, head) pairs,
   /// for the cut-crossing test against cached negative verdicts.
