@@ -234,11 +234,12 @@ NodeSet reference_candidate(const SinkDiscovery& d, ProcessId self,
 class SinkDiscoveryEquivalenceTest
     : public ::testing::TestWithParam<std::size_t> {};
 
-// f = 1 exercises the dominator-tree batch path, f = 2 the max-flow path
-// with cut-certificate caching; both must agree with the from-scratch
-// reference after every single certificate merge. The incrementally kept
-// reachable set must match a fresh search too: after every delivery each
-// node reachable from self has been queried exactly once, and no other.
+// f = 1 exercises the kept dominator tree, f = 2 the max-flow path with
+// cut-certificate caching; both must agree with the from-scratch reference
+// after every delivery, of one certificate or of a gossip batch. The
+// incrementally kept reachable set must match a fresh search too: after
+// every delivery each node reachable from self has been queried exactly
+// once, and no other.
 INSTANTIATE_TEST_SUITE_P(FaultThresholds, SinkDiscoveryEquivalenceTest,
                          ::testing::Values(1, 2));
 
@@ -286,6 +287,50 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       }
       EXPECT_EQ(discovery.stats().flow_evals, evals_before);
       EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
+    }
+  }
+}
+
+TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnGossipBatches) {
+  // Real replies are multi-owner CertGossipMsg batches in ascending owner
+  // order that repeat certificates sent before, so one delivery can add
+  // edges out of several owners, some not yet reachable, before the next
+  // admission recheck.
+  const std::size_t f = GetParam();
+  Rng rng(4242);
+  for (int trial = 0; trial < 12; ++trial) {
+    graph::KosrGenParams params;
+    params.sink_size = 8;
+    params.non_sink_size = 8;
+    params.k = 2 * f + 1;
+    params.seed = 300 + static_cast<std::uint64_t>(trial);
+    const auto g = graph::random_kosr_graph(params);
+    const std::size_t n = g.node_count();
+    for (const ProcessId self : {static_cast<ProcessId>(n - 1), ProcessId{0}}) {
+      FakeHost host(self, n, f);
+      SinkDiscovery discovery(host, g.pd_of(self));
+      discovery.start();
+      const std::vector<ProcessId> order = shuffled(n, self, rng);
+      std::size_t next = 0;
+      while (next < order.size()) {
+        NodeSet owners(n);
+        const std::size_t fresh = 1 + rng.uniform(5);
+        for (std::size_t i = 0; i < fresh && next < order.size(); ++i) {
+          owners.add(order[next++]);
+        }
+        for (std::size_t i = 0; i < next; ++i) {
+          if (rng.chance(0.3)) owners.add(order[i]);  // already delivered
+        }
+        std::vector<PdCertificate> certs;
+        for (ProcessId owner : owners) certs.push_back({owner, g.pd_of(owner)});
+        const ProcessId from = order[rng.uniform(next)];
+        discovery.handle(from, CertGossipMsg(std::move(certs)));
+        ASSERT_EQ(discovery.candidate_set(),
+                  reference_candidate(discovery, self, g.pd_of(self), f))
+            << "trial=" << trial << " self=" << self << " next=" << next;
+        ASSERT_EQ(first_misqueried(host, discovery), kInvalidProcess)
+            << "trial=" << trial << " self=" << self << " next=" << next;
+      }
     }
   }
 }

@@ -296,19 +296,25 @@ TEST_F(WireCodecTest, MutationFuzzNeverCrashesAndStaysCanonical) {
   }
 }
 
-TEST_F(WireCodecTest, CountedSizeEqualsWrittenSize) {
-  // send_size() counts field widths through wire_encode without writing;
-  // encode_frame() writes through the same wire_encode. Sets of every
-  // sample hold fewer members than their universe, so a count that used
-  // either number for the other would show here.
-  for (const MessagePtr& msg : sample_messages()) {
-    EXPECT_EQ(msg->send_size().bytes, frame_of(*msg).size())
-        << msg->type_name();
-  }
+TEST_F(WireCodecTest, CountingWriterCountsWhatTheWritingOneWrites) {
+  // send_size() runs wire_encode against a counting writer, encode_frame()
+  // against a writing one (the roundtrip and fuzz tests compare the two on
+  // whole frames). Both sets hold fewer members than their universe, one
+  // below NodeSet's inline bound and one above it.
+  std::vector<std::uint8_t> bytes;
+  WireWriter writer(bytes);
   WireWriter counter;
-  counter.u8(1);
-  counter.node_set(NodeSet(300, {0, 299}));
-  EXPECT_EQ(counter.size(), 1u + 8u + 2u * 4u);
+  for (WireWriter* w : {&writer, &counter}) {
+    w->u8(1);
+    w->u16(2);
+    w->u32(3);
+    w->u64(4);
+    w->node_set(NodeSet(12, {0, 11}));
+    w->node_set(NodeSet(300, {0, 7, 299}));
+  }
+  EXPECT_EQ(bytes.size(), 15u + 16u + 20u);
+  EXPECT_EQ(writer.size(), bytes.size());
+  EXPECT_EQ(counter.size(), bytes.size());
 }
 
 TEST_F(WireCodecTest, FrameCacheEncodesOncePerMessage) {
