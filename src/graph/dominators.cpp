@@ -124,10 +124,7 @@ void DominatorTree::insert_between(const Digraph& g, ProcessId x,
   // pass the search on), marks nodes of depth l affected, and files
   // shallower nodes above the floor into their own level's bucket.
   const std::uint32_t floor = depth_[nca] + 1;
-  if (++stamp_ == 0) {  // wrapped: no stale stamp may equal a new one
-    std::fill(visited_.begin(), visited_.end(), 0);
-    stamp_ = 1;
-  }
+  ++stamp_;
   affected_.clear();
   visited_[y] = stamp_;
   push_bucket(y);

@@ -91,10 +91,10 @@ class DominatorTree {
   std::vector<ProcessId> first_child_;
   std::vector<ProcessId> next_sibling_;
   std::vector<ProcessId> prev_sibling_;
-  // Search scratch: visit stamps, depth buckets as intrusive lists, and
-  // the work stacks.
-  std::vector<std::uint32_t> visited_;
-  std::uint32_t stamp_ = 0;
+  // Search scratch: visit stamps (64-bit, so they never wrap), depth
+  // buckets as intrusive lists, and the work stacks.
+  std::vector<std::uint64_t> visited_;
+  std::uint64_t stamp_ = 0;
   std::vector<ProcessId> bucket_head_;
   std::vector<ProcessId> bucket_next_;
   std::vector<ProcessId> stack_;
