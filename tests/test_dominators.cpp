@@ -62,7 +62,8 @@ bool tree_tracks_oracle(std::size_t n, ProcessId root,
     tree.insert(g, tail);
     const std::vector<ProcessId> idom = immediate_dominators(g, root, all);
     for (ProcessId v = 0; v < n; ++v) {
-      if (tree.idom(v) != idom[v] || tree.contains(v) != (idom[v] != kInvalidProcess)) {
+      const bool reachable = idom[v] != kInvalidProcess;
+      if (tree.idom(v) != idom[v] || tree.contains(v) != reachable) {
         ADD_FAILURE() << what << " step=" << step << " edge=" << tail << "->"
                       << head << " node=" << v << " tree=" << tree.idom(v)
                       << " oracle=" << idom[v];

@@ -291,7 +291,8 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
   }
 }
 
-TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnGossipBatches) {
+TEST_P(SinkDiscoveryEquivalenceTest,
+       MatchesFromScratchRecomputeOnGossipBatches) {
   // Real replies are multi-owner CertGossipMsg batches in ascending owner
   // order that repeat certificates sent before, so one delivery can add
   // edges out of several owners, some not yet reachable, before the next
