@@ -5,12 +5,11 @@
 //
 // Every bench uses SCUP_BENCH_MAIN("E<k>") instead of BENCHMARK_MAIN():
 // alongside the normal console output it writes a canonical machine-
-// readable summary, BENCH_E<k>.json, with one entry per benchmark row
-// (name, iterations, real/cpu time, every user counter) and the command
-// line that produced it. CI uploads these
-// files as artifacts so perf history survives log rotation. The output
-// directory defaults to the working directory and can be redirected with
-// SCUP_BENCH_OUT_DIR.
+// readable summary, BENCH_E<k>.json, with the command line that produced
+// it and one entry per benchmark row (name, iterations, real/cpu time,
+// every user counter). CI uploads these files as artifacts so perf
+// history survives log rotation. The output directory defaults to the
+// working directory and can be redirected with SCUP_BENCH_OUT_DIR.
 #pragma once
 
 #include <benchmark/benchmark.h>
