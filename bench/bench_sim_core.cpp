@@ -8,17 +8,48 @@
 //    all-decided check does — the stride knob is what large-n sweeps use.
 //  - EventQueue rows compare the indexed calendar queue against the
 //    std::priority_queue it replaced on the simulator's actual workload
-//    shape (bounded delays, FIFO within a tick).
+//    shape (bounded delays, FIFO within a tick), and time a one-shot burst
+//    on a fresh queue: the shape of one scenario cell, where no ring slot
+//    is ever revisited. The binary replaces global operator new/delete with
+//    counting shims, so the burst row also reports measured heap
+//    allocations per tick.
 #include "bench_common.hpp"
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <queue>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 
+// ---- global allocation meter -----------------------------------------------
+// Counting shims for the whole binary (as in bench_broadcast_plane.cpp);
+// rows read deltas around the code they measure.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace scup {
 namespace {
+
+std::uint64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
 
 struct StormMsg final : sim::Message {
   std::string type_name() const override { return "bench.storm"; }
@@ -120,8 +151,16 @@ BENCHMARK(BM_RunUntil_Stride)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // ---- raw queue comparison on the simulator's workload shape ----
 
-struct EventLater {
-  bool operator()(const sim::Event& a, const sim::Event& b) const {
+/// The replaced heap's element: the calendar queue keeps an event's time
+/// and push rank implicitly, the heap needs both as sort keys.
+struct TimedEvent {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+  sim::Event event;
+};
+
+struct TimedLater {
+  bool operator()(const TimedEvent& a, const TimedEvent& b) const {
     if (a.time != b.time) return a.time > b.time;
     return a.seq > b.seq;
   }
@@ -144,20 +183,15 @@ void queue_bench(benchmark::State& state, PushPop&& ops) {
 void BM_EventQueue_Calendar(benchmark::State& state) {
   queue_bench(state, [](Rng& rng, std::size_t in_flight, std::size_t ops) {
     sim::CalendarQueue queue;
-    std::uint64_t seq = 0;
-    SimTime now = 0;
     for (std::size_t i = 0; i < in_flight; ++i) {
-      sim::Event e;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
-      queue.push(std::move(e));
+      queue.push(1 + static_cast<SimTime>(rng.uniform(200)), sim::Event{});
     }
+    SimTime now = 0;
     for (std::size_t i = 0; i < ops; ++i) {
       sim::Event e = queue.pop();
-      now = e.time;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
-      queue.push(std::move(e));
+      now = queue.cursor();
+      queue.push(now + 1 + static_cast<SimTime>(rng.uniform(200)),
+                 std::move(e));
     }
     benchmark::DoNotOptimize(now);
     return ops;
@@ -167,18 +201,18 @@ BENCHMARK(BM_EventQueue_Calendar);
 
 void BM_EventQueue_PriorityQueue(benchmark::State& state) {
   queue_bench(state, [](Rng& rng, std::size_t in_flight, std::size_t ops) {
-    std::priority_queue<sim::Event, std::vector<sim::Event>, EventLater>
+    std::priority_queue<TimedEvent, std::vector<TimedEvent>, TimedLater>
         queue;
     std::uint64_t seq = 0;
     SimTime now = 0;
     for (std::size_t i = 0; i < in_flight; ++i) {
-      sim::Event e;
+      TimedEvent e;
       e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
       e.seq = seq++;
       queue.push(std::move(e));
     }
     for (std::size_t i = 0; i < ops; ++i) {
-      sim::Event e = std::move(const_cast<sim::Event&>(queue.top()));
+      TimedEvent e = std::move(const_cast<TimedEvent&>(queue.top()));
       queue.pop();
       now = e.time;
       e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
@@ -190,6 +224,47 @@ void BM_EventQueue_PriorityQueue(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_EventQueue_PriorityQueue);
+
+void BM_EventQueue_OneShotBurst(benchmark::State& state) {
+  // One scenario cell's shape at bftcup-n128 volume: 70k events seeded at
+  // ticks 1-10, each pop pushing one event 1-10 ticks later until tick 50,
+  // then the drain. A fresh queue and a reseeded stream per iteration, so
+  // every iteration does the same work and the same allocations.
+  constexpr std::size_t kSeedEvents = 70'000;
+  constexpr SimTime kLastPushTick = 50;
+  std::uint64_t events = 0;
+  std::uint64_t ticks = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t allocs_before = heap_allocs();
+    Rng rng(11);
+    sim::CalendarQueue queue;
+    for (std::size_t i = 0; i < kSeedEvents; ++i) {
+      queue.push(1 + static_cast<SimTime>(rng.uniform(10)), sim::Event{});
+    }
+    events = 0;
+    ticks = 0;
+    SimTime last = 0;
+    while (!queue.empty()) {
+      sim::Event e = queue.pop();
+      const SimTime now = queue.cursor();
+      ++events;
+      if (now != last) ++ticks;
+      last = now;
+      if (now < kLastPushTick) {
+        queue.push(now + 1 + static_cast<SimTime>(rng.uniform(10)),
+                   std::move(e));
+      }
+    }
+    allocs = heap_allocs() - allocs_before;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["heap_allocs_per_tick"] =
+      static_cast<double>(allocs) / static_cast<double>(ticks);
+}
+BENCHMARK(BM_EventQueue_OneShotBurst)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace scup

@@ -1,28 +1,36 @@
-// The simulation's event queue: a two-tier indexed calendar queue.
+// The simulation's event queue: a two-tier indexed calendar queue (after
+// Brown, "Calendar queues", CACM 1988).
 //
-// The simulator's old std::priority_queue paid O(log n) comparisons plus an
-// Event move-chain per push/pop. Delivery delays are small and bounded in
-// the common case (<= max_delay after GST, <= pre_gst_max_delay before), so
-// almost every event lands within a short horizon of the current time: a
-// ring of per-tick buckets turns push into an append and pop into a bitmap
-// scan. Events beyond the horizon (far timers, partition heals) overflow to
-// a std::priority_queue and migrate into the ring as the cursor advances.
+// Delivery delays are small and bounded in the common case (<= max_delay
+// after GST, <= pre_gst_max_delay before), so almost every event lands
+// within a short horizon of the current time: a ring of per-tick buckets
+// turns push into an append and pop into a bitmap scan. Events beyond the
+// horizon (far timers, partition heals) wait in an ordered overflow map, one
+// vector per tick, and migrate into the ring a whole tick at a time as the
+// cursor advances.
 //
-// The pop order is exactly the old one — globally sorted by (time, seq) —
-// so the queue swap is behavior-invisible:
-//  - a bucket holds only events of one timestamp (bucket width is one tick
-//    and the ring never spans more than kRingSize ticks), appended in seq
-//    order because seq increases monotonically and events are only pushed
-//    at times >= the cursor;
-//  - overflow migration drains the priority queue in (time, seq) order into
-//    empty-or-older buckets, and later direct pushes always carry larger
-//    seqs.
+// Pop order is (time, push order), and both keys are structural, so an
+// Event stores neither:
+//  - a ring bucket holds the events of one tick (bucket width is one tick,
+//    the ring never spans more than kRingSize ticks, and events are only
+//    pushed at or after the cursor), appended in push order;
+//  - a tick beyond the horizon collects its pushes in its overflow vector,
+//    in push order. It migrates as a whole into its ring slot as soon as a
+//    pop brings it inside the horizon, before any further push: the slot is
+//    empty then (every earlier push at that tick went to overflow, and the
+//    slot's previous tick lies before the cursor), and later direct pushes
+//    append after the migrated events.
+//
+// Storage is recycled: a drained bucket hands its vector to a spare stack,
+// and a bucket or overflow tick that opens takes the most recent spare,
+// whose memory is warm. Storage is then bounded by the ticks in flight, not
+// by the ticks of the run.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <queue>
+#include <map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,42 +40,48 @@ namespace scup::sim {
 
 enum class EventKind : std::uint8_t { kDeliver, kTimer, kActivate, kCrash };
 
+/// One queued event. Its time and its rank among same-tick events are where
+/// the queue keeps it.
 struct Event {
-  SimTime time = 0;
-  std::uint64_t seq = 0;  // FIFO tie-break for determinism
-  EventKind kind = EventKind::kDeliver;
+  MessagePtr msg;                      // kDeliver
+  std::uint64_t timer_generation = 0;  // kTimer
   ProcessId target = kInvalidProcess;
-  // kDeliver
-  ProcessId from = kInvalidProcess;
-  MessagePtr msg;
-  // kTimer
-  int timer_id = 0;
-  std::uint64_t timer_generation = 0;
+  ProcessId from = kInvalidProcess;  // kDeliver
+  int timer_id = 0;                  // kTimer
+  EventKind kind = EventKind::kDeliver;
 };
+static_assert(sizeof(Event) == 40, "Event must stay 40 bytes");
 
 class CalendarQueue {
  public:
   /// Ring horizon in ticks (power of two). Events within
   /// [cursor, cursor + kRingSize) live in per-tick buckets; everything
-  /// beyond overflows to the priority-queue tier.
+  /// beyond waits in the overflow map.
   static constexpr std::size_t kRingSize = 1024;
 
-  CalendarQueue() : ring_(kRingSize), heads_(kRingSize, 0) {
-    occupied_.fill(0);
-  }
+  CalendarQueue() : ring_(kRingSize), heads_(kRingSize, 0) {}
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Requires e.time >= the time of the last popped event (== the cursor;
-  /// the simulator only schedules at or after `now`).
-  void push(Event e) {
+  /// Time of the last popped event (0 before the first pop): the floor for
+  /// every push.
+  SimTime cursor() const { return cursor_; }
+
+  /// Queues `e` at time `at`, after every event already queued at `at`.
+  /// Requires at >= cursor().
+  void push(SimTime at, Event&& e) {
     ++size_;
     peeked_slot_ = kNoPeek;  // the new event may undercut the peeked one
-    if (e.time < cursor_ + static_cast<SimTime>(kRingSize)) {
-      bucket_push(std::move(e));
+    if (at < cursor_ + static_cast<SimTime>(kRingSize)) {
+      const std::size_t slot = slot_of(at);
+      std::vector<Event>& bucket = ring_[slot];
+      if (bucket.empty()) open(slot, take_spare());
+      bucket.push_back(std::move(e));
     } else {
-      overflow_.push(std::move(e));
+      auto [tick, fresh] = overflow_.try_emplace(at);
+      if (fresh) tick->second = take_spare();
+      tick->second.push_back(std::move(e));
     }
   }
 
@@ -76,11 +90,10 @@ class CalendarQueue {
   /// popped time (e.g. a crash scheduled between run calls). Requires
   /// !empty().
   SimTime next_time() {
-    if (ring_count_ == 0) return overflow_.top().time;
-    migrate_overflow();
-    // Ring events all lie in [cursor_, cursor_ + kRingSize) and, after
-    // migration, every overflow event lies at or beyond that horizon — so
-    // the earliest occupied bucket is the global minimum.
+    // Every overflow tick lies at or beyond the horizon (pop() migrates
+    // after each cursor advance), so the earliest occupied bucket, if any,
+    // is the global minimum.
+    if (ring_count_ == 0) return overflow_.begin()->first;
     peeked_slot_ = next_occupied(slot_of(cursor_));
     return time_of(peeked_slot_);
   }
@@ -89,31 +102,25 @@ class CalendarQueue {
   /// next_time(): the cursor does not move). The pointer is valid only
   /// until the next queue operation. Requires !empty().
   const Event* peek() {
-    if (ring_count_ == 0) {
-      // The ring drains only through pop(), which re-migrates after every
-      // cursor advance — so with an empty ring, every overflow event lies
-      // beyond the horizon and the overflow top is the global minimum.
-      return &overflow_.top();
-    }
+    if (ring_count_ == 0) return &overflow_.begin()->second.front();
     if (peeked_slot_ == kNoPeek) next_time();
     return &ring_[peeked_slot_][heads_[peeked_slot_]];
   }
 
-  /// Pops the earliest event. Requires !empty().
+  /// Pops the earliest event and moves the cursor to its time. Requires
+  /// !empty().
   Event pop() {
-    std::size_t slot;
-    if (peeked_slot_ != kNoPeek) {
-      // The usual run-loop shape is peek-then-pop with nothing in between;
-      // reuse the peek's scan.
-      slot = peeked_slot_;
-    } else {
+    // The usual run-loop shape is peek-then-pop with nothing in between;
+    // reuse the peek's scan.
+    std::size_t slot = peeked_slot_;
+    if (slot == kNoPeek) {
       if (ring_count_ == 0) {
         // Jump the cursor instead of scanning a (possibly huge) gap. Safe
-        // to commit here: the popped event's time becomes the simulation's
-        // `now`, the floor for every future push.
-        cursor_ = overflow_.top().time;
+        // to commit here: the popped event's time becomes the floor for
+        // every future push.
+        cursor_ = overflow_.begin()->first;
+        migrate_overflow();
       }
-      migrate_overflow();
       slot = next_occupied(slot_of(cursor_));
     }
     peeked_slot_ = kNoPeek;
@@ -121,30 +128,21 @@ class CalendarQueue {
     std::vector<Event>& bucket = ring_[slot];
     Event e = std::move(bucket[heads_[slot]++]);
     if (heads_[slot] == bucket.size()) {
-      bucket.clear();  // keeps capacity for reuse
+      bucket.clear();
+      spare_.push_back(std::move(bucket));  // leaves the slot empty
       heads_[slot] = 0;
       occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
       --ring_count_;
     }
     --size_;
-    // Re-migrate against the advanced cursor before handing the event to
-    // its dispatch. This keeps the invariant that overflow events always
-    // lie at or beyond cursor_ + kRingSize *whenever a push can happen*:
-    // a push during dispatch therefore never shares a timestamp with a
-    // still-unmigrated (smaller-seq) overflow event, which is what keeps
-    // every bucket seq-sorted and the pop order exactly (time, seq).
+    // Migrate against the advanced cursor before the event is dispatched,
+    // so a push during dispatch never reaches a tick whose earlier pushes
+    // still wait in overflow.
     migrate_overflow();
     return e;
   }
 
  private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   static std::size_t slot_of(SimTime t) {
     return static_cast<std::size_t>(t) & (kRingSize - 1);
   }
@@ -156,26 +154,30 @@ class CalendarQueue {
                                           (kRingSize - 1));
   }
 
-  void bucket_push(Event e) {
-    const std::size_t slot = slot_of(e.time);
-    if (ring_[slot].empty()) {
-      occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      ++ring_count_;
-    }
-    ring_[slot].push_back(std::move(e));
+  /// The most recently drained bucket's storage, or none.
+  std::vector<Event> take_spare() {
+    if (spare_.empty()) return {};
+    std::vector<Event> storage = std::move(spare_.back());
+    spare_.pop_back();
+    return storage;
   }
 
-  /// Moves every overflow event now inside the ring horizon into its
-  /// bucket. The priority queue yields them in (time, seq) order, so
-  /// buckets stay seq-sorted.
+  /// Installs `events` (non-empty, or empty storage to append to) as the
+  /// bucket of the empty slot `slot`.
+  void open(std::size_t slot, std::vector<Event>&& events) {
+    ring_[slot] = std::move(events);
+    occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++ring_count_;
+  }
+
+  /// Moves every overflow tick now inside the ring horizon, whole, into its
+  /// (empty) ring slot.
   void migrate_overflow() {
-    while (!overflow_.empty() &&
-           overflow_.top().time < cursor_ + static_cast<SimTime>(kRingSize)) {
-      // std::priority_queue::top is const; the pop pattern matches the
-      // move-out used by the simulator (the moved-from Event only needs to
-      // be destructible).
-      bucket_push(std::move(const_cast<Event&>(overflow_.top())));
-      overflow_.pop();
+    const SimTime horizon = cursor_ + static_cast<SimTime>(kRingSize);
+    while (!overflow_.empty() && overflow_.begin()->first < horizon) {
+      auto tick = overflow_.begin();
+      open(slot_of(tick->first), std::move(tick->second));
+      overflow_.erase(tick);
     }
   }
 
@@ -206,7 +208,8 @@ class CalendarQueue {
   std::size_t ring_count_ = 0;  // occupied buckets
   std::size_t size_ = 0;
   std::size_t peeked_slot_ = kNoPeek;  // next_time's scan, reused by pop
-  std::priority_queue<Event, std::vector<Event>, Later> overflow_;
+  std::vector<std::vector<Event>> spare_;  // drained buckets' storage
+  std::map<SimTime, std::vector<Event>> overflow_;  // ticks past the horizon
 };
 
 }  // namespace scup::sim

@@ -127,21 +127,17 @@ void Simulation::start() {
       continue;
     }
     Event e;
-    e.time = t;
-    e.seq = next_seq_++;
     e.kind = EventKind::kCrash;
     e.target = id;
-    queue_.push(std::move(e));
+    queue_.push(t, std::move(e));
   }
   pending_crashes_.clear();
   for (ProcessId id = 0; id < n_; ++id) {
     if (activation_time_[id] == 0) continue;
     Event e;
-    e.time = activation_time_[id];
-    e.seq = next_seq_++;
     e.kind = EventKind::kActivate;
     e.target = id;
-    queue_.push(std::move(e));
+    queue_.push(activation_time_[id], std::move(e));
   }
   for (ProcessId id = 0; id < n_; ++id) {
     if (activation_time_[id] != 0 || crashed_[id]) continue;
@@ -191,9 +187,8 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
       (verdict.duplicated && verdict.duplicate_at < now_)) {
     throw std::logic_error("NetworkModel: delivery scheduled in the past");
   }
-  // The original is routed before the duplicate and holds the smaller seq,
-  // preserving the queue's seq-sorted-bucket invariant when both copies
-  // sample the same delay.
+  // The original is routed before the duplicate, so it is delivered first
+  // when both copies sample the same delay.
   MessagePtr dup_msg = verdict.duplicated ? msg : nullptr;
   route_delivery(from, to, verdict.deliver_at, std::move(msg));
   if (verdict.duplicated) {
@@ -206,13 +201,11 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
 void Simulation::route_delivery(ProcessId from, ProcessId to, SimTime at,
                                 MessagePtr msg) {
   Event e;
-  e.time = at;
-  e.seq = next_seq_++;
-  e.kind = EventKind::kDeliver;
+  e.msg = std::move(msg);
   e.target = to;
   e.from = from;
-  e.msg = std::move(msg);
-  queue_.push(std::move(e));
+  e.kind = EventKind::kDeliver;
+  queue_.push(at, std::move(e));
 }
 
 std::uint64_t& Simulation::timer_generation(ProcessId target, int timer_id) {
@@ -236,13 +229,11 @@ void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   if (delay < 0) throw std::invalid_argument("set_timer: negative delay");
   const std::uint64_t generation = ++timer_generation(target, timer_id);
   Event e;
-  e.kind = EventKind::kTimer;
+  e.timer_generation = generation;
   e.target = target;
   e.timer_id = timer_id;
-  e.timer_generation = generation;
-  e.time = now_ + delay;
-  e.seq = next_seq_++;
-  queue_.push(std::move(e));
+  e.kind = EventKind::kTimer;
+  queue_.push(now_ + delay, std::move(e));
 }
 
 void Simulation::cancel_timer(ProcessId target, int timer_id) {
@@ -272,11 +263,9 @@ void Simulation::crash_at(ProcessId id, SimTime t) {
     return;
   }
   Event e;
-  e.time = t;
-  e.seq = next_seq_++;
   e.kind = EventKind::kCrash;
   e.target = id;
-  queue_.push(std::move(e));
+  queue_.push(t, std::move(e));
 }
 
 void Simulation::dispatch(Event& event) {
@@ -325,7 +314,7 @@ void Simulation::dispatch(Event& event) {
 bool Simulation::step() {
   if (queue_.empty()) return false;
   Event event = queue_.pop();
-  now_ = event.time;
+  now_ = queue_.cursor();
   metrics_.events_processed += 1;
   dispatch(event);
   return true;

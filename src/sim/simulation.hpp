@@ -14,7 +14,7 @@
 // directions (no sends, no deliveries, no timer fires after the crash).
 //
 // Execution is one serial loop: a global calendar queue drained one event
-// at a time in (time, seq) order.
+// at a time, by time and then in push order.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +150,6 @@ class Simulation {
   std::size_t n_;
   std::unique_ptr<NetworkModel> model_;
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   /// One private StreamRng substream per sender, seeded from
   /// net_stream_seed: a sender's verdicts depend only on its own sends.
   std::vector<StreamRng> net_streams_;

@@ -228,27 +228,31 @@ TEST(SimulationTest, DeterministicGivenSeed) {
 
 TEST(CalendarQueueTest, PopsInTimeThenSeqOrderAcrossTiers) {
   // An overflow-tier event and a later direct push can land on the same
-  // tick; pop order must still be (time, seq) — the overflow event
+  // tick; pop order must still be (time, push order) — the overflow tick
   // migrates as soon as the cursor advance brings it inside the horizon,
-  // before any same-tick direct push can get ahead of it.
+  // before any same-tick direct push can get ahead of it. Each event
+  // carries its push index in timer_generation.
   constexpr SimTime kFar = static_cast<SimTime>(CalendarQueue::kRingSize) + 76;
-  auto ev = [](SimTime t, std::uint64_t seq) {
+  auto ev = [](std::uint64_t index) {
     Event e;
-    e.time = t;
-    e.seq = seq;
+    e.timer_generation = index;
     e.kind = EventKind::kTimer;
     return e;
   };
   CalendarQueue q;
-  q.push(ev(10, 0));
-  q.push(ev(kFar, 1));  // beyond the horizon: overflow tier
+  q.push(10, ev(0));
+  q.push(kFar, ev(1));  // beyond the horizon: overflow tier
   EXPECT_EQ(q.next_time(), 10);
-  EXPECT_EQ(q.pop().seq, 0u);
-  q.push(ev(600, 2));
-  EXPECT_EQ(q.pop().seq, 2u);  // cursor at 600: kFar is inside the horizon
-  q.push(ev(kFar, 3));         // same tick as the overflow event
-  EXPECT_EQ(q.pop().seq, 1u);  // smaller seq pops first
-  EXPECT_EQ(q.pop().seq, 3u);
+  EXPECT_EQ(q.pop().timer_generation, 0u);
+  EXPECT_EQ(q.cursor(), 10);
+  q.push(600, ev(2));
+  EXPECT_EQ(q.pop().timer_generation, 2u);  // cursor at 600: kFar is inside
+  EXPECT_EQ(q.cursor(), 600);               // the horizon
+  q.push(kFar, ev(3));  // same tick as the overflow event
+  EXPECT_EQ(q.pop().timer_generation, 1u);  // the earlier push pops first
+  EXPECT_EQ(q.cursor(), kFar);
+  EXPECT_EQ(q.pop().timer_generation, 3u);
+  EXPECT_EQ(q.cursor(), kFar);
   EXPECT_TRUE(q.empty());
 }
 
