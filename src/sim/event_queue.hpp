@@ -59,7 +59,9 @@ class CalendarQueue {
   /// beyond waits in the overflow map.
   static constexpr std::size_t kRingSize = 1024;
 
-  CalendarQueue() : ring_(kRingSize), heads_(kRingSize, 0) {}
+  CalendarQueue() : ring_(kRingSize), heads_(kRingSize, 0) {
+    occupied_.fill(0);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -102,7 +104,13 @@ class CalendarQueue {
   /// next_time(): the cursor does not move). The pointer is valid only
   /// until the next queue operation. Requires !empty().
   const Event* peek() {
-    if (ring_count_ == 0) return &overflow_.begin()->second.front();
+    if (ring_count_ == 0) {
+      // The ring drains only through pop(), which re-migrates after every
+      // cursor advance — so with an empty ring, every overflow tick lies
+      // beyond the horizon and the first one's first event is the global
+      // minimum.
+      return &overflow_.begin()->second.front();
+    }
     if (peeked_slot_ == kNoPeek) next_time();
     return &ring_[peeked_slot_][heads_[peeked_slot_]];
   }
@@ -110,14 +118,16 @@ class CalendarQueue {
   /// Pops the earliest event and moves the cursor to its time. Requires
   /// !empty().
   Event pop() {
-    // The usual run-loop shape is peek-then-pop with nothing in between;
-    // reuse the peek's scan.
-    std::size_t slot = peeked_slot_;
-    if (slot == kNoPeek) {
+    std::size_t slot;
+    if (peeked_slot_ != kNoPeek) {
+      // The usual run-loop shape is peek-then-pop with nothing in between;
+      // reuse the peek's scan.
+      slot = peeked_slot_;
+    } else {
       if (ring_count_ == 0) {
         // Jump the cursor instead of scanning a (possibly huge) gap. Safe
-        // to commit here: the popped event's time becomes the floor for
-        // every future push.
+        // to commit here: the popped event's time becomes the simulation's
+        // `now`, the floor for every future push.
         cursor_ = overflow_.begin()->first;
         migrate_overflow();
       }

@@ -201,10 +201,10 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
 void Simulation::route_delivery(ProcessId from, ProcessId to, SimTime at,
                                 MessagePtr msg) {
   Event e;
-  e.msg = std::move(msg);
+  e.kind = EventKind::kDeliver;
   e.target = to;
   e.from = from;
-  e.kind = EventKind::kDeliver;
+  e.msg = std::move(msg);
   queue_.push(at, std::move(e));
 }
 
@@ -229,10 +229,10 @@ void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   if (delay < 0) throw std::invalid_argument("set_timer: negative delay");
   const std::uint64_t generation = ++timer_generation(target, timer_id);
   Event e;
-  e.timer_generation = generation;
+  e.kind = EventKind::kTimer;
   e.target = target;
   e.timer_id = timer_id;
-  e.kind = EventKind::kTimer;
+  e.timer_generation = generation;
   queue_.push(now_ + delay, std::move(e));
 }
 
