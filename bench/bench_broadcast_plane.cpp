@@ -20,44 +20,18 @@
 //     amortization means cached sends dominate encodes.
 #include "bench_common.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "common/rng.hpp"
 #include "cup/messages.hpp"
+#include "heap_meter.hpp"
 #include "scp/envelope.hpp"
 #include "sim/simulation.hpp"
-
-// ---- global allocation meter -----------------------------------------------
-// Counting shims for the whole binary. Replacing operator new in one TU
-// rebinds every heap allocation in the executable, so the counters see the
-// benchmark harness too — rows therefore always compare *deltas* between
-// two phases of the same code path, where the harness contribution cancels.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace scup {
 namespace {
 
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
+using bench::heap_allocs;
 
 // ---- 1. micro: message churn ----------------------------------------------
 

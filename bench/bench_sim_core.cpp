@@ -15,41 +15,17 @@
 //    allocations per tick.
 #include "bench_common.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <queue>
 
+#include "heap_meter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
-
-// ---- global allocation meter -----------------------------------------------
-// Counting shims for the whole binary (as in bench_broadcast_plane.cpp);
-// rows read deltas around the code they measure.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace scup {
 namespace {
 
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
+using bench::heap_allocs;
 
 struct StormMsg final : sim::Message {
   std::string type_name() const override { return "bench.storm"; }
@@ -257,6 +233,7 @@ void BM_EventQueue_OneShotBurst(benchmark::State& state) {
       }
     }
     allocs = heap_allocs() - allocs_before;
+    benchmark::DoNotOptimize(events);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));
