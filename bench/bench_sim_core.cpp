@@ -21,32 +21,37 @@
 #include "heap_meter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup {
 namespace {
 
 using bench::heap_allocs;
 
+/// An empty payload: a 2-byte frame. The id is from the test-only range
+/// (0xF000 up), clear of every production id.
 struct StormMsg final : sim::Message {
-  std::string type_name() const override { return "bench.storm"; }
-  std::size_t byte_size() const override { return 24; }
+  std::string_view type_name() const override { return "bench.storm"; }
+  static constexpr std::uint16_t kWireType = 0xF006;
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(sim::WireWriter& /*w*/) const override {}
 };
 
 /// Each process forwards every message to a random peer, seeding the storm
 /// with one initial send; the storm sustains itself forever.
 class StormNode : public sim::Process {
  public:
-  explicit StormNode(std::size_t n, bool seed_storm)
-      : n_(n), seed_storm_(seed_storm) {}
+  StormNode(std::size_t n, bool seed_storm, Rng rng)
+      : n_(n), seed_storm_(seed_storm), rng_(rng) {}
   void start() override {
     if (seed_storm_) {
-      send(static_cast<ProcessId>(rng().uniform(n_)),
+      send(static_cast<ProcessId>(rng_.uniform(n_)),
            sim::make_message<StormMsg>());
     }
   }
   void on_message(ProcessId, const sim::MessagePtr&) override {
     ++received;
-    send(static_cast<ProcessId>(rng().uniform(n_)),
+    send(static_cast<ProcessId>(rng_.uniform(n_)),
          sim::make_message<StormMsg>());
   }
   std::size_t received = 0;
@@ -54,6 +59,7 @@ class StormNode : public sim::Process {
  private:
   std::size_t n_;
   bool seed_storm_;
+  Rng rng_;
 };
 
 constexpr std::size_t kStormNodes = 32;
@@ -65,9 +71,12 @@ std::unique_ptr<sim::Simulation> make_storm(std::vector<StormNode*>& nodes) {
   net.max_delay = 10;
   net.seed = 99;
   auto sim = std::make_unique<sim::Simulation>(kStormNodes, net);
+  // One substream per process, split in id order from the run seed.
+  Rng seeder(net.seed ^ 0x5eedULL);
   nodes.assign(kStormNodes, nullptr);
   for (ProcessId i = 0; i < kStormNodes; ++i) {
-    nodes[i] = &sim->emplace_process<StormNode>(i, kStormNodes, i < 4);
+    nodes[i] = &sim->emplace_process<StormNode>(i, kStormNodes, i < 4,
+                                                seeder.split());
   }
   return sim;
 }

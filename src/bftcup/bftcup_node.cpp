@@ -12,7 +12,8 @@ BftCupNode::BftCupNode(NodeSet pd, std::size_t f, Value value,
       pbft_config_(pbft),
       detector_(*this, pd_, discovery),
       requesters_(pd_.universe_size()),
-      request_forwarded_(pd_.universe_size()) {
+      request_forwarded_(pd_.universe_size()),
+      decision_voters_(pd_.universe_size()) {
   detector_.on_result = [this](const sinkdetector::GetSinkResult& r) {
     on_sink(r);
   };
@@ -90,7 +91,12 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
     // to the best of our knowledge, sink members. Before the sink detector
     // returns we cannot filter by membership; counting distinct senders is
     // still safe because at most f are faulty and correct sink members all
-    // vouch for the same (agreed) value.
+    // vouch for the same (agreed) value. One vote per sender, as the sink
+    // detector counts ⟨SINK, V⟩: its first DecisionMsg counts and later
+    // ones are ignored, so a Byzantine sender can neither vouch for two
+    // values nor grow the table by one entry per value it names.
+    if (decision_voters_.contains(from)) return;
+    decision_voters_.add(from);
     auto [it, _] = decision_votes_.emplace(dec->value, NodeSet(universe()));
     it->second.add(from);
     if (!decided_ && it->second.count() > fault_threshold()) {

@@ -27,7 +27,7 @@ inline constexpr std::uint16_t kWireTypeDecision = 49;
 struct DecisionRequestMsg final : sim::Message {
   explicit DecisionRequestMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
-  std::string type_name() const override { return "bftcup.decision_req"; }
+  std::string_view type_name() const override { return "bftcup.decision_req"; }
   static constexpr std::uint16_t kWireType = kWireTypeDecisionRequest;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
@@ -42,7 +42,7 @@ struct DecisionRequestMsg final : sim::Message {
 struct DecisionMsg final : sim::Message {
   explicit DecisionMsg(Value v) : value(v) {}
   Value value;
-  std::string type_name() const override { return "bftcup.decision"; }
+  std::string_view type_name() const override { return "bftcup.decision"; }
   static constexpr std::uint16_t kWireType = kWireTypeDecision;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u64(value); }
@@ -90,6 +90,7 @@ class BftCupNode : public sim::ComposedNode {
   NodeSet requesters_;
   NodeSet request_forwarded_;
   std::map<Value, NodeSet> decision_votes_;  // value -> distinct senders
+  NodeSet decision_voters_;                  // senders already counted
   std::optional<Value> decided_;
   SimTime decision_time_ = kTimeInfinity;
 };

@@ -57,7 +57,7 @@ struct PrePrepareMsg final : sim::Message {
   PrePrepareMsg(std::uint32_t v, Value val) : view(v), value(val) {}
   std::uint32_t view;
   Value value;
-  std::string type_name() const override { return "pbft.preprepare"; }
+  std::string_view type_name() const override { return "pbft.preprepare"; }
   static constexpr std::uint16_t kWireType = kWireTypePrePrepare;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -78,7 +78,7 @@ struct PrepareMsg final : sim::Message {
   std::uint32_t view;
   Value value;
   std::uint64_t token;  // sign(sender, prepare_hash(view, value))
-  std::string type_name() const override { return "pbft.prepare"; }
+  std::string_view type_name() const override { return "pbft.prepare"; }
   static constexpr std::uint16_t kWireType = kWireTypePrepare;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -101,7 +101,7 @@ struct CommitMsg final : sim::Message {
   std::uint32_t view;
   Value value;
   std::uint64_t token;  // sign(sender, commit_hash(view, value))
-  std::string type_name() const override { return "pbft.commit"; }
+  std::string_view type_name() const override { return "pbft.commit"; }
   static constexpr std::uint16_t kWireType = kWireTypeCommit;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -138,7 +138,7 @@ std::optional<ViewChangeRecord> wire_get_viewchange_record(sim::WireReader& r);
 struct ViewChangeMsg final : sim::Message {
   explicit ViewChangeMsg(ViewChangeRecord r) : record(std::move(r)) {}
   ViewChangeRecord record;
-  std::string type_name() const override { return "pbft.viewchange"; }
+  std::string_view type_name() const override { return "pbft.viewchange"; }
   static constexpr std::uint16_t kWireType = kWireTypeViewChange;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -159,7 +159,7 @@ struct NewViewMsg final : sim::Message {
   std::uint32_t view;
   Value value;
   std::vector<ViewChangeRecord> justification;
-  std::string type_name() const override { return "pbft.newview"; }
+  std::string_view type_name() const override { return "pbft.newview"; }
   static constexpr std::uint16_t kWireType = kWireTypeNewView;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {

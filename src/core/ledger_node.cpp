@@ -1,5 +1,6 @@
 #include "core/ledger_node.hpp"
 
+#include "common/rng.hpp"
 #include "sinkdetector/slice_builder.hpp"
 
 namespace scup::core {

@@ -11,25 +11,25 @@ namespace scup::core {
 namespace {
 
 template <class T>
-constexpr WireCodec codec_of(const char* name) {
-  return {T::kWireType, name, &T::wire_decode};
+constexpr WireCodec codec_of() {
+  return {T::kWireType, &T::wire_decode};
 }
 
 constexpr WireCodec kWireCodecs[] = {
-    codec_of<cup::DiscoverMsg>("cup.discover"),
-    codec_of<cup::CertGossipMsg>("cup.certs"),
-    codec_of<cup::KnownMsg>("cup.known"),
-    codec_of<cup::GetSinkMsg>("cup.get_sink"),
-    codec_of<cup::SinkValueMsg>("cup.sink_value"),
-    codec_of<scp::Envelope>("scp.envelope"),
-    codec_of<scp::SlotEnvelope>("scp.slot_envelope"),
-    codec_of<bftcup::PrePrepareMsg>("pbft.preprepare"),
-    codec_of<bftcup::PrepareMsg>("pbft.prepare"),
-    codec_of<bftcup::CommitMsg>("pbft.commit"),
-    codec_of<bftcup::ViewChangeMsg>("pbft.viewchange"),
-    codec_of<bftcup::NewViewMsg>("pbft.newview"),
-    codec_of<bftcup::DecisionRequestMsg>("bftcup.decision_req"),
-    codec_of<bftcup::DecisionMsg>("bftcup.decision"),
+    codec_of<cup::DiscoverMsg>(),
+    codec_of<cup::CertGossipMsg>(),
+    codec_of<cup::KnownMsg>(),
+    codec_of<cup::GetSinkMsg>(),
+    codec_of<cup::SinkValueMsg>(),
+    codec_of<scp::Envelope>(),
+    codec_of<scp::SlotEnvelope>(),
+    codec_of<bftcup::PrePrepareMsg>(),
+    codec_of<bftcup::PrepareMsg>(),
+    codec_of<bftcup::CommitMsg>(),
+    codec_of<bftcup::ViewChangeMsg>(),
+    codec_of<bftcup::NewViewMsg>(),
+    codec_of<bftcup::DecisionRequestMsg>(),
+    codec_of<bftcup::DecisionMsg>(),
 };
 
 }  // namespace

@@ -17,11 +17,9 @@
 
 namespace scup::core {
 
-/// One decodable frame type: its wire type id, a name for diagnostics and
-/// its decoder.
+/// One decodable frame type: its wire type id and its decoder.
 struct WireCodec {
   std::uint16_t type;
-  const char* name;
   sim::MessagePtr (*decode)(sim::WireReader&);
 };
 

@@ -39,7 +39,7 @@ struct PdCertificate {
 struct DiscoverMsg final : sim::Message {
   explicit DiscoverMsg(PdCertificate c) : cert(std::move(c)) {}
   PdCertificate cert;
-  std::string type_name() const override { return "cup.discover"; }
+  std::string_view type_name() const override { return "cup.discover"; }
   static constexpr std::uint16_t kWireType = kWireTypeDiscover;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -60,7 +60,7 @@ struct DiscoverMsg final : sim::Message {
 struct CertGossipMsg final : sim::Message {
   explicit CertGossipMsg(std::vector<PdCertificate> c) : certs(std::move(c)) {}
   std::vector<PdCertificate> certs;
-  std::string type_name() const override { return "cup.certs"; }
+  std::string_view type_name() const override { return "cup.certs"; }
   static constexpr std::uint16_t kWireType = kWireTypeCertGossip;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override {
@@ -100,7 +100,7 @@ struct CertGossipMsg final : sim::Message {
 struct KnownMsg final : sim::Message {
   explicit KnownMsg(NodeSet k) : known(std::move(k)) {}
   NodeSet known;
-  std::string type_name() const override { return "cup.known"; }
+  std::string_view type_name() const override { return "cup.known"; }
   static constexpr std::uint16_t kWireType = kWireTypeKnown;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(known); }
@@ -117,7 +117,7 @@ struct KnownMsg final : sim::Message {
 struct GetSinkMsg final : sim::Message {
   explicit GetSinkMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
-  std::string type_name() const override { return "cup.get_sink"; }
+  std::string_view type_name() const override { return "cup.get_sink"; }
   static constexpr std::uint16_t kWireType = kWireTypeGetSink;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
@@ -132,7 +132,7 @@ struct GetSinkMsg final : sim::Message {
 struct SinkValueMsg final : sim::Message {
   explicit SinkValueMsg(NodeSet s) : sink(std::move(s)) {}
   NodeSet sink;
-  std::string type_name() const override { return "cup.sink_value"; }
+  std::string_view type_name() const override { return "cup.sink_value"; }
   static constexpr std::uint16_t kWireType = kWireTypeSinkValue;
   std::uint16_t wire_type() const override { return kWireType; }
   void wire_encode(sim::WireWriter& w) const override { w.node_set(sink); }

@@ -82,13 +82,10 @@ struct Envelope final : sim::Message {
   fbqs::QSet qset;
   Statement statement;
 
-  std::string type_name() const override {
-    switch (statement.index()) {
-      case 0: return "scp.nominate";
-      case 1: return "scp.prepare";
-      case 2: return "scp.confirm";
-      default: return "scp.externalize";
-    }
+  std::string_view type_name() const override {
+    static constexpr std::string_view kNames[] = {
+        "scp.nominate", "scp.prepare", "scp.confirm", "scp.externalize"};
+    return kNames[statement.index()];
   }
   static constexpr std::uint16_t kWireType = kWireTypeEnvelope;
   std::uint16_t wire_type() const override { return kWireType; }

@@ -58,8 +58,11 @@ struct SlotEnvelope final : sim::Message {
   SlotEnvelope(std::uint64_t s, Envelope e) : slot(s), envelope(std::move(e)) {}
   std::uint64_t slot;
   Envelope envelope;
-  std::string type_name() const override {
-    return "scp.slot." + envelope.type_name().substr(4);
+  std::string_view type_name() const override {
+    static constexpr std::string_view kNames[] = {
+        "scp.slot.nominate", "scp.slot.prepare", "scp.slot.confirm",
+        "scp.slot.externalize"};
+    return kNames[envelope.statement.index()];
   }
   static constexpr std::uint16_t kWireType = kWireTypeSlotEnvelope;
   std::uint16_t wire_type() const override { return kWireType; }
@@ -160,7 +163,6 @@ class LedgerMultiplexer {
     }
     void host_send(ProcessId to, sim::MessagePtr msg) override;
     void host_set_timer(int timer_id, SimTime delay) override;
-    SimTime host_now() const override { return mux_.host_.host_now(); }
     std::uint64_t host_sign(std::uint64_t statement) const override {
       return mux_.host_.host_sign(statement);
     }

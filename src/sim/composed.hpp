@@ -26,7 +26,6 @@ class ComposedNode : public Process, public ProtocolHost {
   void host_set_timer(int timer_id, SimTime delay) final {
     set_timer(timer_id, delay);
   }
-  SimTime host_now() const final { return now(); }
   std::uint64_t host_sign(std::uint64_t statement) const final {
     return sign(statement);
   }

@@ -25,7 +25,6 @@ class ProtocolHost {
 
   virtual void host_send(ProcessId to, MessagePtr msg) = 0;
   virtual void host_set_timer(int timer_id, SimTime delay) = 0;
-  virtual SimTime host_now() const = 0;
 
   /// Signature simulation (see Notary). host_sign signs as `self()`.
   virtual std::uint64_t host_sign(std::uint64_t statement) const = 0;

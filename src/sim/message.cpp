@@ -1,6 +1,7 @@
 #include "sim/message.hpp"
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -29,23 +30,25 @@ std::deque<std::string>& names_by_id() {
   return names;
 }
 // scup-analyze: requires-lock(registry_mutex)
-std::map<std::string, std::uint32_t>& ids_by_name() {
+std::map<std::string, std::uint32_t, std::less<>>& ids_by_name() {
   // scup-lint: guarded-by(registry_mutex)
   // scup-guarded-by: registry_mutex
-  static std::map<std::string, std::uint32_t> ids;
+  static std::map<std::string, std::uint32_t, std::less<>> ids;
   return ids;
 }
 }  // namespace
 
-std::uint32_t MessageTypeRegistry::intern(const std::string& name) {
+std::uint32_t MessageTypeRegistry::intern(std::string_view name) {
   const std::lock_guard<std::mutex> lock(registry_mutex());
+  // The transparent comparator looks the view up as is: a hit builds no
+  // string.
   auto& ids = ids_by_name();
   const auto it = ids.find(name);
   if (it != ids.end()) return it->second;
   auto& names = names_by_id();
   const auto id = static_cast<std::uint32_t>(names.size());
-  names.push_back(name);
-  ids.emplace(name, id);
+  names.emplace_back(name);
+  ids.emplace(names.back(), id);
   return id;
 }
 
@@ -75,26 +78,16 @@ void put_frame(const Message& msg, WireWriter& writer) {
 }  // namespace
 
 Message::SendSize Message::send_size_slow() const {
-  if (wire_type() == kWireTypeNone) {
-    // Memoization for codec-less types (bench/test messages): one virtual
-    // byte_size() per message object, a field read per later send.
-    const std::size_t estimate = byte_size();
-    size_cache_ = static_cast<std::uint32_t>(estimate);
-    return {estimate, false, false};
-  }
   WireWriter counter;
   put_frame(*this, counter);
   size_cache_ = static_cast<std::uint32_t>(counter.size());
-  size_from_codec_ = true;
-  return {size_cache_, true, true};
+  return {size_cache_, true};
 }
 
 std::vector<std::uint8_t> Message::encode_frame() const {
   std::vector<std::uint8_t> frame;
-  if (wire_type() != kWireTypeNone) {
-    WireWriter writer(frame);
-    put_frame(*this, writer);
-  }
+  WireWriter writer(frame);
+  put_frame(*this, writer);
   return frame;
 }
 

@@ -6,21 +6,22 @@
 // instead of walking RTTI. Messages are immutable once sent and shared
 // between the sender's log and all recipients.
 //
-// The per-send hot path reads two lazily-filled per-object caches instead of
+// Every message class has a wire codec and a literal type name. The
+// per-send hot path reads two lazily-filled per-object caches instead of
 // making virtual calls: metrics_type_id() (interned type name) and
-// send_size() (exact frame size for types with a wire codec, counted by
-// running wire_encode against a WireWriter that writes nothing; the
-// memoized byte_size() estimate otherwise). A message keeps its frame's
-// size, never the frame: encode_frame() encodes afresh on each call. The
-// caches are plain fields: each Simulation runs on one thread and no
-// message object leaves it. Construction goes through make_message(), a
-// plain make_shared (DESIGN.md §4.9).
+// send_size() (exact frame size, counted by running wire_encode against a
+// WireWriter that writes nothing). A message keeps its frame's size, never
+// the frame: encode_frame() encodes afresh on each call. The caches are
+// plain fields: each Simulation runs on one thread and no message object
+// leaves it. Construction goes through make_message(), a plain make_shared
+// (DESIGN.md §4.9).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -37,16 +38,11 @@ class WireWriter;
 /// shared across Simulation instances).
 class MessageTypeRegistry {
  public:
-  static std::uint32_t intern(const std::string& name);
+  static std::uint32_t intern(std::string_view name);
   static const std::string& name_of(std::uint32_t id);
   /// Number of ids handed out so far.
   static std::size_t count();
 };
-
-/// Wire type id reserved for "no codec": such types fall back to the
-/// virtual byte_size() estimate for traffic accounting and cannot be
-/// decoded from bytes.
-inline constexpr std::uint16_t kWireTypeNone = 0;
 
 class Message {
  public:
@@ -58,26 +54,20 @@ class Message {
   Message& operator=(const Message& other) {
     metrics_type_id_ = other.metrics_type_id_;
     size_cache_ = kNoCachedSize;
-    size_from_codec_ = false;
     return *this;
   }
   virtual ~Message() = default;
 
-  /// Stable name used for metrics aggregation (e.g. "scp.prepare").
-  virtual std::string type_name() const = 0;
+  /// Stable name used for metrics aggregation (e.g. "scp.prepare"): a view
+  /// of a string literal, so naming a message builds no string.
+  virtual std::string_view type_name() const = 0;
 
-  /// Approximate wire size in bytes, for traffic accounting of types
-  /// without a codec (test and bench messages). Types with a codec
-  /// (wire_type() != kWireTypeNone) are accounted by their exact encoded
-  /// frame size and never call this.
-  virtual std::size_t byte_size() const { return 64; }
+  /// Dense process-wide id of this type's wire frame.
+  virtual std::uint16_t wire_type() const = 0;
 
-  /// Dense process-wide id of this type's wire frame, or kWireTypeNone.
-  virtual std::uint16_t wire_type() const { return kWireTypeNone; }
-
-  /// Appends the frame payload (everything after the u16 type header).
-  /// Only called when wire_type() != kWireTypeNone; must not throw.
-  virtual void wire_encode(WireWriter& /*writer*/) const {}
+  /// Appends the frame payload (everything after the u16 type header);
+  /// must not throw.
+  virtual void wire_encode(WireWriter& writer) const = 0;
 
   /// Interned id of type_name(), computed lazily once per message object —
   /// a broadcast fanning one message out to n destinations interns once
@@ -94,24 +84,19 @@ class Message {
     std::size_t bytes = 0;
     /// True iff this call performed the once-per-message sizing pass.
     bool encoded_now = false;
-    /// True iff `bytes` is an exact encoded frame size (vs. estimate).
-    bool from_codec = false;
   };
 
-  /// Size charged per send: the exact frame size when this type has a
-  /// codec, else the memoized byte_size() estimate. The first call runs
+  /// Size charged per send: the exact frame size. The first call runs
   /// wire_encode against a counting WireWriter, which sums field widths
   /// and writes nothing; every later send is a field read.
   SendSize send_size() const {
-    if (size_cache_ != kNoCachedSize) {
-      return {size_cache_, false, size_from_codec_};
-    }
+    if (size_cache_ != kNoCachedSize) return {size_cache_, false};
     return send_size_slow();
   }
 
-  /// The encoded frame (u16 type header ++ payload) in a fresh vector, or
-  /// an empty one when this type has no codec. Nothing is cached: this is
-  /// for tests and decoder round trips, not the send path.
+  /// The encoded frame (u16 type header ++ payload) in a fresh vector.
+  /// Nothing is cached: this is for tests and decoder round trips, not the
+  /// send path.
   std::vector<std::uint8_t> encode_frame() const;
 
  private:
@@ -121,25 +106,20 @@ class Message {
   static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
 
   // The caches are per-object state invisible to message semantics.
-  // size_cache_ holds the byte_size() estimate for codec-less types and
-  // the frame size once size_from_codec_ is set.
   mutable std::uint32_t metrics_type_id_ = kUninternedTypeId;
   mutable std::uint32_t size_cache_ = kNoCachedSize;
-  mutable bool size_from_codec_ = false;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
 
-/// `m` as a T when it is one, else null: the delivery router. A message
-/// class with a codec declares its frame id as `static constexpr
-/// std::uint16_t kWireType` and returns it from wire_type(); ids are unique
-/// per class and T is final, so an equal id means `m` is exactly a T. One
-/// virtual call and an integer compare, where a dynamic_cast walks RTTI.
+/// `m` as a T when it is one, else null: the delivery router. Every message
+/// class declares its frame id as `static constexpr std::uint16_t
+/// kWireType` and returns it from wire_type(); ids are unique per class and
+/// T is final, so an equal id means `m` is exactly a T. One virtual call
+/// and an integer compare, where a dynamic_cast walks RTTI.
 template <typename T>
 const T* message_as(const Message* m) {
   static_assert(std::is_final_v<T>, "message_as<T>: T must be final");
-  static_assert(T::kWireType != kWireTypeNone,
-                "message_as<T>: T must have a wire type id");
   if (m == nullptr || m->wire_type() != T::kWireType) return nullptr;
   return static_cast<const T*>(m);
 }

@@ -16,11 +16,10 @@ namespace scup::sim {
 struct SimMetrics {
   std::size_t messages_sent = 0;
   std::size_t bytes_sent = 0;
-  /// Per-type counters indexed by interned MessageTypeRegistry id (the
+  /// Per-type send counts indexed by interned MessageTypeRegistry id (the
   /// per-send hot path is one vector index; names are resolved only at
   /// report time). Entries are 0 for types this simulation never sent.
   std::vector<std::size_t> messages_by_type_id;
-  std::vector<std::size_t> bytes_by_type_id;
   std::size_t timer_fires = 0;
   std::size_t events_processed = 0;
   /// Sends the NetworkModel lost (pre-GST loss) / duplicated.
@@ -35,10 +34,9 @@ struct SimMetrics {
 
   bool operator==(const SimMetrics&) const = default;
 
-  /// Report-time views: type name -> count/bytes for every type this
-  /// simulation actually sent.
+  /// Report-time view: type name -> count for every type this simulation
+  /// actually sent.
   std::map<std::string, std::size_t> messages_by_type() const;
-  std::map<std::string, std::size_t> bytes_by_type() const;
   /// Report-time view of protocol_counters: counter name -> value.
   std::map<std::string, std::uint64_t> protocol_counters_by_name() const;
   std::uint64_t protocol_counter(ProtoCounter c) const {

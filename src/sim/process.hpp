@@ -1,8 +1,6 @@
 // Actor base class for simulated processes.
 #pragma once
 
-#include "common/node_set.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/counters.hpp"
 #include "sim/message.hpp"
@@ -45,20 +43,11 @@ class Process {
   /// call send() for processes they have learned about.
   void send(ProcessId to, MessagePtr msg);
 
-  /// Sends msg to every member of `to` (excluding self).
-  void send_all(const NodeSet& to, const MessagePtr& msg);
-
   /// Arms (or re-arms, replacing any pending firing of the same id) a timer
   /// to fire after `delay` ticks.
   void set_timer(int timer_id, SimTime delay);
 
-  /// Cancels a pending timer; no-op if not armed.
-  void cancel_timer(int timer_id);
-
   SimTime now() const;
-
-  /// Per-process deterministic randomness.
-  Rng& rng();
 
   std::size_t universe_size() const;
 

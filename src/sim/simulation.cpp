@@ -4,23 +4,13 @@
 
 namespace scup::sim {
 
-namespace {
-std::map<std::string, std::size_t> stringify_by_type(
-    const std::vector<std::size_t>& by_id) {
+std::map<std::string, std::size_t> SimMetrics::messages_by_type() const {
   std::map<std::string, std::size_t> result;
-  for (std::uint32_t id = 0; id < by_id.size(); ++id) {
-    if (by_id[id] != 0) result[MessageTypeRegistry::name_of(id)] = by_id[id];
+  for (std::uint32_t id = 0; id < messages_by_type_id.size(); ++id) {
+    const std::size_t count = messages_by_type_id[id];
+    if (count != 0) result[MessageTypeRegistry::name_of(id)] = count;
   }
   return result;
-}
-}  // namespace
-
-std::map<std::string, std::size_t> SimMetrics::messages_by_type() const {
-  return stringify_by_type(messages_by_type_id);
-}
-
-std::map<std::string, std::size_t> SimMetrics::bytes_by_type() const {
-  return stringify_by_type(bytes_by_type_id);
 }
 
 const char* proto_counter_name(ProtoCounter c) {
@@ -61,16 +51,12 @@ Simulation::Simulation(std::size_t n, NetworkConfig config,
       model_(std::move(model)),
       notary_(n, config.seed),
       processes_(n),
-      isolated_(n, 0),
       crashed_(n, 0),
       active_(n, 0),
       activation_time_(n, 0),
       mailboxes_(n),
       timer_generations_(n) {
   if (!model_) throw std::invalid_argument("Simulation: null NetworkModel");
-  process_rngs_.reserve(n);
-  Rng seeder(config.seed ^ 0x5eedULL);
-  for (std::size_t i = 0; i < n; ++i) process_rngs_.push_back(seeder.split());
   // One substream per sender, seeded independently of every other stream
   // so send interleavings across senders cannot perturb any sender's draw
   // sequence.
@@ -152,28 +138,24 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   if (!msg) throw std::invalid_argument("send: null message");
   if (crashed_[from]) return;  // a crashed process sends nothing
   metrics_.messages_sent += 1;
-  // Wire-once accounting: codec-bearing messages are charged their exact
-  // frame size, counted once per message object and read from the
-  // cache on every further send; codec-less types use the memoized
-  // byte_size() estimate. The encode/cached split is deterministic: it
-  // depends only on which sends a message object fans out to.
+  // Wire-once accounting: a message is charged its exact frame size,
+  // counted once per message object and read from the cache on every
+  // further send. The encode/cached split is deterministic: it depends only
+  // on which sends a message object fans out to.
   const Message::SendSize sized = msg->send_size();
-  const std::size_t bytes = sized.bytes;
-  metrics_.bytes_sent += bytes;
+  metrics_.bytes_sent += sized.bytes;
   if (sized.encoded_now) {
     metrics_.protocol_counters[static_cast<std::size_t>(
         ProtoCounter::kWireEncodes)] += 1;
-  } else if (sized.from_codec) {
+  } else {
     metrics_.protocol_counters[static_cast<std::size_t>(
         ProtoCounter::kWireCachedSends)] += 1;
   }
   const std::uint32_t type = msg->metrics_type_id();
   if (type >= metrics_.messages_by_type_id.size()) {
     metrics_.messages_by_type_id.resize(type + 1, 0);
-    metrics_.bytes_by_type_id.resize(type + 1, 0);
   }
   metrics_.messages_by_type_id[type] += 1;
-  metrics_.bytes_by_type_id[type] += bytes;
 
   // The verdict is drawn at send time from the sender's private substream,
   // so it depends only on the sender's own send sequence.
@@ -236,18 +218,8 @@ void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   queue_.push(now_ + delay, std::move(e));
 }
 
-void Simulation::cancel_timer(ProcessId target, int timer_id) {
-  // Bumping the generation invalidates any queued firing.
-  ++timer_generation(target, timer_id);
-}
-
 void Simulation::counter_add(ProtoCounter counter, std::uint64_t delta) {
   metrics_.protocol_counters[static_cast<std::size_t>(counter)] += delta;
-}
-
-void Simulation::isolate(ProcessId id) {
-  if (id >= n_) throw std::out_of_range("isolate: bad id");
-  isolated_[id] = 1;
 }
 
 void Simulation::crash(ProcessId id) {
@@ -273,7 +245,6 @@ void Simulation::dispatch(Event& event) {
   Process& p = *processes_[event.target];
   switch (event.kind) {
     case EventKind::kDeliver:
-      if (isolated_[event.target]) return;
       if (!active_[event.target]) {
         // Not yet activated: the message waits in the mailbox and is
         // handed over right after the deferred start().
@@ -284,7 +255,7 @@ void Simulation::dispatch(Event& event) {
       p.on_message(event.from, event.msg);
       return;
     case EventKind::kTimer: {
-      // Drop if re-armed/cancelled since scheduling.
+      // Drop if re-armed since scheduling.
       const std::uint64_t* generation =
           find_timer_generation(event.target, event.timer_id);
       if (generation == nullptr || *generation != event.timer_generation) {
@@ -300,7 +271,7 @@ void Simulation::dispatch(Event& event) {
       auto mailbox = std::move(mailboxes_[event.target]);
       mailboxes_[event.target].clear();
       for (auto& [from, msg] : mailbox) {
-        if (crashed_[event.target] || isolated_[event.target]) break;
+        if (crashed_[event.target]) break;
         p.on_message(from, msg);
       }
       return;
@@ -336,21 +307,11 @@ void Process::send(ProcessId to, MessagePtr msg) {
   sim_->enqueue_send(id_, to, std::move(msg));
 }
 
-void Process::send_all(const NodeSet& to, const MessagePtr& msg) {
-  for (ProcessId p : to) {
-    if (p != id_) send(p, msg);
-  }
-}
-
 void Process::set_timer(int timer_id, SimTime delay) {
   sim_->enqueue_timer(id_, timer_id, delay);
 }
 
-void Process::cancel_timer(int timer_id) { sim_->cancel_timer(id_, timer_id); }
-
 SimTime Process::now() const { return sim_->now(); }
-
-Rng& Process::rng() { return sim_->process_rngs_[id_]; }
 
 std::size_t Process::universe_size() const { return sim_->size(); }
 

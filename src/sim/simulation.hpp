@@ -111,11 +111,6 @@ class Simulation {
 
   const Notary& notary() const { return notary_; }
 
-  /// Cuts all future message deliveries *to* `id` (a partition-style fault:
-  /// the process keeps running and sending). Messages already in flight are
-  /// still counted but dropped at delivery. See crash() for a full stop.
-  void isolate(ProcessId id);
-
   /// Crash-stops `id` now: no sends, no deliveries, no timer fires from
   /// this point on. Crashed processes count against the fault threshold
   /// like any other failure.
@@ -139,7 +134,6 @@ class Simulation {
   void route_delivery(ProcessId from, ProcessId to, SimTime at,
                       MessagePtr msg);
   void enqueue_timer(ProcessId target, int timer_id, SimTime delay);
-  void cancel_timer(ProcessId target, int timer_id);
   std::uint64_t& timer_generation(ProcessId target, int timer_id);
   const std::uint64_t* find_timer_generation(ProcessId target,
                                              int timer_id) const;
@@ -155,15 +149,13 @@ class Simulation {
   std::vector<StreamRng> net_streams_;
   Notary notary_;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<Rng> process_rngs_;
-  std::vector<std::uint8_t> isolated_;
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> active_;
   std::vector<SimTime> activation_time_;  // 0 = start with everyone else
   std::vector<std::pair<ProcessId, SimTime>> pending_crashes_;
   /// Pre-activation deliveries, in arrival order.
   std::vector<std::vector<std::pair<ProcessId, MessagePtr>>> mailboxes_;
-  /// Generation counters for timer cancellation/re-arming. A process uses
+  /// Generation counters for timer re-arming. A process uses
   /// a handful of distinct timer ids, so a flat (id, generation) vector
   /// with linear scan beats the old per-process std::map.
   std::vector<std::vector<std::pair<int, std::uint64_t>>> timer_generations_;

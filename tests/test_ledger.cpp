@@ -147,7 +147,6 @@ class LedgerFakeHost : public sim::ProtocolHost {
   void host_set_timer(int timer_id, SimTime) override {
     last_timer_id = timer_id;
   }
-  SimTime host_now() const override { return 0; }
   std::uint64_t host_sign(std::uint64_t) const override { return 0; }
   bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
     return true;

@@ -1,6 +1,7 @@
 // The pluggable link layer (sim::NetworkModel) and the staged-participation
 // runtime: link overrides, partition schedules, pre-GST loss/duplication,
-// crash(id) vs isolate(id), and activate(id, t) mailbox semantics.
+// crash(id) vs a partition that outlasts the run, and activate(id, t)
+// mailbox semantics.
 #include "sim/network_model.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <memory>
 
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup::sim {
 namespace {
@@ -15,8 +17,12 @@ namespace {
 struct NoteMsg final : Message {
   explicit NoteMsg(int p) : payload(p) {}
   int payload;
-  std::string type_name() const override { return "test.note"; }
-  std::size_t byte_size() const override { return 16; }
+  std::string_view type_name() const override { return "test.note"; }
+  static constexpr std::uint16_t kWireType = 0xF001;  // test-only range
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(payload));
+  }
 };
 
 /// Records every delivery with its simulated arrival time.
@@ -282,16 +288,18 @@ TEST(CrashTest, CrashAtGenesisSuppressesStart) {
 }
 
 TEST(CrashTest, IsolateKeepsTheProcessRunningUnlikeCrash) {
-  // isolate() is the partition-style legacy fault: deliveries stop but the
-  // process keeps ticking and sending.
-  Simulation sim(2, sync_net());
+  // A partition window that heals after the run cuts process 0 off:
+  // nothing it sends arrives, but it keeps ticking and sending.
+  NetworkConfig net = sync_net();
+  net.partitions.push_back({NodeSet(2, {0}), 0, 1'000});
+  Simulation sim(2, net);
   auto& t = sim.emplace_process<Ticker>(0, 1);
-  sim.emplace_process<Recorder>(1);
-  sim.isolate(0);
+  auto& r = sim.emplace_process<Recorder>(1);
   sim.start();
   sim.run_for(500);
   EXPECT_GT(t.ticks, 10);  // still running (and still sending)
   EXPECT_GT(sim.metrics().messages_sent, 10u);
+  EXPECT_TRUE(r.deliveries.empty());
 }
 
 // ---- activate(id, t): staged participant arrival ----

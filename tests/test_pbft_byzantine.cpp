@@ -1,10 +1,12 @@
 // PBFT under active Byzantine behaviour: equivocating leaders and forged
 // view-change justifications. The Notary-based certificates must make the
 // classic attacks fail exactly as signed certificates do in real PBFT.
+// BFT-CUP's decision dissemination must count one vote per sender.
 #include "bftcup/pbft.hpp"
 
 #include <gtest/gtest.h>
 
+#include "bftcup/bftcup_node.hpp"
 #include "core/adversaries.hpp"
 #include "sim/composed.hpp"
 #include "sim/simulation.hpp"
@@ -193,6 +195,53 @@ TEST(PbftByzantineTest, ForgedViewChangeRecordIgnored) {
   for (ProcessId i = 0; i < 3; ++i) {
     EXPECT_EQ(nodes[i]->pbft_->view(), 0u);
   }
+}
+
+/// Sends DecisionMsg(value) to process 0 for each value, in order, at
+/// tick `at`; ignores everything it receives.
+class DecisionVoter : public sim::Process {
+ public:
+  DecisionVoter(std::vector<Value> values, SimTime at)
+      : values_(std::move(values)), at_(at) {}
+  void start() override {
+    if (at_ == 0) {
+      vote();
+    } else {
+      set_timer(1, at_);
+    }
+  }
+  void on_timer(int) override { vote(); }
+  void on_message(ProcessId, const sim::MessagePtr&) override {}
+
+ private:
+  void vote() {
+    for (Value v : values_) send(0, sim::make_message<DecisionMsg>(v));
+  }
+  std::vector<Value> values_;
+  SimTime at_;
+};
+
+TEST(BftCupDisseminationTest, OneDecisionVotePerSender) {
+  // f = 1, so a value needs two distinct vouchers. Sender 1 names 7 and
+  // then 9; only its first vote counts, so 9 has one voucher (sender 2)
+  // until sender 3's vote lands at tick 6.
+  sim::NetworkConfig net;
+  net.gst = 0;
+  net.min_delay = 1;
+  net.max_delay = 1;
+  sim::Simulation sim(4, net);
+  auto& node =
+      sim.emplace_process<BftCupNode>(0, NodeSet(4, {1, 2, 3}), 1, Value{5});
+  sim.emplace_process<DecisionVoter>(1, std::vector<Value>{7, 9}, 0);
+  sim.emplace_process<DecisionVoter>(2, std::vector<Value>{9}, 0);
+  sim.emplace_process<DecisionVoter>(3, std::vector<Value>{9}, 5);
+  sim.start();
+  sim.run_for(3);
+  EXPECT_FALSE(node.decided());
+  sim.run_for(100);
+  ASSERT_TRUE(node.decided());
+  EXPECT_EQ(node.decision(), 9u);
+  EXPECT_EQ(node.decision_time(), 6);
 }
 
 }  // namespace

@@ -245,7 +245,6 @@ class FakeHost : public sim::ProtocolHost {
     sent.emplace_back(to, std::move(msg));
   }
   void host_set_timer(int, SimTime) override {}
-  SimTime host_now() const override { return 0; }
   std::uint64_t host_sign(std::uint64_t) const override { return 0; }
   bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
     return true;

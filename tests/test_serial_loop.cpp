@@ -39,6 +39,7 @@
 #include "core/ledger_node.hpp"
 #include "core/scenario_matrix.hpp"
 #include "graph/generators.hpp"
+#include "sim/wire.hpp"
 
 namespace scup::sim {
 namespace {
@@ -55,12 +56,19 @@ NetworkConfig gossip_net(SimTime min_delay, SimTime max_delay,
   return net;
 }
 
+/// Test message classes take wire type ids from 0xF000 up, clear of every
+/// production id.
 struct GossipMsg final : Message {
   GossipMsg(int t, std::uint64_t g) : ttl(t), tag(g) {}
   int ttl;
   std::uint64_t tag;
-  std::string type_name() const override { return "test.gossip"; }
-  std::size_t byte_size() const override { return 24; }
+  std::string_view type_name() const override { return "test.gossip"; }
+  static constexpr std::uint16_t kWireType = 0xF002;
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(ttl));
+    w.u64(tag);
+  }
 };
 
 /// Logs every receipt and timer fire, and checks each fire against the
@@ -174,8 +182,12 @@ class HetNode : public TracedNode {
 struct StampMsg final : Message {
   explicit StampMsg(SimTime t) : sent_at(t) {}
   SimTime sent_at;
-  std::string type_name() const override { return "test.stamp"; }
-  std::size_t byte_size() const override { return 8; }
+  std::string_view type_name() const override { return "test.stamp"; }
+  static constexpr std::uint16_t kWireType = 0xF003;
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(WireWriter& w) const override {
+    w.u64(static_cast<std::uint64_t>(sent_at));
+  }
 };
 
 /// Sends one stamped message to every peer each tick for `rounds` ticks

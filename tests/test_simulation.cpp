@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/wire.hpp"
+
 namespace scup::sim {
 namespace {
 
+/// A 6-byte frame: u16 type header ++ u32 hop count. Test message classes
+/// take wire type ids from 0xF000 up, clear of every production id.
 struct PingMsg final : Message {
   explicit PingMsg(int h) : hops(h) {}
   int hops;
-  std::string type_name() const override { return "test.ping"; }
-  std::size_t byte_size() const override { return 32; }
+  std::string_view type_name() const override { return "test.ping"; }
+  static constexpr std::uint16_t kWireType = 0xF000;
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(hops));
+  }
 };
 
 /// Bounces a ping back and forth `max_hops` times.
@@ -45,7 +53,7 @@ class TimerProcess : public Process {
     set_timer(1, 50);
     set_timer(2, 100);
     set_timer(3, 10);
-    cancel_timer(3);
+    set_timer(3, 20'000);  // retires the 10-tick firing; fires past the run
   }
   void on_timer(int timer_id) override {
     fired_.push_back({timer_id, now()});
@@ -80,7 +88,7 @@ TEST(SimulationTest, PingPongDelivery) {
   EXPECT_EQ(a.last_sender_, 1u);
   EXPECT_EQ(b.last_sender_, 0u);
   EXPECT_EQ(sim.metrics().messages_sent, 10u);
-  EXPECT_EQ(sim.metrics().bytes_sent, 320u);
+  EXPECT_EQ(sim.metrics().bytes_sent, 60u);  // ten 6-byte frames
   EXPECT_EQ(sim.metrics().messages_by_type().at("test.ping"), 10u);
 }
 
@@ -110,8 +118,8 @@ TEST(SimulationTest, TimersFireAndCancel) {
   auto& p = sim.emplace_process<TimerProcess>(0);
   sim.start();
   sim.run_for(10'000);
-  // Timer 3 was cancelled; timer 1 fires 4 times (initial + 3 reps);
-  // timer 2 once.
+  // Timer 3 was re-armed past the run; timer 1 fires 4 times (initial + 3
+  // reps); timer 2 once.
   int t1 = 0, t2 = 0, t3 = 0;
   for (auto& [tid, when] : p.fired_) {
     if (tid == 1) ++t1;
@@ -194,10 +202,13 @@ TEST(SimulationTest, PartialSynchronyDelaysShrinkAfterGst) {
 }
 
 TEST(SimulationTest, IsolatedProcessReceivesNothing) {
-  Simulation sim(2, sync_net());
+  // A partition window that heals only after the run cuts process 1 off:
+  // every delivery to it is deferred past the end.
+  NetworkConfig net = sync_net();
+  net.partitions.push_back({NodeSet(2, {1}), 0, 20'000});
+  Simulation sim(2, net);
   sim.emplace_process<PingPong>(0, 1, true, 100);
   auto& b = sim.emplace_process<PingPong>(1, 0, false, 100);
-  sim.isolate(1);
   sim.start();
   sim.run_for(10'000);
   EXPECT_EQ(b.received_, 0);

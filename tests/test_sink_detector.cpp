@@ -205,7 +205,6 @@ class DetachedHost : public sim::ProtocolHost {
   std::size_t fault_threshold() const override { return f_; }
   void host_send(ProcessId, sim::MessagePtr) override {}
   void host_set_timer(int, SimTime) override {}
-  SimTime host_now() const override { return 0; }
   std::uint64_t host_sign(std::uint64_t) const override { return 0; }
   bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
     return true;

@@ -12,7 +12,6 @@
 //     keeps no frame bytes; a copy keeps the type id but sizes its own
 //     frame, and messages are plain make_shared objects whose lifetime and
 //     addresses are invisible to the determinism contract.
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -130,7 +129,7 @@ TEST_F(WireCodecTest, RegistryCoversEveryFamily) {
   std::set<std::uint16_t> types;
   for (const core::WireCodec& codec : codecs) {
     EXPECT_NE(codec.decode, nullptr);
-    EXPECT_NE(codec.name, nullptr);
+    EXPECT_LT(codec.type, 0xF000) << "ids from 0xF000 up are test-only";
     types.insert(codec.type);
   }
   EXPECT_EQ(types.size(), codecs.size()) << "one entry per wire type";
@@ -320,10 +319,8 @@ TEST_F(WireCodecTest, CountingWriterCountsWhatTheWritingOneWrites) {
 TEST_F(WireCodecTest, FrameCacheEncodesOncePerMessage) {
   const MessagePtr msg = sim::make_message<cup::GetSinkMsg>(ProcessId{3});
   const auto first = msg->send_size();
-  EXPECT_TRUE(first.from_codec);
   EXPECT_TRUE(first.encoded_now);
   const auto second = msg->send_size();
-  EXPECT_TRUE(second.from_codec);
   EXPECT_FALSE(second.encoded_now);  // served from the cache
   EXPECT_EQ(second.bytes, first.bytes);
   // The cache holds the frame's size, not the frame: encoding again yields
@@ -347,7 +344,6 @@ TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
     EXPECT_EQ(copy.metrics_type_id(), source.metrics_type_id());
     const auto sized = copy.send_size();
     EXPECT_TRUE(sized.encoded_now);
-    EXPECT_TRUE(sized.from_codec);
     EXPECT_EQ(sized.bytes, source.send_size().bytes);
     EXPECT_EQ(frame_of(copy), frame_of(source));
   };
@@ -379,15 +375,24 @@ TEST_F(WireCodecTest, CopiesKeepTheTypeIdAndEncodeTheirOwnFrame) {
 }
 
 TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
+  // Every message class has a codec, test classes included: one with a
+  // test-only wire type id is charged its exact frame size, sized once.
+  // A class declared in a function body cannot hold a static member, so
+  // wire_type() returns the id directly.
   struct LegacyMsg final : sim::Message {
-    std::string type_name() const override { return "test.legacy"; }
-    std::size_t byte_size() const override { return 57; }
+    std::uint64_t stamp = 57;
+    std::string_view type_name() const override { return "test.legacy"; }
+    std::uint16_t wire_type() const override { return 0xF005; }
+    void wire_encode(WireWriter& w) const override { w.u64(stamp); }
   };
   const auto msg = std::make_shared<const LegacyMsg>();
   const auto sized = msg->send_size();
-  EXPECT_FALSE(sized.from_codec);
-  EXPECT_EQ(sized.bytes, 57u);
-  EXPECT_TRUE(msg->encode_frame().empty());
+  EXPECT_TRUE(sized.encoded_now);
+  EXPECT_EQ(sized.bytes, 10u);  // u16 type header ++ u64 stamp
+  EXPECT_EQ(msg->encode_frame().size(), sized.bytes);
+  const auto again = msg->send_size();
+  EXPECT_FALSE(again.encoded_now);
+  EXPECT_EQ(again.bytes, sized.bytes);
 }
 
 // ---- Delivery routing ----
@@ -395,9 +400,13 @@ TEST_F(WireCodecTest, CodeclessMessagesKeepByteSizeEstimates) {
 // Handlers find their message type with sim::message_as<T>, which compares
 // wire type ids; dynamic_cast is the oracle here.
 
-/// A test message without a codec: its wire type id is kWireTypeNone.
+/// A test message outside the codec table: its wire type id is from the
+/// test-only range, so no tabled class claims it.
 struct CodeclessMsg final : sim::Message {
-  std::string type_name() const override { return "test.codeless"; }
+  std::string_view type_name() const override { return "test.codeless"; }
+  static constexpr std::uint16_t kWireType = 0xF004;
+  std::uint16_t wire_type() const override { return kWireType; }
+  void wire_encode(WireWriter& /*w*/) const override {}
 };
 
 template <class T>
@@ -450,7 +459,6 @@ class SilentHost : public sim::ProtocolHost {
   std::size_t fault_threshold() const override { return 1; }
   void host_send(ProcessId, sim::MessagePtr) override { ++sends; }
   void host_set_timer(int, SimTime) override {}
-  SimTime host_now() const override { return 0; }
   std::uint64_t host_sign(std::uint64_t) const override { return 0; }
   bool host_verify(ProcessId, std::uint64_t, std::uint64_t) const override {
     return true;
@@ -540,17 +548,7 @@ TEST(MessagePoolTest, BlocksOutliveThePoolHandle) {
 }
 
 TEST(MessagePoolTest, OversizedRequestsFallBackToHeap) {
-  // An 8 KiB codec-less message is charged its byte_size(); a gossip frame
-  // over 104 bytes is charged its exact frame size.
-  struct JumboMsg final : sim::Message {
-    std::array<std::uint8_t, 8192> payload{};
-    std::string type_name() const override { return "test.jumbo"; }
-    std::size_t byte_size() const override { return payload.size(); }
-  };
-  const MessagePtr jumbo = sim::make_message<JumboMsg>();
-  EXPECT_EQ(jumbo->send_size().bytes, 8192u);
-  EXPECT_FALSE(jumbo->send_size().from_codec);
-
+  // A gossip frame over 104 bytes is charged its exact frame size.
   std::vector<cup::PdCertificate> certs;
   for (ProcessId owner = 0; owner < 12; ++owner) {
     certs.push_back({owner, NodeSet(12, {0, 3, 4, 7, 11})});

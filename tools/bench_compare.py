@@ -5,7 +5,10 @@ Compares a candidate bench summary (written by SCUP_BENCH_MAIN, see
 bench/bench_common.hpp) against a committed reference and fails (exit 1)
 on regressions. A reference row missing from the candidate fails, and so
 does a reference counter missing from a candidate row, so a bench change
-that drops either must re-record the reference. Three checks, in
+that drops either must re-record the reference. Both files must record
+the same host.build_type ("release" for builds that define NDEBUG,
+"debug" otherwise): a Debug run is never compared against a Release
+reference, and a file without the field fails. Three checks, in
 decreasing order of trust:
 
  1. Ratio floors. Counters that encode an experiment's headline promise
@@ -127,6 +130,16 @@ def main():
             f"bench_compare: experiment mismatch "
             f"({ref_doc.get('experiment')} vs {cand_doc.get('experiment')})"
         )
+        return 1
+    ref_build = ref_doc.get("host", {}).get("build_type")
+    cand_build = cand_doc.get("host", {}).get("build_type")
+    if ref_build is None or cand_build is None:
+        print("bench_compare: host.build_type missing from the "
+              f"{'reference' if ref_build is None else 'candidate'}")
+        return 1
+    if ref_build != cand_build:
+        print(f"bench_compare: build type mismatch (reference {ref_build}, "
+              f"candidate {cand_build})")
         return 1
 
     shared = sorted(set(ref_rows) & set(cand_rows))

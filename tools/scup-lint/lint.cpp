@@ -348,7 +348,7 @@ void rule_raw_random(const std::string& rel_path, ParsedFile& file,
           findings.push_back(Finding{
               rel_path, i + 1, std::string(kRuleRawRandom),
               "wall-clock time() breaks seeded reproducibility; use sim "
-              "time (host_now) or a seed parameter"});
+              "time (Process::now) or a seed parameter"});
         }
       }
     }

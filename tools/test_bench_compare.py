@@ -4,7 +4,8 @@
 Each case writes a candidate derived from tools/bench_reference_e11.json
 to a temporary directory and runs the gate on it as CI does: identical
 files pass, and a changed deterministic counter, a deleted counter, a
-ratio below its floor or a deleted row fails. Two cases on
+ratio below its floor, a deleted row, a Debug build type or a missing
+build type fails. Two cases on
 tools/bench_reference_e12.json check that a wall-derived counter
 (speedup_8t) is skipped while a deterministic one is not.
 
@@ -97,6 +98,21 @@ class BenchCompareTest(GateCase):
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn(
             f"row disappeared from the candidate run: {SWEEP}", result.stdout)
+
+    def test_debug_build_type_fails(self):
+        cand = self.candidate()
+        cand["host"]["build_type"] = "debug"
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("build type mismatch", result.stdout)
+
+    def test_missing_build_type_fails(self):
+        cand = self.candidate()
+        del cand["host"]["build_type"]
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("host.build_type missing from the candidate",
+                      result.stdout)
 
 
 class BenchCompareE12Test(GateCase):
