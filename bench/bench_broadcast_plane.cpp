@@ -35,8 +35,8 @@ using bench::heap_allocs;
 
 // ---- 1. micro: message churn ----------------------------------------------
 
-/// One churn round: `total` short-lived codec-bearing messages with a
-/// bounded live window — the steady-state shape of a broadcast plane.
+/// One churn round: `total` short-lived messages with a bounded live
+/// window — the steady-state shape of a broadcast plane.
 /// Returns the number of heap allocations the round performed.
 std::uint64_t churn_messages(std::size_t total, std::size_t window) {
   std::vector<sim::MessagePtr> live;

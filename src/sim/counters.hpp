@@ -44,12 +44,12 @@ enum class ProtoCounter : std::uint8_t {
   /// construction + per-destination size walk.
   kDiscoveryPayloadShared,
   /// Wire frames sized (one counting pass of wire_encode) — exactly one
-  /// per codec-bearing message object, however many destinations its
-  /// broadcast fans out to (the E16 encode-once proof: kWireEncodes ==
-  /// distinct messages, not sends).
+  /// per message object, however many destinations its broadcast fans out
+  /// to (the E16 encode-once proof: kWireEncodes == distinct messages, not
+  /// sends).
   kWireEncodes,
   /// Sends whose traffic accounting was served from a message's cached
-  /// frame size (every send of a codec-bearing message after its first).
+  /// frame size (every send of a message after its first).
   kWireCachedSends,
   kCount,
 };

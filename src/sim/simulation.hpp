@@ -155,9 +155,9 @@ class Simulation {
   std::vector<std::pair<ProcessId, SimTime>> pending_crashes_;
   /// Pre-activation deliveries, in arrival order.
   std::vector<std::vector<std::pair<ProcessId, MessagePtr>>> mailboxes_;
-  /// Generation counters for timer re-arming. A process uses
-  /// a handful of distinct timer ids, so a flat (id, generation) vector
-  /// with linear scan beats the old per-process std::map.
+  /// Generation counters for timer re-arming. A process uses a handful of
+  /// distinct timer ids, so a flat (id, generation) vector with linear
+  /// scan beats the old per-process std::map.
   std::vector<std::vector<std::pair<int, std::uint64_t>>> timer_generations_;
   CalendarQueue queue_;
   SimMetrics metrics_;

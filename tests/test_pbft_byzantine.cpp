@@ -203,20 +203,13 @@ class DecisionVoter : public sim::Process {
  public:
   DecisionVoter(std::vector<Value> values, SimTime at)
       : values_(std::move(values)), at_(at) {}
-  void start() override {
-    if (at_ == 0) {
-      vote();
-    } else {
-      set_timer(1, at_);
-    }
+  void start() override { set_timer(1, at_); }
+  void on_timer(int) override {
+    for (Value v : values_) send(0, sim::make_message<DecisionMsg>(v));
   }
-  void on_timer(int) override { vote(); }
   void on_message(ProcessId, const sim::MessagePtr&) override {}
 
  private:
-  void vote() {
-    for (Value v : values_) send(0, sim::make_message<DecisionMsg>(v));
-  }
   std::vector<Value> values_;
   SimTime at_;
 };
