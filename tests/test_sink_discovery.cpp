@@ -2,18 +2,25 @@
 // fake ProtocolHost, without a simulation: the step-3 matching rules, the
 // incremental admission path (degree bounds, cached max-flow cuts, the f = 1
 // dominator batch) against a recompute-from-scratch reference, and the
-// shared gossip-reply cache. The simulation-level behaviour is covered by
-// test_sink_detector and test_sink_convergence.
+// shared gossip-reply cache. One simulated f = 2 run pins the admission
+// counters of the max-flow path, which no gated bench row covers. The
+// simulation-level behaviour is covered by test_sink_detector and
+// test_sink_convergence.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/adversaries.hpp"
+#include "core/experiment.hpp"
 #include "cup/sink_discovery.hpp"
 #include "graph/disjoint_paths.hpp"
 #include "graph/generators.hpp"
+#include "graph/scc.hpp"
+#include "sim/composed.hpp"
 #include "sim/host.hpp"
+#include "sim/simulation.hpp"
 
 namespace scup::cup {
 namespace {
@@ -426,6 +433,76 @@ TEST(SinkDiscoveryIncremental, MemoizedVerdictsSkipUnaffectedNodes) {
   EXPECT_EQ(stats.domtree_passes, 0u);
   EXPECT_EQ(stats.cut_skips, 0u);
   EXPECT_EQ(discovery.candidate_set(), NodeSet(n, {0, 1}));
+}
+
+/// A process that runs discovery and nothing else, as E11's rows do.
+class DiscoveryOnlyNode : public sim::ComposedNode {
+ public:
+  DiscoveryOnlyNode(NodeSet pd, std::size_t f)
+      : ComposedNode(f), discovery(*this, std::move(pd)) {}
+  void start() override { discovery.start(); }
+  void on_message(ProcessId from, const sim::MessagePtr& msg) override {
+    discovery.handle(from, *msg);
+  }
+  SinkDiscovery discovery;
+};
+
+TEST(SinkDiscoveryPinned, MaxFlowPathCountersAtFaultThresholdTwo) {
+  // E11's gated rows are all f = 1, where the dominator tree decides every
+  // pending node and flow_evals and cut_skips stay 0. This f = 2 run goes
+  // through the degree bounds, the max-flow engine and the cut cache, with
+  // the faulty processes silent, until every correct sink member finishes;
+  // the summed counters are pinned exactly, so a change to the admission
+  // path that keeps verdicts but moves work shows here.
+  core::LargeScaleParams params;
+  params.n = 64;
+  params.f = 2;
+  params.seed = 1;
+  const core::ScenarioConfig cfg = core::large_scale_scenario(params);
+  const NodeSet sink = graph::unique_sink_component(cfg.graph);
+  const NodeSet correct = cfg.faulty.complement();
+  ASSERT_FALSE(cfg.faulty.empty());
+
+  sim::Simulation sim(params.n, cfg.net);
+  std::vector<DiscoveryOnlyNode*> nodes(params.n, nullptr);
+  for (ProcessId i = 0; i < params.n; ++i) {
+    if (cfg.faulty.contains(i)) {
+      sim.emplace_process<core::SilentNode>(i);
+    } else {
+      nodes[i] = &sim.emplace_process<DiscoveryOnlyNode>(i, cfg.graph.pd_of(i),
+                                                         params.f);
+    }
+  }
+  sim.start();
+  const NodeSet correct_sink = sink & correct;
+  ASSERT_TRUE(sim.run_until(
+      [&] {
+        for (ProcessId i : correct_sink) {
+          if (!nodes[i]->discovery.finished()) return false;
+        }
+        return true;
+      },
+      cfg.deadline));
+
+  DiscoveryStats sum;
+  for (ProcessId i : correct) {
+    const DiscoveryStats& s = nodes[i]->discovery.stats();
+    sum.flow_evals += s.flow_evals;
+    sum.flow_evals_baseline += s.flow_evals_baseline;
+    sum.degree_prunes += s.degree_prunes;
+    sum.cut_skips += s.cut_skips;
+    sum.domtree_passes += s.domtree_passes;
+    sum.dirty_updates += s.dirty_updates;
+  }
+  EXPECT_EQ(sum.flow_evals, 2'521u);
+  EXPECT_EQ(sum.flow_evals_baseline, 15'099u);
+  EXPECT_EQ(sum.degree_prunes, 10'533u);
+  EXPECT_EQ(sum.cut_skips, 2'045u);
+  EXPECT_EQ(sum.domtree_passes, 0u);
+  EXPECT_EQ(sum.dirty_updates, 1'650u);
+  for (ProcessId i : correct_sink) {
+    EXPECT_EQ(nodes[i]->discovery.sink(), sink) << "member " << i;
+  }
 }
 
 }  // namespace
