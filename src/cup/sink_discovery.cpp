@@ -16,11 +16,15 @@ SinkDiscovery::SinkDiscovery(sim::ProtocolHost& host, NodeSet pd,
       candidate_(pd_.universe_size()),
       queried_(pd_.universe_size()),
       responded_(pd_.universe_size()),
+      latest_known_(pd_.universe_size()),
+      known_senders_(pd_.universe_size()),
       last_published_(pd_.universe_size()),
-      neg_cuts_(pd_.universe_size()) {}
+      neg_cuts_(pd_.universe_size()),
+      cut_holders_(pd_.universe_size()) {}
 
 void SinkDiscovery::start() {
-  merge_certificate(host_.self(), pd_);
+  const PdCertificate own = own_cert();
+  merge_certificates({&own, 1});
   update();
   if (config_.requery_interval > 0) {
     host_.host_set_timer(kDiscoveryRequeryTimerId, config_.requery_interval);
@@ -58,7 +62,7 @@ bool SinkDiscovery::on_timer(int timer_id) {
 bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
   if (const auto* discover = sim::message_as<DiscoverMsg>(&msg)) {
     ++stats_.cert_entries_received;
-    merge_certificate(discover->cert.owner, discover->cert.pd);
+    merge_certificates({&discover->cert, 1});
     responded_.add(from);
     // Reply with everything we hold (knowledge flows backward along the
     // query; certificates are forwardable because they are signed).
@@ -74,10 +78,11 @@ bool SinkDiscovery::handle(ProcessId from, const sim::Message& msg) {
     return true;
   }
   if (const auto* known = sim::message_as<KnownMsg>(&msg)) {
-    if (known->known.universe_size() == host_.universe()) {
-      // scup-lint: bounded(keyed by sender id, at most one entry per process in the universe)
-      // scup-sanitize: `from` is the transport-authenticated sender id, not payload
+    if (from < latest_known_.size() &&
+        known->known.universe_size() == latest_known_.size()) {
+      // scup-lint: bounded(one slot per process in the universe, range-checked above)
       latest_known_[from] = known->known;
+      known_senders_.add(from);
       responded_.add(from);
       update();
     }
@@ -103,21 +108,29 @@ sim::MessagePtr SinkDiscovery::gossip_reply() {
   });
 }
 
-void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
-  if (owner == kInvalidProcess || owner >= cert_rows_.size() ||
-      pd.universe_size() != host_.universe()) {
-    return;  // malformed; ignore
+void SinkDiscovery::merge_certificates(
+    std::span<const PdCertificate> certs) {
+  const std::size_t universe = cert_rows_.size();
+  for (const auto& [owner, pd] : certs) {
+    if (owner >= universe || pd.universe_size() != universe) continue;
+    // Nothing new: the common case (every gossip reply repeats the whole
+    // table), decided here without a call and without allocating.
+    if (cert_owners_.contains(owner) && pd.subset_of(cert_rows_[owner])) {
+      continue;
+    }
+    merge_certificate(owner, pd);
   }
+}
+
+void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
   NodeSet& row = cert_rows_[owner];
-  if (!cert_owners_.contains(owner)) {
-    cert_owners_.add(owner);
-    row = pd;
-  } else if (pd.subset_of(row)) {
-    return;  // nothing new: the common case, and allocation-free
-  } else {
+  if (cert_owners_.contains(owner)) {
     // Union-merge: a Byzantine owner issuing conflicting certificates
     // converges to the union at every correct receiver (deterministic).
     row |= pd;
+  } else {
+    cert_owners_.add(owner);
+    row = pd;
   }
   cached_gossip_.reset();
   if (reachable_.empty()) {
@@ -126,22 +139,29 @@ void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
       dom_tree_ = graph::DominatorTree(cert_graph_.node_count(), host_.self());
     }
   }
+  // The row's new edges land, in id order, at the end of owner's
+  // successors; that suffix is what this merge added.
+  const std::size_t known = cert_graph_.out_degree(owner);
+  cert_graph_.add_edges(owner, row);
+  const std::vector<ProcessId>& successors = cert_graph_.successors(owner);
+  if (successors.size() == known) return;
   const bool owner_reachable = reachable_.contains(owner);
-  for (ProcessId target : row) {
-    if (!cert_graph_.has_edge(owner, target)) {
-      cert_graph_.add_edge(owner, target);
-      new_edges_.emplace_back(owner, target);
-      if (f_ == 1) dom_tree_.insert(cert_graph_, owner);
-      if (owner_reachable && !reachable_.contains(target)) {
-        extend_reachable(target);
-      }
+  for (std::size_t i = known; i < successors.size(); ++i) {
+    const ProcessId target = successors[i];
+    new_edges_.emplace_back(owner, target);
+    if (owner_reachable && !reachable_.contains(target)) {
+      extend_reachable(target);
     }
   }
+  // The tree takes up every edge owner gained since its last call, one at
+  // a time and in order, so one call covers the whole suffix.
+  if (f_ == 1) dom_tree_.insert(cert_graph_, owner);
 }
 
 void SinkDiscovery::extend_reachable(ProcessId from) {
-  // reachable_ is closed under successors in the graph before this edge,
-  // so the search stops at every node it already holds.
+  // reachable_ was closed under successors before this merge, whose new
+  // edges all leave its owner, so the search stops at every node it
+  // already holds; the caller extends from each new head in turn.
   reachable_.add(from);
   reach_stack_.assign(1, from);
   while (!reach_stack_.empty()) {
@@ -154,11 +174,6 @@ void SinkDiscovery::extend_reachable(ProcessId from) {
       }
     }
   }
-}
-
-void SinkDiscovery::merge_certificates(
-    const std::vector<PdCertificate>& certs) {
-  for (const auto& [owner, pd] : certs) merge_certificate(owner, pd);
 }
 
 void SinkDiscovery::update() {
@@ -184,9 +199,10 @@ void SinkDiscovery::recheck_admissions() {
   // certify disjoint paths — even nodes not (yet) admitted. One immutable
   // query message serves every target, across every update *and* every
   // retransmission (own_cert() is frozen at construction).
-  for (ProcessId j : reachable_) {
-    if (j == self || queried_.contains(j)) continue;
-    queried_.add(j);
+  NodeSet to_query = reachable_ - queried_;
+  to_query.remove(self);
+  queried_ |= to_query;
+  for (ProcessId j : to_query) {
     host_.host_send(j, shared_payload(cached_discover_, [this] {
       return sim::make_message<DiscoverMsg>(own_cert());
     }));
@@ -210,40 +226,42 @@ void SinkDiscovery::recheck_admissions() {
         }
         return true;
       };
-  for (auto& cut : neg_cuts_) {
-    if (cut && !cut_still_separates(*cut)) cut.reset();
+  const NodeSet holders = cut_holders_;
+  for (ProcessId j : holders) {
+    if (!cut_still_separates(*neg_cuts_[j])) {
+      neg_cuts_[j].reset();
+      cut_holders_.remove(j);
+    }
   }
   new_edges_.clear();
 
   // Menger bound at the source: f+1 disjoint paths leave self through f+1
-  // distinct certified out-edges.
-  std::size_t self_out_degree = 0;
-  for (ProcessId x : cert_graph_.successors(self)) {
-    if (reachable_.contains(x)) ++self_out_degree;
-  }
-  const bool source_can_admit = self_out_degree >= f_ + 1;
+  // distinct certified out-edges. reachable_ holds every successor of self.
+  const std::size_t self_out_degree = cert_graph_.out_degree(self);
 
   // Candidate set: self, own PD (trusted oracle output), and every node
   // f-reachable in the certified graph (Definition 9). Both the graph and
   // the property are monotone, so admitted nodes stay admitted; every other
-  // reachable node goes through the steps below again, each of which gives
-  // an exact verdict.
+  // reachable node is pending and goes through the steps below again, each
+  // of which gives an exact verdict.
+  NodeSet pending = reachable_ - admitted_;
+  pending -= pd_;
+  pending.remove(self);
+  // The pre-incremental algorithm re-ran the max-flow check for every
+  // pending node unconditionally; count what it would have cost (E11's
+  // baseline). When the source bound fails, the bound prunes them all.
+  const std::size_t pending_count = pending.count();
+  stats_.flow_evals_baseline += pending_count;
+  if (self_out_degree < f_ + 1) {
+    stats_.degree_prunes += pending_count;
+    pending.clear();
+  }
   bool engine_ready = false;
   bool domtree_consulted = false;
-  for (ProcessId j : reachable_) {
-    if (admitted_.contains(j) || j == self || pd_.contains(j)) continue;
-    // The pre-incremental algorithm re-ran the max-flow check here
-    // unconditionally; count what it would have cost (E11's baseline).
-    ++stats_.flow_evals_baseline;
+  for (ProcessId j : pending) {
     // Menger bound at the target: f+1 disjoint paths arrive over f+1
     // distinct certified in-edges from active nodes.
-    std::size_t in_degree = 0;
-    if (source_can_admit) {
-      for (ProcessId p : cert_graph_.predecessors(j)) {
-        if (reachable_.contains(p) && ++in_degree > f_) break;
-      }
-    }
-    if (in_degree < f_ + 1) {
+    if (cert_graph_.predecessors(j).intersection_count(reachable_) < f_ + 1) {
       ++stats_.degree_prunes;
       continue;
     }
@@ -280,6 +298,7 @@ void SinkDiscovery::recheck_admissions() {
       admitted_.add(j);
     } else {
       neg_cuts_[j] = path_engine_.extract_cut(self, j);
+      cut_holders_.add(j);
     }
   }
   candidate_ = admitted_ | pd_;
@@ -315,9 +334,8 @@ void SinkDiscovery::check_match() {
   // f+1 chatty non-members must not be able to raise probably_non_sink_.
   std::size_t matching = 1;  // self
   std::size_t different = 0;
-  for (const auto& [sender, known] : latest_known_) {
-    if (!candidate_.contains(sender)) continue;
-    if (known == candidate_) {
+  for (ProcessId sender : known_senders_ & candidate_) {
+    if (latest_known_[sender] == candidate_) {
       ++matching;
     } else {
       ++different;

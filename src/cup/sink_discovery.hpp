@@ -29,8 +29,9 @@
 // after a certificate batch added edges. The set reachable from self also
 // only grows, so it is kept as edges arrive: an edge out of it extends it by
 // one DFS from the edge's head. At f = 1 the dominator tree rooted at self
-// is kept the same way: merge_certificate hands it every new edge
-// (graph::DominatorTree). Each pending node goes through
+// is kept the same way: merge_certificate adds a certificate's new edges
+// in one step and hands the tree their tail once (graph::DominatorTree).
+// The pending nodes of an update are one set difference; each goes through
 // Menger's degree bounds, then through its cached vertex-cut certificate
 // from an earlier failed max-flow (dropped once a new edge crosses it),
 // then through an exact decision: for f = 1 the kept tree decides every
@@ -45,8 +46,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -145,10 +146,13 @@ class SinkDiscovery {
   std::function<void()> on_complete;
 
  private:
+  /// Merges every well-formed certificate in `certs` that names a new
+  /// owner or adds ids to its owner's row; any other costs a subset test.
+  void merge_certificates(std::span<const PdCertificate> certs);
+  /// Merges one well-formed certificate that merge_certificates found new.
   void merge_certificate(ProcessId owner, const NodeSet& pd);
   /// Adds `from` and everything reachable from it to reachable_.
   void extend_reachable(ProcessId from);
-  void merge_certificates(const std::vector<PdCertificate>& certs);
   /// Queries newly reachable nodes, re-decides pending admissions after a
   /// batch that added edges, and re-evaluates steps 2-3.
   void update();
@@ -204,7 +208,10 @@ class SinkDiscovery {
   NodeSet candidate_;
   NodeSet queried_;
   NodeSet responded_;
-  std::map<ProcessId, NodeSet> latest_known_;  // sender -> last KNOWN set
+  /// Last KNOWN set per sender, indexed by sender id; only the slots of
+  /// senders in known_senders_ hold one.
+  std::vector<NodeSet> latest_known_;
+  NodeSet known_senders_;
   NodeSet last_published_;
   bool published_once_ = false;
   bool finished_ = false;
@@ -217,6 +224,7 @@ class SinkDiscovery {
   /// crossing its frontier, so nodes that stay short of f+1 paths stop
   /// costing max-flow runs after their first failure.
   std::vector<std::optional<graph::DisjointPathEngine::VertexCut>> neg_cuts_;
+  NodeSet cut_holders_;  // nodes whose neg_cuts_ slot holds a cut
   // ---- shared broadcast payloads: every discovery broadcast constructs
   // ---- (and size-accounts) one immutable message per *state change*, not
   // ---- per destination; sends reuse the cache until the state moves.

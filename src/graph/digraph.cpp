@@ -6,7 +6,7 @@
 namespace scup::graph {
 
 Digraph::Digraph(std::size_t n)
-    : n_(n), succ_(n), pred_(n), succ_set_(n, NodeSet(n)) {}
+    : n_(n), succ_(n), succ_set_(n, NodeSet(n)), pred_(n, NodeSet(n)) {}
 
 void Digraph::check_node(ProcessId u) const {
   if (u >= n_) {
@@ -22,8 +22,28 @@ void Digraph::add_edge(ProcessId u, ProcessId v) {
   if (succ_set_[u].contains(v)) return;
   succ_set_[u].add(v);
   succ_[u].push_back(v);
-  pred_[v].push_back(u);
+  pred_[v].add(u);
   ++edge_count_;
+}
+
+void Digraph::add_edges(ProcessId u, const NodeSet& targets) {
+  check_node(u);
+  if (targets.universe_size() != n_) {
+    throw std::invalid_argument("add_edges: universe mismatch");
+  }
+  NodeSet& row = succ_set_[u];
+  std::size_t added = targets.count() - targets.intersection_count(row);
+  if (targets.contains(u)) --added;  // row never holds u
+  if (added == 0) return;
+  std::vector<ProcessId>& succ = succ_[u];
+  succ.reserve(succ.size() + added);
+  for (ProcessId v : targets) {
+    if (v == u || row.contains(v)) continue;
+    row.add(v);
+    succ.push_back(v);
+    pred_[v].add(u);
+  }
+  edge_count_ += added;
 }
 
 bool Digraph::has_edge(ProcessId u, ProcessId v) const {
@@ -37,7 +57,7 @@ const std::vector<ProcessId>& Digraph::successors(ProcessId u) const {
   return succ_[u];
 }
 
-const std::vector<ProcessId>& Digraph::predecessors(ProcessId u) const {
+const NodeSet& Digraph::predecessors(ProcessId u) const {
   check_node(u);
   return pred_[u];
 }
@@ -49,9 +69,7 @@ NodeSet Digraph::successor_set(ProcessId u) const {
 
 NodeSet Digraph::predecessor_set(ProcessId u) const {
   check_node(u);
-  NodeSet s(n_);
-  for (ProcessId p : pred_[u]) s.add(p);
-  return s;
+  return pred_[u];
 }
 
 Digraph Digraph::reversed() const {

@@ -22,16 +22,23 @@ class Digraph {
 
   /// Adds edge u -> v. Self-loops are ignored; duplicate edges are ignored.
   void add_edge(ProcessId u, ProcessId v);
+  /// Adds u -> v for every v in `targets` (same universe) that is not yet a
+  /// successor of u, skipping u itself: the new successors are appended in
+  /// id order, after one reserve, exactly as add_edge over `targets` in id
+  /// order would append them.
+  void add_edges(ProcessId u, const NodeSet& targets);
   bool has_edge(ProcessId u, ProcessId v) const;
 
+  /// Successors in insertion order (DominatorTree walks prefixes of it).
   const std::vector<ProcessId>& successors(ProcessId u) const;
-  const std::vector<ProcessId>& predecessors(ProcessId u) const;
+  /// Predecessors as one row over the universe, in id order.
+  const NodeSet& predecessors(ProcessId u) const;
 
   NodeSet successor_set(ProcessId u) const;
   NodeSet predecessor_set(ProcessId u) const;
 
   std::size_t out_degree(ProcessId u) const { return successors(u).size(); }
-  std::size_t in_degree(ProcessId u) const { return predecessors(u).size(); }
+  std::size_t in_degree(ProcessId u) const { return predecessors(u).count(); }
 
   /// Graph with all edges reversed.
   Digraph reversed() const;
@@ -61,8 +68,10 @@ class Digraph {
   std::size_t n_ = 0;
   std::size_t edge_count_ = 0;
   std::vector<std::vector<ProcessId>> succ_;
-  std::vector<std::vector<ProcessId>> pred_;
   std::vector<NodeSet> succ_set_;  // for O(1) has_edge
+  // Predecessor rows: a NodeSet keeps up to NodeSet::kInlineUniverse ids
+  // inside the object, so adding an edge allocates nothing here.
+  std::vector<NodeSet> pred_;
 };
 
 }  // namespace scup::graph

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 
 namespace scup::graph {
@@ -51,6 +54,60 @@ TEST(DigraphTest, SuccessorPredecessorSets) {
   EXPECT_EQ(g.successor_set(0), NodeSet(5, {1, 3}));
   EXPECT_EQ(g.predecessor_set(3), NodeSet(5, {0, 2}));
   EXPECT_EQ(g.pd_of(0), NodeSet(5, {1, 3}));
+}
+
+TEST(DigraphTest, AddEdgesAppendsNewTargetsInIdOrder) {
+  Digraph g(6);
+  g.add_edge(0, 4);
+  g.add_edge(0, 1);
+  // 0 is u itself and 1 is already a successor: only 2, 3 and 5 are new,
+  // and they follow the existing successors in id order.
+  g.add_edges(0, NodeSet(6, {0, 1, 2, 3, 5}));
+  EXPECT_EQ(g.successors(0), (std::vector<ProcessId>{4, 1, 2, 3, 5}));
+  EXPECT_EQ(g.edge_count(), 5u);
+  EXPECT_FALSE(g.has_edge(0, 0));
+  EXPECT_EQ(g.predecessors(3), NodeSet(6, {0}));
+  EXPECT_EQ(g.in_degree(0), 0u);
+
+  // Nothing new: nothing changes.
+  g.add_edges(0, NodeSet(6, {0, 2, 4}));
+  EXPECT_EQ(g.successors(0), (std::vector<ProcessId>{4, 1, 2, 3, 5}));
+  EXPECT_EQ(g.edge_count(), 5u);
+
+  EXPECT_THROW(g.add_edges(6, NodeSet(6, {1})), std::out_of_range);
+  EXPECT_THROW(g.add_edges(0, NodeSet(7, {1})), std::invalid_argument);
+}
+
+TEST(DigraphTest, AddEdgesMatchesAddEdgeOneByOne) {
+  // Rows arrive in pieces, in random order and overlapping what is already
+  // there (as union-merged certificates do); one graph takes each piece
+  // with add_edges, the other with add_edge per member in id order.
+  Rng rng(17);
+  for (const std::size_t n : {std::size_t{12}, std::size_t{300}}) {
+    Digraph batched(n);
+    Digraph single(n);
+    for (int piece = 0; piece < 400; ++piece) {
+      const auto u = static_cast<ProcessId>(rng.uniform(n));
+      NodeSet targets(n);
+      for (ProcessId v = 0; v < n; ++v) {
+        if (rng.chance(0.2)) targets.add(v);
+      }
+      batched.add_edges(u, targets);
+      for (ProcessId v : targets) single.add_edge(u, v);
+    }
+    ASSERT_EQ(batched.edge_count(), single.edge_count()) << "n=" << n;
+    for (ProcessId u = 0; u < n; ++u) {
+      EXPECT_EQ(batched.successors(u), single.successors(u)) << "u=" << u;
+      EXPECT_EQ(batched.predecessors(u), single.predecessors(u)) << "u=" << u;
+      EXPECT_EQ(batched.in_degree(u), single.in_degree(u)) << "u=" << u;
+      EXPECT_EQ(batched.predecessor_set(u), single.predecessor_set(u));
+      EXPECT_EQ(batched.successor_set(u), single.successor_set(u));
+      for (ProcessId v = 0; v < n; ++v) {
+        ASSERT_EQ(batched.has_edge(u, v), single.has_edge(u, v))
+            << "u=" << u << " v=" << v;
+      }
+    }
+  }
 }
 
 TEST(DigraphTest, Reversed) {

@@ -6,8 +6,13 @@
 // counters of the max-flow path, which no gated bench row covers. The
 // simulation-level behaviour is covered by test_sink_detector and
 // test_sink_convergence.
+//
+// The allocation tests replace global operator new with a counting shim.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -22,8 +27,34 @@
 #include "sim/host.hpp"
 #include "sim/simulation.hpp"
 
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace scup::cup {
 namespace {
+
+/// Heap allocations made while running `body`. gtest allocates too, so
+/// every check counts only across the statements under test.
+template <typename Body>
+std::uint64_t allocs_during(Body&& body) {
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  body();
+  return g_heap_allocs.load(std::memory_order_relaxed) - before;
+}
 
 class FakeHost : public sim::ProtocolHost {
  public:
@@ -433,6 +464,60 @@ TEST(SinkDiscoveryIncremental, MemoizedVerdictsSkipUnaffectedNodes) {
   EXPECT_EQ(stats.domtree_passes, 0u);
   EXPECT_EQ(stats.cut_skips, 0u);
   EXPECT_EQ(discovery.candidate_set(), NodeSet(n, {0, 1}));
+}
+
+TEST(SinkDiscoveryAllocations, CertifiedRowsAllocateAtMostOncePerRow) {
+  // A certified graph takes one certificate row per add_edges call: its
+  // successor vector grows once, and the predecessor rows the edges land
+  // in are NodeSets inside the graph, so they allocate nothing.
+  graph::KosrGenParams params;
+  params.sink_size = 32;
+  params.non_sink_size = 32;
+  params.k = 3;
+  params.seed = 5;
+  const auto g = graph::random_kosr_graph(params);
+  const std::size_t n = g.node_count();
+  std::vector<NodeSet> rows;
+  for (ProcessId u = 0; u < n; ++u) rows.push_back(g.successor_set(u));
+  graph::Digraph certified(n);
+  for (ProcessId u = 0; u < n; ++u) {
+    ASSERT_GE(rows[u].count(), 3u);
+    EXPECT_EQ(allocs_during([&] { certified.add_edges(u, rows[u]); }), 1u)
+        << "row " << u;
+  }
+  EXPECT_EQ(certified.edge_count(), g.edge_count());
+  // A row that adds nothing allocates nothing.
+  EXPECT_EQ(allocs_during([&] { certified.add_edges(0, rows[0]); }), 0u);
+}
+
+TEST(SinkDiscoveryAllocations, KnownGossipBatchAllocatesNothing) {
+  // Every gossip reply repeats the sender's whole table, so most entries a
+  // process receives are ones it holds already; such a batch must cost no
+  // heap block at all.
+  graph::KosrGenParams params;
+  params.sink_size = 24;
+  params.non_sink_size = 24;
+  params.k = 3;
+  params.seed = 11;
+  const auto g = graph::random_kosr_graph(params);
+  const std::size_t n = g.node_count();
+  for (const std::size_t f : {std::size_t{1}, std::size_t{2}}) {
+    FakeHost host(0, n, f);
+    SinkDiscovery discovery(host, g.pd_of(0));
+    discovery.start();
+    std::vector<PdCertificate> certs;
+    for (ProcessId owner = 0; owner < n; ++owner) {
+      certs.push_back({owner, g.pd_of(owner)});
+    }
+    const CertGossipMsg batch(std::move(certs));
+    discovery.handle(1, batch);
+    const std::size_t sent = host.sent.size();
+    const auto dirty = discovery.stats().dirty_updates;
+    EXPECT_EQ(allocs_during([&] { discovery.handle(1, batch); }), 0u)
+        << "f=" << f;
+    EXPECT_EQ(host.sent.size(), sent);
+    EXPECT_EQ(discovery.stats().dirty_updates, dirty);
+  }
 }
 
 /// A process that runs discovery and nothing else, as E11's rows do.
