@@ -32,6 +32,7 @@ void BftCupNode::start() {
 void BftCupNode::on_sink(const sinkdetector::GetSinkResult& result) {
   if (!result.is_sink_member) {
     pending_pbft_.clear();  // we will never run PBFT
+    pending_keys_.clear();
     return;                 // wait for DecisionMsg votes
   }
   pbft_ = std::make_unique<PbftConsensus>(*this, result.sink, pbft_config_);
@@ -39,6 +40,7 @@ void BftCupNode::on_sink(const sinkdetector::GetSinkResult& result) {
   pbft_->start(value_);
   for (const auto& [from, msg] : pending_pbft_) pbft_->handle(from, *msg);
   pending_pbft_.clear();
+  pending_keys_.clear();
 }
 
 void BftCupNode::decide(Value v) {
@@ -68,7 +70,13 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
   if (pbft_) {
     if (pbft_->handle(from, *msg)) return;
   } else if (!detector_.has_result() && is_pbft_message(*msg)) {
-    pending_pbft_.emplace_back(from, msg);
+    // A later message with the same key, or a view a fresh instance would
+    // not admit, is dropped here instead of at replay.
+    const std::uint32_t view = pbft_view(*msg);
+    if (view <= pbft_config_.view_window &&
+        pending_keys_.emplace(from, msg->wire_type(), view).second) {
+      pending_pbft_.emplace_back(from, msg);
+    }
     return;
   }
 

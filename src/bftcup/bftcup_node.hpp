@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -71,6 +73,9 @@ class BftCupNode : public sim::ComposedNode {
   Value decision() const;
   SimTime decision_time() const { return decision_time_; }
 
+  /// PBFT messages buffered until the sink detector returns, for tests.
+  std::size_t pending_pbft_size() const { return pending_pbft_.size(); }
+
  private:
   void on_sink(const sinkdetector::GetSinkResult& result);
   void decide(Value v);
@@ -85,7 +90,12 @@ class BftCupNode : public sim::ComposedNode {
   /// PBFT traffic arriving before our own sink detection completes is
   /// buffered and replayed once the consensus instance exists — otherwise a
   /// slow sink member could miss prepares forever and stall the quorum.
+  /// Only the first message per (sender, wire type, view) is kept, and
+  /// only for views a fresh instance admits (at most view_window past view
+  /// 0): a correct member sends one of each per view, so a sender holds at
+  /// most 5 × (view_window + 1) entries whatever it sends.
   std::vector<std::pair<ProcessId, sim::MessagePtr>> pending_pbft_;
+  std::set<std::tuple<ProcessId, std::uint16_t, std::uint32_t>> pending_keys_;
 
   NodeSet requesters_;
   NodeSet request_forwarded_;

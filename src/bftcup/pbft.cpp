@@ -32,6 +32,17 @@ bool is_pbft_message(const sim::Message& msg) {
   }
 }
 
+std::uint32_t pbft_view(const sim::Message& msg) {
+  if (const auto* pp = sim::message_as<PrePrepareMsg>(&msg)) return pp->view;
+  if (const auto* p = sim::message_as<PrepareMsg>(&msg)) return p->view;
+  if (const auto* c = sim::message_as<CommitMsg>(&msg)) return c->view;
+  if (const auto* vc = sim::message_as<ViewChangeMsg>(&msg)) {
+    return vc->record.new_view;
+  }
+  if (const auto* nv = sim::message_as<NewViewMsg>(&msg)) return nv->view;
+  return 0;
+}
+
 void wire_put_viewchange_record(sim::WireWriter& w,
                                 const ViewChangeRecord& r) {
   w.u32(r.sender);

@@ -195,6 +195,10 @@ struct NewViewMsg final : sim::Message {
 /// True iff `msg` is one of the five PBFT message types above.
 bool is_pbft_message(const sim::Message& msg);
 
+/// The view a PBFT message names (a view change's new view); 0 for a
+/// message of any other type.
+std::uint32_t pbft_view(const sim::Message& msg);
+
 // ---- statement hashes (domain-separated) ----
 
 std::uint64_t prepare_hash(std::uint32_t view, Value value);

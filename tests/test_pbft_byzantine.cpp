@@ -1,7 +1,8 @@
 // PBFT under active Byzantine behaviour: equivocating leaders and forged
 // view-change justifications. The Notary-based certificates must make the
 // classic attacks fail exactly as signed certificates do in real PBFT.
-// BFT-CUP's decision dissemination must count one vote per sender.
+// BFT-CUP's decision dissemination must count one vote per sender, and the
+// PBFT traffic it buffers before its sink detector returns stays bounded.
 #include "bftcup/pbft.hpp"
 
 #include <gtest/gtest.h>
@@ -235,6 +236,58 @@ TEST(BftCupDisseminationTest, OneDecisionVotePerSender) {
   ASSERT_TRUE(node.decided());
   EXPECT_EQ(node.decision(), 9u);
   EXPECT_EQ(node.decision_time(), 6);
+}
+
+/// Sends process 0 one message of each PBFT type for every view below
+/// `views`, then the same again for other values; ignores what it receives.
+class PbftViewFlooder : public sim::ComposedNode {
+ public:
+  PbftViewFlooder(std::size_t f, std::uint32_t views)
+      : ComposedNode(f), views_(views) {}
+  void start() override {
+    for (const Value base : {Value{1'000'000}, Value{2'000'000}}) {
+      for (std::uint32_t v = 0; v < views_; ++v) {
+        const Value x = base + v;
+        send(0, sim::make_message<PrePrepareMsg>(v, x));
+        send(0, sim::make_message<PrepareMsg>(v, x, sign(prepare_hash(v, x))));
+        send(0, sim::make_message<CommitMsg>(v, x, sign(commit_hash(v, x))));
+        ViewChangeRecord r;
+        r.sender = id();
+        r.new_view = v;
+        r.token = sign(viewchange_hash(v, 0, kNoValue));
+        send(0, sim::make_message<ViewChangeMsg>(r));
+        send(0, sim::make_message<NewViewMsg>(v, x,
+                                              std::vector<ViewChangeRecord>{}));
+      }
+    }
+  }
+  void on_message(ProcessId, const sim::MessagePtr&) override {}
+
+ private:
+  std::uint32_t views_;
+};
+
+TEST(BftCupDisseminationTest, PreDetectionPbftBufferIsBounded) {
+  // Process 0 never hears back from discovery (3 is silent and 1, 2 only
+  // flood), so its sink detector never returns and every PBFT message it
+  // gets waits in the buffer. Two peers each send 3,000 views × 5 types,
+  // twice over with other values: only each sender's first message per
+  // (type, view) for views a fresh instance admits may stay.
+  sim::NetworkConfig net;
+  net.gst = 0;
+  net.min_delay = 1;
+  net.max_delay = 3;
+  sim::Simulation sim(4, net);
+  auto& node =
+      sim.emplace_process<BftCupNode>(0, NodeSet(4, {1, 2, 3}), 1, Value{5});
+  sim.emplace_process<PbftViewFlooder>(1, 1, 3'000);
+  sim.emplace_process<PbftViewFlooder>(2, 1, 3'000);
+  sim.emplace_process<core::SilentNode>(3);
+  sim.start();
+  sim.run_for(100);
+  ASSERT_FALSE(node.sink_detected());
+  const std::size_t per_sender = 5 * (PbftConfig{}.view_window + 1);
+  EXPECT_EQ(node.pending_pbft_size(), 2 * per_sender);
 }
 
 }  // namespace
