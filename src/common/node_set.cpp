@@ -46,17 +46,6 @@ NodeSet NodeSet::complement() const {
   return result;
 }
 
-std::size_t NodeSet::intersection_count(const NodeSet& other) const {
-  check_same_universe(other);
-  const std::uint64_t* w = data();
-  const std::uint64_t* o = other.data();
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < words(); ++i) {
-    c += static_cast<std::size_t>(std::popcount(w[i] & o[i]));
-  }
-  return c;
-}
-
 std::strong_ordering NodeSet::operator<=>(const NodeSet& other) const {
   if (auto c = universe_ <=> other.universe_; c != 0) return c;
   const std::uint64_t* w = data();

@@ -183,7 +183,16 @@ class NodeSet {
     }
     return false;
   }
-  std::size_t intersection_count(const NodeSet& other) const;
+  std::size_t intersection_count(const NodeSet& other) const {
+    check_same_universe(other);
+    const std::uint64_t* w = data();
+    const std::uint64_t* o = other.data();
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < words(); ++i) {
+      c += static_cast<std::size_t>(std::popcount(w[i] & o[i]));
+    }
+    return c;
+  }
 
   bool operator==(const NodeSet& other) const {
     return universe_ == other.universe_ &&
