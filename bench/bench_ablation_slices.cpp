@@ -21,9 +21,9 @@ fbqs::FbqsSystem system_with_slice_size(std::size_t n, const NodeSet& sink,
   fbqs::FbqsSystem sys(n);
   for (ProcessId i = 0; i < n; ++i) {
     if (sink.contains(i)) {
-      sys.set_slices(i, fbqs::SliceSet::threshold(m, sink));
+      sys.set_slices(i, fbqs::QSet::threshold_of(m, sink));
     } else {
-      sys.set_slices(i, fbqs::SliceSet::threshold(f + 1, sink));
+      sys.set_slices(i, fbqs::QSet::threshold_of(f + 1, sink));
     }
   }
   return sys;
@@ -88,10 +88,10 @@ void BM_Ablation_NonSinkSliceSize(benchmark::State& state) {
     fbqs::FbqsSystem sys(n);
     for (ProcessId i = 0; i < n; ++i) {
       sys.set_slices(i, sink.contains(i)
-                            ? fbqs::SliceSet::threshold(
+                            ? fbqs::QSet::threshold_of(
                                   sinkdetector::sink_slice_size(sink_size, f),
                                   sink)
-                            : fbqs::SliceSet::threshold(ns_m, sink));
+                            : fbqs::QSet::threshold_of(ns_m, sink));
     }
     // Lemma 2: does the non-sink member keep a slice avoiding any f faults?
     lemma2_ok = true;

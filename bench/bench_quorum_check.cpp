@@ -5,10 +5,28 @@
 // choice DESIGN.md §4.2 calls out.
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace scup {
 namespace {
+
+/// C(n, k), saturating at SIZE_MAX on overflow.
+std::size_t binomial_saturating(std::size_t n, std::size_t k) {
+  if (k > n) return 0;
+  k = std::min(k, n - k);
+  std::size_t result = 1;
+  for (std::size_t i = 1; i <= k; ++i) {
+    const std::size_t num = n - k + i;
+    if (result > std::numeric_limits<std::size_t>::max() / num) {
+      return std::numeric_limits<std::size_t>::max();
+    }
+    result = result * num / i;
+  }
+  return result;
+}
 
 fbqs::FbqsSystem explicit_system(std::size_t n, std::size_t slices_per_node,
                                  std::size_t slice_size, std::uint64_t seed) {
@@ -21,7 +39,7 @@ fbqs::FbqsSystem explicit_system(std::size_t n, std::size_t slices_per_node,
       for (ProcessId m : rng.sample_ids(n, slice_size)) slice.add(m);
       slices.push_back(std::move(slice));
     }
-    sys.set_slices(i, fbqs::SliceSet::explicit_slices(std::move(slices)));
+    sys.set_slices(i, fbqs::QSet::one_of(slices));
   }
   return sys;
 }
@@ -35,8 +53,10 @@ void BM_IsQuorum_Threshold(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sys.is_quorum(q));
   }
-  state.counters["denoted_slices"] =
-      static_cast<double>(sys.slices_of(0).slice_count());
+  // Process 0 is a sink member: all m-subsets of the sink.
+  const fbqs::QSet& slices = sys.slices_of(0);
+  state.counters["denoted_slices"] = static_cast<double>(
+      binomial_saturating(slices.validators().size(), slices.threshold()));
 }
 BENCHMARK(BM_IsQuorum_Threshold)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 

@@ -61,9 +61,7 @@ void ScpEquivocatorNode::on_sink(const sinkdetector::GetSinkResult& result) {
   // Build a legitimate-looking qset (Algorithm 2) so receivers treat the
   // envelopes as well-formed, then nominate value_a to even peers and
   // value_b to odd peers — a split-brain attempt.
-  sinkdetector::GetSinkResult as_if = result;
-  const fbqs::QSet qset =
-      sinkdetector::build_slices(as_if, fault_threshold()).to_qset();
+  const fbqs::QSet qset = sinkdetector::build_slices(result, fault_threshold());
   NodeSet audience = pd_ | result.sink;
   for (ProcessId peer : audience) {
     if (peer == id()) continue;

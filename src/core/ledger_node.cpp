@@ -42,9 +42,7 @@ void LedgerNode::start() {
 }
 
 void LedgerNode::on_sink(const sinkdetector::GetSinkResult& result) {
-  const fbqs::SliceSet slices =
-      sinkdetector::build_slices(result, fault_threshold());
-  ledger_.set_qset(slices.to_qset());
+  ledger_.set_qset(sinkdetector::build_slices(result, fault_threshold()));
   for (ProcessId p : result.sink) ledger_.add_peer(p);
   ledger_.start();
 }

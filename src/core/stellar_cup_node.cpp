@@ -23,11 +23,8 @@ void StellarCupNode::start() {
 
 void StellarCupNode::on_sink(const sinkdetector::GetSinkResult& result) {
   sd_time_ = now();
-  // Algorithm 2: slices from ⟨flag, V⟩ and f, represented as a threshold
-  // QSet for SCP's quorum logic.
-  const fbqs::SliceSet slices =
-      sinkdetector::build_slices(result, fault_threshold());
-  scp_.set_qset(slices.to_qset());
+  // Algorithm 2: slices from ⟨flag, V⟩ and f, a threshold QSet.
+  scp_.set_qset(sinkdetector::build_slices(result, fault_threshold()));
   for (ProcessId p : result.sink) learn_peer(p);
   scp_.start();
   if (scp_.decided()) note_decided();  // buffered envelopes sufficed

@@ -16,18 +16,15 @@ NodeSet paper_set(std::size_t universe, std::initializer_list<ProcessId> ids) {
 FbqsSystem fig1_system() {
   constexpr std::size_t n = 8;
   FbqsSystem sys(n);
-  sys.set_slices(0, SliceSet::explicit_slices({paper_set(n, {2, 5})}));
-  sys.set_slices(1, SliceSet::explicit_slices({paper_set(n, {4})}));
-  sys.set_slices(2, SliceSet::explicit_slices({paper_set(n, {5, 7})}));
-  sys.set_slices(
-      3, SliceSet::explicit_slices({paper_set(n, {5, 6}), paper_set(n, {6, 8})}));
-  sys.set_slices(4, SliceSet::explicit_slices({paper_set(n, {6, 7})}));
-  sys.set_slices(
-      5, SliceSet::explicit_slices({paper_set(n, {5, 7}), paper_set(n, {7, 8})}));
-  sys.set_slices(
-      6, SliceSet::explicit_slices({paper_set(n, {5, 6}), paper_set(n, {6, 8})}));
+  sys.set_slices(0, QSet::one_of({paper_set(n, {2, 5})}));
+  sys.set_slices(1, QSet::one_of({paper_set(n, {4})}));
+  sys.set_slices(2, QSet::one_of({paper_set(n, {5, 7})}));
+  sys.set_slices(3, QSet::one_of({paper_set(n, {5, 6}), paper_set(n, {6, 8})}));
+  sys.set_slices(4, QSet::one_of({paper_set(n, {6, 7})}));
+  sys.set_slices(5, QSet::one_of({paper_set(n, {5, 7}), paper_set(n, {7, 8})}));
+  sys.set_slices(6, QSet::one_of({paper_set(n, {5, 6}), paper_set(n, {6, 8})}));
   // Faulty process 8 (our 7): arbitrary slices (it may define anything).
-  sys.set_slices(7, SliceSet::explicit_slices({paper_set(n, {6, 7})}));
+  sys.set_slices(7, QSet::one_of({paper_set(n, {6, 7})}));
   return sys;
 }
 
@@ -39,7 +36,7 @@ FbqsSystem fig2_local_system() {
     const NodeSet pd = g.pd_of(i);
     // All subsets of PD_i of size |PD_i| - 1 (Theorem 2's construction,
     // which satisfies Lemmas 1 and 2 for f = 1).
-    sys.set_slices(i, SliceSet::threshold(pd.count() - 1, pd));
+    sys.set_slices(i, QSet::threshold_of(pd.count() - 1, pd));
   }
   return sys;
 }

@@ -15,6 +15,16 @@ QSet QSet::threshold_of(std::size_t threshold, const NodeSet& validators) {
   return QSet(threshold, validators.to_vector(), {});
 }
 
+QSet QSet::one_of(const std::vector<NodeSet>& slices) {
+  std::vector<QSet> inner;
+  inner.reserve(slices.size());
+  for (const NodeSet& s : slices) {
+    if (s.empty()) throw std::invalid_argument("QSet::one_of: empty slice");
+    inner.push_back(threshold_of(s.count(), s));
+  }
+  return QSet(1, {}, std::move(inner));
+}
+
 QSet::QSet(std::size_t threshold, std::vector<ProcessId> validators,
            std::vector<QSet> inner)
     : threshold_(threshold),

@@ -1,11 +1,13 @@
 // Quorum sets in the stellar-core style: a threshold over a list of
 // validators and (optionally) nested inner sets.
 //
-// A QSet denotes a family of slices: every subset formed by picking
-// `threshold` elements among (validators ∪ inner sets), where picking an
-// inner set means recursively picking one of its slices. Algorithm 2's
-// families — "all m-subsets of V" — are flat QSets (threshold=m,
-// validators=V), which keeps the exponential families implicit.
+// A QSet denotes a family of slices (S_i in the paper): every subset
+// formed by picking `threshold` elements among (validators ∪ inner sets),
+// where picking an inner set means recursively picking one of its slices.
+// It is the one slice-family type: SCP decides with it and FbqsSystem
+// analyses it. Algorithm 2's families — "all m-subsets of V" — are flat
+// QSets (threshold=m, validators=V), which keeps the exponential families
+// implicit; a hand-written slice list is a 1-of nested QSet (one_of).
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,10 @@ class QSet {
   static QSet threshold_of(std::size_t threshold,
                            std::vector<ProcessId> validators);
   static QSet threshold_of(std::size_t threshold, const NodeSet& validators);
+
+  /// Explicit slice list {S_1, ..., S_k}: 1-of-[|S_1|-of-S_1, ...].
+  /// Rejects an empty slice; an empty list fails the threshold check.
+  static QSet one_of(const std::vector<NodeSet>& slices);
 
   /// Nested QSet.
   QSet(std::size_t threshold, std::vector<ProcessId> validators,

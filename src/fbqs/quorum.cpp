@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace scup::fbqs {
 
 FbqsSystem::FbqsSystem(std::size_t n)
     : n_(n), slices_(n), has_slices_(n, false) {}
 
-void FbqsSystem::set_slices(ProcessId i, SliceSet slices) {
+void FbqsSystem::set_slices(ProcessId i, QSet slices) {
   if (i >= n_) throw std::out_of_range("FbqsSystem::set_slices: bad id");
   slices_[i] = std::move(slices);
   has_slices_[i] = true;
 }
 
-const SliceSet& FbqsSystem::slices_of(ProcessId i) const {
+const QSet& FbqsSystem::slices_of(ProcessId i) const {
   if (i >= n_) throw std::out_of_range("FbqsSystem::slices_of: bad id");
   if (!has_slices_[i]) {
     throw std::logic_error("FbqsSystem::slices_of: no slices for process " +
@@ -27,24 +28,29 @@ bool FbqsSystem::has_slices(ProcessId i) const {
   return i < n_ && has_slices_[i];
 }
 
+void FbqsSystem::require_universe(const NodeSet& s, const char* caller) const {
+  if (s.universe_size() != n_) {
+    throw std::invalid_argument(
+        std::string("FbqsSystem::") + caller + ": universe " +
+        std::to_string(s.universe_size()) + " does not match n=" +
+        std::to_string(n_));
+  }
+}
+
 bool FbqsSystem::is_quorum(const NodeSet& q) const {
+  require_universe(q, "is_quorum");
   for (ProcessId i : q) {
-    if (!has_slices_[i] || !slices_[i].satisfied_within(q)) return false;
+    if (!has_slices_[i] || !slices_[i].satisfied_by(q)) return false;
   }
   return true;
 }
 
 bool FbqsSystem::is_quorum_for(ProcessId i, const NodeSet& q) const {
-  return q.contains(i) && is_quorum(q);
+  return is_quorum(q) && q.contains(i);
 }
 
 NodeSet FbqsSystem::quorum_closure(NodeSet candidate) const {
-  if (candidate.universe_size() != n_) {
-    throw std::invalid_argument(
-        "FbqsSystem::quorum_closure: candidate universe " +
-        std::to_string(candidate.universe_size()) + " does not match n=" +
-        std::to_string(n_));
-  }
+  require_universe(candidate, "quorum_closure");
   // Collect a pass's removals first, then apply them: every member is
   // judged against the same start-of-pass set, and the iteration never
   // walks a set that is mutating under it.
@@ -53,7 +59,7 @@ NodeSet FbqsSystem::quorum_closure(NodeSet candidate) const {
     changed = false;
     NodeSet removals(n_);
     for (ProcessId i : candidate) {
-      if (!has_slices_[i] || !slices_[i].satisfied_within(candidate)) {
+      if (!has_slices_[i] || !slices_[i].satisfied_by(candidate)) {
         removals.add(i);
       }
     }

@@ -1,8 +1,10 @@
 // Federated Byzantine Quorum System analysis.
 //
-// FbqsSystem holds one SliceSet per process and implements:
+// FbqsSystem holds one QSet per process — the same type SCP decides
+// with — and implements:
 //  - Algorithm 1 (is_quorum),
-//  - greatest-fixpoint quorum closure,
+//  - greatest-fixpoint quorum closure, the reference Algorithm 1 that
+//    QuorumEngine::quorum_contains and ScpNode's debug checks are held to,
 //  - exhaustive quorum / minimal-quorum enumeration (small universes),
 //  - the threshold-form intertwined test (|Q ∩ Q′| > f, Section III-F),
 //  - consensus clusters (Definitions 2-4).
@@ -13,7 +15,7 @@
 #include <vector>
 
 #include "common/node_set.hpp"
-#include "fbqs/slices.hpp"
+#include "fbqs/qset.hpp"
 
 namespace scup::fbqs {
 
@@ -23,18 +25,20 @@ class FbqsSystem {
 
   std::size_t size() const { return n_; }
 
-  void set_slices(ProcessId i, SliceSet slices);
-  const SliceSet& slices_of(ProcessId i) const;
+  void set_slices(ProcessId i, QSet slices);
+  const QSet& slices_of(ProcessId i) const;
   bool has_slices(ProcessId i) const;
 
   /// Algorithm 1: Q is a quorum iff every member has a slice inside Q.
   /// Processes without slices defined count as unsatisfied (they cannot
   /// justify membership). The empty set is vacuously a quorum; callers that
-  /// need non-triviality should test emptiness.
+  /// need non-triviality should test emptiness. Throws
+  /// std::invalid_argument when Q's universe is not n, as quorum_closure
+  /// does.
   bool is_quorum(const NodeSet& q) const;
 
   /// Q is a quorum *for i*: i ∈ Q, Q is a quorum (Definition 1 and the text
-  /// after it).
+  /// after it). Throws as is_quorum does.
   bool is_quorum_for(ProcessId i, const NodeSet& q) const;
 
   /// Greatest quorum contained in `candidate`: repeatedly removes members
@@ -97,8 +101,11 @@ class FbqsSystem {
                                                    std::size_t f) const;
 
  private:
+  /// Throws std::invalid_argument unless `s` is over this system's n ids.
+  void require_universe(const NodeSet& s, const char* caller) const;
+
   std::size_t n_;
-  std::vector<SliceSet> slices_;
+  std::vector<QSet> slices_;
   std::vector<bool> has_slices_;
 };
 

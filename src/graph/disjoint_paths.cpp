@@ -57,7 +57,6 @@ std::size_t DisjointPathEngine::max_disjoint_paths(ProcessId u, ProcessId v,
   }
   if (!active_.contains(u) || !active_.contains(v)) return 0;
 
-  ++query_count_;
   cap_ = base_cap_;
   cap_[split_arc_[u]] = big_;
   cap_[split_arc_[v]] = big_;

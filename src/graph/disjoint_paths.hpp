@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/node_set.hpp"
@@ -41,10 +40,6 @@ class DisjointPathEngine {
 
   /// True iff there are at least k internally-vertex-disjoint paths u -> v.
   bool has_k_paths(ProcessId u, ProcessId v, std::size_t k);
-
-  /// Number of max-flow computations run since construction (monotone;
-  /// exposed so benches can report disjoint-path-evaluation counts).
-  std::uint64_t query_count() const { return query_count_; }
 
   /// A Menger certificate for a *failed* has_k_paths query: every u → v
   /// path either leaves `source_side` over an edge into `cut` (at most
@@ -89,7 +84,6 @@ class DisjointPathEngine {
   std::size_t n_ = 0;
   int big_ = 0;
   bool prepared_ = false;
-  std::uint64_t query_count_ = 0;
 };
 
 /// Maximum number of internally-vertex-disjoint directed paths from u to v

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/rng.hpp"
+#include "fbqs/quorum.hpp"
 
 namespace scup::scp {
 
@@ -330,24 +331,14 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
 
 bool ScpNode::support_views_consistent() const {
   const ProcessId self = host_.self();
-  // Algorithm-1 closure from scratch, member by member and outside the
-  // engine: drop every member whose bound qset the survivors do not satisfy
-  // (unbound members outright) until nothing changes.
-  const auto quorum_for_self = [this, self](const NodeSet& support) {
-    NodeSet live = support;
-    for (bool changed = true; changed;) {
-      NodeSet dropped(live.universe_size());
-      for (ProcessId m : live) {
-        const fbqs::QSetId qid = sender_qset_id_[m];
-        if (qid == fbqs::kNoQSetId || !engine_->qset(qid).satisfied_by(live)) {
-          dropped.add(m);
-        }
-      }
-      changed = !dropped.empty();
-      live -= dropped;
+  // Algorithm 1 from scratch and outside the engine: the reference closure
+  // over every sender's bound qset (unbound senders have no slices).
+  fbqs::FbqsSystem bound(peers_.universe_size());
+  for (ProcessId m = 0; m < sender_qset_id_.size(); ++m) {
+    if (sender_qset_id_[m] != fbqs::kNoQSetId) {
+      bound.set_slices(m, engine_->qset(sender_qset_id_[m]));
     }
-    return live.contains(self);
-  };
+  }
   // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
   for (const auto* table : {&nom_support_, &ballot_support_}) {
     for (const auto& [key, view] : *table) {
@@ -364,7 +355,7 @@ bool ScpNode::support_views_consistent() const {
       }
       if (!(fresh == view.members)) return false;
       if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_ &&
-          *view.quorum != quorum_for_self(view.members)) {
+          *view.quorum != bound.quorum_closure(view.members).contains(self)) {
         return false;
       }
       if (view.vblocking.has_value()) {

@@ -223,10 +223,10 @@ class ScpNode {
   /// both streams, so it also checks that a view's table is the only one
   /// its predicate can depend on) and compares against the incrementally
   /// maintained one, then recomputes every verdict the view would serve
-  /// without touching the engine or its counters: a quorum verdict as the
-  /// Algorithm-1 closure over QSet::satisfied_by with each member's bound
-  /// qset (unbound members dropped), a v-blocking verdict as
-  /// QSet::blocked_by on our own qset. True iff all agree (the from-scratch
+  /// without touching the engine or its counters: a quorum verdict as
+  /// fbqs::FbqsSystem::quorum_closure over each member's bound qset
+  /// (unbound members dropped), a v-blocking verdict as QSet::blocked_by on
+  /// our own qset. True iff all agree (the from-scratch
   /// equivalence the unit suite pins).
   bool support_views_consistent() const;
 

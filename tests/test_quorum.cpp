@@ -17,10 +17,10 @@ NodeSet paper_set(std::size_t universe, std::initializer_list<ProcessId> ids) {
 
 TEST(FbqsSystemTest, IsQuorumAlgorithm1) {
   FbqsSystem sys(4);
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(4, {1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(4, {0})}));
-  sys.set_slices(2, SliceSet::explicit_slices({NodeSet(4, {3})}));
-  sys.set_slices(3, SliceSet::explicit_slices({NodeSet(4, {0, 1})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(4, {1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(4, {0})}));
+  sys.set_slices(2, QSet::one_of({NodeSet(4, {3})}));
+  sys.set_slices(3, QSet::one_of({NodeSet(4, {0, 1})}));
   EXPECT_TRUE(sys.is_quorum(NodeSet(4, {0, 1})));
   EXPECT_FALSE(sys.is_quorum(NodeSet(4, {0})));       // 0 needs 1
   EXPECT_FALSE(sys.is_quorum(NodeSet(4, {2, 3})));    // 3 needs {0,1}
@@ -32,8 +32,8 @@ TEST(FbqsSystemTest, IsQuorumAlgorithm1) {
 
 TEST(FbqsSystemTest, MissingSlicesMeansNotAQuorumMember) {
   FbqsSystem sys(3);
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(3, {1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(3, {0})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(3, {1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(3, {0})}));
   // Process 2 has no slices: any set containing it fails Algorithm 1.
   EXPECT_TRUE(sys.is_quorum(NodeSet(3, {0, 1})));
   EXPECT_FALSE(sys.is_quorum(NodeSet(3, {0, 1, 2})));
@@ -43,9 +43,9 @@ TEST(FbqsSystemTest, MissingSlicesMeansNotAQuorumMember) {
 
 TEST(FbqsSystemTest, IsQuorumFor) {
   FbqsSystem sys(3);
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(3, {1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(3, {0})}));
-  sys.set_slices(2, SliceSet::explicit_slices({NodeSet(3, {0, 1})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(3, {1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(3, {0})}));
+  sys.set_slices(2, QSet::one_of({NodeSet(3, {0, 1})}));
   EXPECT_TRUE(sys.is_quorum_for(0, NodeSet(3, {0, 1})));
   EXPECT_FALSE(sys.is_quorum_for(2, NodeSet(3, {0, 1})));  // 2 not inside
   EXPECT_TRUE(sys.is_quorum_for(2, NodeSet(3, {0, 1, 2})));
@@ -53,10 +53,10 @@ TEST(FbqsSystemTest, IsQuorumFor) {
 
 TEST(FbqsSystemTest, QuorumClosure) {
   FbqsSystem sys(4);
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(4, {1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(4, {0})}));
-  sys.set_slices(2, SliceSet::explicit_slices({NodeSet(4, {3})}));
-  sys.set_slices(3, SliceSet::explicit_slices({NodeSet(4, {2})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(4, {1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(4, {0})}));
+  sys.set_slices(2, QSet::one_of({NodeSet(4, {3})}));
+  sys.set_slices(3, QSet::one_of({NodeSet(4, {2})}));
   // {0,1,2} -> 2 depends on 3 which is absent -> closure {0,1}.
   EXPECT_EQ(sys.quorum_closure(NodeSet(4, {0, 1, 2})), NodeSet(4, {0, 1}));
   EXPECT_EQ(sys.quorum_closure(NodeSet::full(4)), NodeSet::full(4));
@@ -65,10 +65,10 @@ TEST(FbqsSystemTest, QuorumClosure) {
 
 TEST(FbqsSystemTest, FindQuorumFor) {
   FbqsSystem sys(4);
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(4, {1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(4, {0})}));
-  sys.set_slices(2, SliceSet::explicit_slices({NodeSet(4, {3})}));
-  sys.set_slices(3, SliceSet::explicit_slices({NodeSet(4, {2})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(4, {1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(4, {0})}));
+  sys.set_slices(2, QSet::one_of({NodeSet(4, {3})}));
+  sys.set_slices(3, QSet::one_of({NodeSet(4, {2})}));
   auto q0 = sys.find_quorum_for(0, NodeSet::full(4));
   ASSERT_TRUE(q0.has_value());
   EXPECT_TRUE(sys.is_quorum_for(0, *q0));
@@ -171,10 +171,10 @@ TEST(Fig2CounterexampleTest, LocalSlicesSatisfyLemmas1And2) {
   const FbqsSystem sys = fig2_local_system();
   const auto g = graph::fig2_graph();
   for (ProcessId i = 0; i < 7; ++i) {
-    const SliceSet& s = sys.slices_of(i);
-    EXPECT_TRUE(s.union_of_members(7).subset_of(g.pd_of(i)));  // Lemma 1
+    const QSet& s = sys.slices_of(i);
+    EXPECT_TRUE(s.all_members(7).subset_of(g.pd_of(i)));  // Lemma 1
     for (ProcessId b = 0; b < 7; ++b) {
-      EXPECT_TRUE(s.has_slice_avoiding(NodeSet(7, {b})))       // Lemma 2
+      EXPECT_FALSE(s.blocked_by(NodeSet(7, {b})))         // Lemma 2
           << "i=" << i << " b=" << b;
     }
   }
@@ -192,16 +192,15 @@ TEST(QuorumClosureTest, RemovalCascadeAcrossWordBoundary) {
   FbqsSystem sys(n);
   const NodeSet clique(n, {62, 63, 64, 65, 66});
   for (ProcessId i : clique) {
-    sys.set_slices(i, SliceSet::threshold(3, clique));
+    sys.set_slices(i, QSet::threshold_of(3, clique));
   }
   for (ProcessId i = 100; i < 140; ++i) {
     sys.set_slices(
-        i, SliceSet::explicit_slices({NodeSet(n, {static_cast<ProcessId>(
-               i + 1)})}));
+        i, QSet::one_of({NodeSet(n, {static_cast<ProcessId>(i + 1)})}));
   }
   // 140's slice needs a process that is never in the candidate, so the
   // cascade starts there and crosses the 127/128 boundary on its way down.
-  sys.set_slices(140, SliceSet::explicit_slices({NodeSet(n, {150})}));
+  sys.set_slices(140, QSet::one_of({NodeSet(n, {150})}));
 
   NodeSet candidate = clique;
   for (ProcessId i = 100; i <= 140; ++i) candidate.add(i);
@@ -212,19 +211,27 @@ TEST(QuorumClosureTest, RemovalCascadeAcrossWordBoundary) {
   // Same-pass removals on both sides of the boundary (63 and 64 are both
   // unsatisfied at pass start; 65 only falls after they are gone).
   FbqsSystem boundary(n);
-  boundary.set_slices(63, SliceSet::explicit_slices({NodeSet(n, {10})}));
-  boundary.set_slices(64, SliceSet::explicit_slices({NodeSet(n, {11})}));
-  boundary.set_slices(65, SliceSet::explicit_slices({NodeSet(n, {63})}));
+  boundary.set_slices(63, QSet::one_of({NodeSet(n, {10})}));
+  boundary.set_slices(64, QSet::one_of({NodeSet(n, {11})}));
+  boundary.set_slices(65, QSet::one_of({NodeSet(n, {63})}));
   EXPECT_TRUE(
       boundary.quorum_closure(NodeSet(n, {63, 64, 65})).empty());
 }
 
 TEST(QuorumClosureTest, MismatchedUniverseThrows) {
   // The seed silently walked a candidate from a foreign universe —
-  // members beyond n_ indexed has_slices_ out of bounds. Now it refuses.
+  // members beyond n_ indexed has_slices_ out of bounds. Now it refuses,
+  // and so does Algorithm 1's membership test.
   FbqsSystem sys(8);
   EXPECT_THROW((void)sys.quorum_closure(NodeSet(16)), std::invalid_argument);
   EXPECT_THROW((void)sys.quorum_closure(NodeSet(16, {9})),
+               std::invalid_argument);
+  EXPECT_THROW((void)sys.is_quorum(NodeSet(16, {9})), std::invalid_argument);
+  EXPECT_THROW((void)sys.is_quorum(NodeSet(400, {300})),
+               std::invalid_argument);
+  EXPECT_THROW((void)sys.is_quorum_for(9, NodeSet(16, {9})),
+               std::invalid_argument);
+  EXPECT_THROW((void)sys.is_quorum_for(0, NodeSet(16, {9})),
                std::invalid_argument);
 }
 
@@ -234,7 +241,7 @@ TEST(CheckIntertwinedTest, EmptyGroupIsVacuouslyOkWithZeroIntersection) {
   FbqsSystem sys = [&] {
     FbqsSystem s(8);
     for (ProcessId i = 0; i < 8; ++i) {
-      s.set_slices(i, SliceSet::threshold(1, NodeSet(8, {i})));
+      s.set_slices(i, QSet::threshold_of(1, NodeSet(8, {i})));
     }
     return s;
   }();
@@ -251,8 +258,8 @@ TEST(CheckIntertwinedTest, EmptyGroupIsVacuouslyOkWithZeroIntersection) {
 TEST(CheckIntertwinedTest, SingletonGroupExaminesItsSelfPairs) {
   FbqsSystem sys(4);
   // Process 0 has one quorum {0,1}: the self-pair intersects in 2 > f.
-  sys.set_slices(0, SliceSet::explicit_slices({NodeSet(4, {0, 1})}));
-  sys.set_slices(1, SliceSet::explicit_slices({NodeSet(4, {1})}));
+  sys.set_slices(0, QSet::one_of({NodeSet(4, {0, 1})}));
+  sys.set_slices(1, QSet::one_of({NodeSet(4, {1})}));
   const auto report = sys.check_intertwined(NodeSet(4, {0}), /*f=*/1);
   EXPECT_TRUE(report.ok);
   EXPECT_GE(report.pairs_examined, 1u);
@@ -265,7 +272,7 @@ TEST(CheckIntertwinedTest, MemberWithoutQuorumReportsItself) {
   FbqsSystem sys(4);
   // Process 2's slice can never be satisfied together with 3 missing
   // slices: it has no quorum at all.
-  sys.set_slices(2, SliceSet::explicit_slices({NodeSet(4, {3})}));
+  sys.set_slices(2, QSet::one_of({NodeSet(4, {3})}));
   const auto report = sys.check_intertwined(NodeSet(4, {2}), /*f=*/0);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.min_intersection, 0u);

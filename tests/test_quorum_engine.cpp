@@ -1,7 +1,8 @@
 // QuorumEngine unit suite: hash-consed interning, engine evaluation of
 // randomized nested qsets against QSet's own and against the v-blocking
-// duality, with one counted evaluation per call, the closure against a
-// reference under random rebinds, its failed-support tier (hits,
+// duality, with one counted evaluation per call, the closure against
+// FbqsSystem's (the paper's Algorithm 1) under random rebinds, on random
+// nested qsets and on Algorithm 2's, its failed-support tier (hits,
 // invalidation), and — at the ScpNode level — from-scratch
 // equivalence of the incrementally maintained support views and their
 // cached verdicts against the historical gather path and of the nomination
@@ -18,8 +19,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fbqs/quorum.hpp"
 #include "scp/scp_node.hpp"
 #include "sim/host.hpp"
+#include "sinkdetector/slice_builder.hpp"
 
 namespace scup::fbqs {
 namespace {
@@ -114,43 +117,46 @@ TEST(QuorumEngineTest, EmptyQSetSemantics) {
   EXPECT_FALSE(engine.blocked_by(id, NodeSet::full(4)));
 }
 
-/// Reference closure: the historical ScpNode loop verbatim, on recursive
-/// QSet evaluation.
-bool reference_quorum_contains(const NodeSet& support, ProcessId member,
-                               const std::vector<const QSet*>& qsets) {
-  NodeSet live = support;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ProcessId id : live) {
-      if (qsets[id] == nullptr || !qsets[id]->satisfied_by(live)) {
-        live.remove(id);
-        changed = true;
-      }
-    }
+/// The paper's Algorithm 1 over the engine's current binding: the
+/// reference closure FbqsSystem::quorum_closure runs on the same qsets.
+FbqsSystem reference_system(const QuorumEngine& engine,
+                            const std::vector<QSetId>& ids) {
+  FbqsSystem sys(ids.size());
+  for (ProcessId i = 0; i < ids.size(); ++i) {
+    if (ids[i] != kNoQSetId) sys.set_slices(i, engine.qset(ids[i]));
   }
-  return live.contains(member);
+  return sys;
 }
 
 TEST(QuorumEngineTest, ClosureMatchesReferenceOnRandomConfigurations) {
   constexpr std::size_t kUniverse = 10;
   Rng rng(7);
   for (int trial = 0; trial < 100; ++trial) {
+    // Odd trials bind every process to Algorithm 2's output for a random
+    // sink of at least 2f+1 ids, the qsets SCP runs; even trials bind
+    // random nested qsets and leave some processes unbound.
+    const bool algorithm2 = trial % 2 == 1;
+    const std::size_t f = 1 + rng.uniform(2);
+    NodeSet sink(kUniverse);
+    while (algorithm2 && sink.count() < 2 * f + 1) {
+      sink |= random_set(rng, kUniverse);
+    }
+    // Algorithm 2's slices for `who`; a rebind to a fresh qset flips its
+    // sink membership, so it always changes the binding.
+    const auto qset_for = [&](ProcessId who, bool flip) {
+      if (!algorithm2) return random_qset(rng, kUniverse, 2);
+      sinkdetector::GetSinkResult r;
+      r.is_sink_member = sink.contains(who) != flip;
+      r.sink = sink;
+      return sinkdetector::build_slices(r, f);
+    };
     QuorumEngine engine;
     std::vector<QSetId> ids(kUniverse, kNoQSetId);
-    std::vector<const QSet*> ref(kUniverse, nullptr);
-    std::vector<QSet> storage;
-    storage.reserve(kUniverse);
     for (ProcessId i = 0; i < kUniverse; ++i) {
-      if (rng.uniform(8) == 0) continue;  // some processes never spoke
-      storage.push_back(random_qset(rng, kUniverse, 2));
-      ids[i] = engine.intern(storage.back());
+      if (!algorithm2 && rng.uniform(8) == 0) continue;  // never spoke
+      ids[i] = engine.intern(qset_for(i, /*flip=*/false));
     }
-    // Pointers resolved after storage stops reallocating.
-    std::size_t next = 0;
-    for (ProcessId i = 0; i < kUniverse; ++i) {
-      if (ids[i] != kNoQSetId) ref[i] = &storage[next++];
-    }
+    FbqsSystem reference = reference_system(engine, ids);
     for (int probe = 0; probe < 20; ++probe) {
       // A rebind, either to a fresh qset or to one that needs only `who`,
       // must stop every failed-tier entry over `who` from matching.
@@ -158,16 +164,14 @@ TEST(QuorumEngineTest, ClosureMatchesReferenceOnRandomConfigurations) {
         const auto who = static_cast<ProcessId>(rng.uniform(kUniverse));
         ids[who] = engine.intern(
             rng.uniform(2) == 0
-                ? random_qset(rng, kUniverse, 2)
+                ? qset_for(who, /*flip=*/true)
                 : QSet::threshold_of(1, std::vector<ProcessId>{who}));
-        for (ProcessId i = 0; i < kUniverse; ++i) {
-          ref[i] = ids[i] == kNoQSetId ? nullptr : &engine.qset(ids[i]);
-        }
+        reference = reference_system(engine, ids);
       }
       const NodeSet support = random_set(rng, kUniverse);
       const auto member = static_cast<ProcessId>(rng.uniform(kUniverse));
       EXPECT_EQ(engine.quorum_contains(support, member, ids),
-                reference_quorum_contains(support, member, ref))
+                reference.quorum_closure(support).contains(member))
           << "trial=" << trial << " support=" << support.to_string()
           << " member=" << member;
     }

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "fbqs/fig_examples.hpp"
 #include "fbqs/quorum.hpp"
 #include "graph/generators.hpp"
@@ -18,7 +21,28 @@ namespace scup::sinkdetector {
 namespace {
 
 using fbqs::FbqsSystem;
-using fbqs::SliceSet;
+using fbqs::QSet;
+
+/// Number of slices `q` denotes over a small universe: the inclusion-
+/// minimal sets that satisfy it.
+std::size_t slice_count(const QSet& q, std::size_t universe) {
+  std::size_t count = 0;
+  for (std::uint32_t mask = 0; mask < (1u << universe); ++mask) {
+    NodeSet s(universe);
+    for (ProcessId b = 0; b < universe; ++b) {
+      if ((mask >> b) & 1u) s.add(b);
+    }
+    if (!q.satisfied_by(s)) continue;
+    bool minimal = true;
+    for (ProcessId m : s) {
+      NodeSet smaller = s;
+      smaller.remove(m);
+      minimal = minimal && !q.satisfied_by(smaller);
+    }
+    if (minimal) ++count;
+  }
+  return count;
+}
 
 TEST(SliceBuilderTest, SinkSliceSizeFormula) {
   // ⌈(|V|+f+1)/2⌉
@@ -33,21 +57,22 @@ TEST(SliceBuilderTest, SinkMemberSlices) {
   GetSinkResult r;
   r.is_sink_member = true;
   r.sink = NodeSet(10, {0, 1, 2, 3});
-  const SliceSet s = build_slices(r, 1);
-  ASSERT_TRUE(s.is_threshold());
-  EXPECT_EQ(s.threshold_m(), 3u);
-  EXPECT_EQ(s.threshold_members(), r.sink);
-  EXPECT_EQ(s.slice_count(), 4u);  // C(4,3)
+  const QSet s = build_slices(r, 1);
+  // The flat qset SCP sends, validators in ascending id order.
+  EXPECT_TRUE(s == QSet::threshold_of(3, std::vector<ProcessId>{0, 1, 2, 3}))
+      << s.to_string();
+  EXPECT_EQ(slice_count(s, 10), 4u);  // C(4,3)
 }
 
 TEST(SliceBuilderTest, NonSinkMemberSlices) {
   GetSinkResult r;
   r.is_sink_member = false;
   r.sink = NodeSet(10, {0, 1, 2, 3});
-  const SliceSet s = build_slices(r, 1);
-  ASSERT_TRUE(s.is_threshold());
-  EXPECT_EQ(s.threshold_m(), 2u);  // f+1
-  EXPECT_EQ(s.slice_count(), 6u);  // C(4,2)
+  const QSet s = build_slices(r, 1);
+  EXPECT_TRUE(s.inner_sets().empty());
+  EXPECT_EQ(s.threshold(), 2u);  // f+1
+  EXPECT_EQ(s.validators(), r.sink.to_vector());
+  EXPECT_EQ(slice_count(s, 10), 6u);  // C(4,2)
 }
 
 TEST(SliceBuilderTest, RejectsDegenerateInputs) {
@@ -61,10 +86,10 @@ TEST(SliceBuilderTest, RejectsDegenerateInputs) {
 TEST(SliceBuilderTest, LocalSlicesMatchTheorem2Construction) {
   // On Fig. 2 with f = 1: all subsets of PD_i of size |PD_i| - 1.
   const auto g = graph::fig2_graph();
-  const SliceSet s = local_slices(g.pd_of(0), 1);
-  ASSERT_TRUE(s.is_threshold());
-  EXPECT_EQ(s.threshold_m(), 2u);
-  EXPECT_EQ(s.threshold_members(), g.pd_of(0));
+  const QSet s = local_slices(g.pd_of(0), 1);
+  EXPECT_TRUE(s.inner_sets().empty());
+  EXPECT_EQ(s.threshold(), 2u);
+  EXPECT_EQ(s.validators(), g.pd_of(0).to_vector());
 }
 
 /// Builds the FBQS resulting from running Algorithm 2 at every correct
