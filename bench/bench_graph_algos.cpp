@@ -12,19 +12,25 @@ namespace {
 void BM_Scc(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto g = graph::random_digraph(n, 4.0 / static_cast<double>(n), 7);
+  int components = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::strongly_connected_components(g));
+    components = graph::strongly_connected_components(g).component_count();
+    benchmark::DoNotOptimize(components);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.counters["components"] = static_cast<double>(components);
 }
 BENCHMARK(BM_Scc)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_Condensation(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto g = graph::random_digraph(n, 4.0 / static_cast<double>(n), 7);
+  std::size_t sinks = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::condense(g));
+    sinks = graph::condense(g).sink_components.size();
+    benchmark::DoNotOptimize(sinks);
   }
+  state.counters["sink_components"] = static_cast<double>(sinks);
 }
 BENCHMARK(BM_Condensation)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
@@ -98,9 +104,12 @@ void BM_KosrGeneration(benchmark::State& state) {
   // Every iteration generates seed 1's graph, so the timed input does not
   // depend on how many iterations the harness picks.
   params.seed = 1;
+  std::size_t edges = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::random_kosr_graph(params));
+    edges = graph::random_kosr_graph(params).edge_count();
+    benchmark::DoNotOptimize(edges);
   }
+  state.counters["edges"] = static_cast<double>(edges);
 }
 BENCHMARK(BM_KosrGeneration)->Arg(16)->Arg(64)->Arg(256);
 
