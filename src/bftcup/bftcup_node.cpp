@@ -7,13 +7,10 @@ namespace scup::bftcup {
 BftCupNode::BftCupNode(NodeSet pd, std::size_t f, Value value,
                        PbftConfig pbft, cup::DiscoveryConfig discovery)
     : ComposedNode(f),
-      pd_(std::move(pd)),
       value_(value),
       pbft_config_(pbft),
-      detector_(*this, pd_, discovery),
-      requesters_(pd_.universe_size()),
-      request_forwarded_(pd_.universe_size()),
-      decision_voters_(pd_.universe_size()) {
+      detector_(*this, pd, discovery),
+      dissemination_(*this, std::move(pd)) {
   detector_.on_result = [this](const sinkdetector::GetSinkResult& r) {
     on_sink(r);
   };
@@ -23,9 +20,7 @@ void BftCupNode::start() {
   // Flood the decision request immediately (like GET_SINK); only non-sink
   // members will end up needing the answers, but flooding is idempotent and
   // membership is unknown at this point.
-  request_forwarded_.add(id());
-  const auto req = sim::make_message<DecisionRequestMsg>(id());
-  for (ProcessId j : pd_) send(j, req);
+  dissemination_.ask();
   detector_.start();
 }
 
@@ -50,19 +45,7 @@ void BftCupNode::decide(Value v) {
   // Decided: nothing left to retransmit for (incoming requests are still
   // answered from on_message).
   detector_.stop_requery();
-  answer_requests();
-}
-
-void BftCupNode::answer_requests() {
-  // Only sink members' vouchers count at receivers, but a node cannot know
-  // the receiver's view; sending is harmless either way. We answer once per
-  // requester.
-  if (!decided_) return;
-  const auto msg = sim::make_message<DecisionMsg>(*decided_);
-  for (ProcessId j : requesters_) {
-    send(j, msg);
-    requesters_.remove(j);
-  }
+  dissemination_.answer(v);
 }
 
 void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
@@ -81,16 +64,7 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
   }
 
   if (const auto* req = sim::message_as<DecisionRequestMsg>(msg.get())) {
-    if (req->origin >= universe()) return;
-    if (req->origin != id()) requesters_.add(req->origin);
-    if (!request_forwarded_.contains(req->origin)) {
-      request_forwarded_.add(req->origin);
-      const auto fwd = sim::make_message<DecisionRequestMsg>(req->origin);
-      for (ProcessId j : pd_) {
-        if (j != from) send(j, fwd);
-      }
-    }
-    answer_requests();
+    dissemination_.on_request(from, req->origin);
     return;
   }
 
@@ -103,12 +77,8 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
     // detector counts ⟨SINK, V⟩: its first DecisionMsg counts and later
     // ones are ignored, so a Byzantine sender can neither vouch for two
     // values nor grow the table by one entry per value it names.
-    if (decision_voters_.contains(from)) return;
-    decision_voters_.add(from);
-    auto [it, _] = decision_votes_.emplace(dec->value, NodeSet(universe()));
-    it->second.add(from);
-    if (!decided_ && it->second.count() > fault_threshold()) {
-      decide(dec->value);
+    if (const Value* v = dissemination_.on_answer(from, dec->value)) {
+      decide(*v);
     }
     return;
   }
@@ -118,11 +88,8 @@ void BftCupNode::on_timer(int timer_id) {
   if (detector_.on_timer(timer_id)) {
     // Requery tick: our DecisionRequest flood (or its answers) may have
     // been lost pre-GST; re-flood until a decision arrives. Receivers
-    // re-add us to `requesters_` and re-answer once decided.
-    if (!decided_) {
-      const auto req = sim::make_message<DecisionRequestMsg>(id());
-      for (ProcessId j : pd_) send(j, req);
-    }
+    // record us again and re-answer once decided.
+    if (!decided_) dissemination_.ask();
     return;
   }
   if (timer_id == kPbftTimerId && pbft_) pbft_->on_view_timer();

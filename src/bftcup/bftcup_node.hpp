@@ -3,10 +3,10 @@
 //   1. discovering the sink (same SINK algorithm / sink detector),
 //   2. running PBFT among the sink members,
 //   3. disseminating the decision to non-sink members, who accept a value
-//      vouched for by more than f distinct sink members.
+//      vouched for by more than f distinct senders: the sink detector's
+//      flood-and-vote (FloodQuery) over a decision request and its answer.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -17,6 +17,7 @@
 #include "bftcup/pbft.hpp"
 #include "common/node_set.hpp"
 #include "sim/composed.hpp"
+#include "sinkdetector/flood_query.hpp"
 #include "sinkdetector/sink_detector.hpp"
 
 namespace scup::bftcup {
@@ -79,12 +80,15 @@ class BftCupNode : public sim::ComposedNode {
  private:
   void on_sink(const sinkdetector::GetSinkResult& result);
   void decide(Value v);
-  void answer_requests();
 
-  NodeSet pd_;
   Value value_;
   PbftConfig pbft_config_;
   sinkdetector::SinkDetector detector_;
+  /// Decision dissemination: a node answers once it has decided. Only
+  /// sink members' answers carry the >f guarantee, but a node cannot know
+  /// the requester's view, and answering is harmless either way.
+  sinkdetector::FloodQuery<DecisionRequestMsg, DecisionMsg, Value>
+      dissemination_;
   std::unique_ptr<PbftConsensus> pbft_;
 
   /// PBFT traffic arriving before our own sink detection completes is
@@ -97,10 +101,6 @@ class BftCupNode : public sim::ComposedNode {
   std::vector<std::pair<ProcessId, sim::MessagePtr>> pending_pbft_;
   std::set<std::tuple<ProcessId, std::uint16_t, std::uint32_t>> pending_keys_;
 
-  NodeSet requesters_;
-  NodeSet request_forwarded_;
-  std::map<Value, NodeSet> decision_votes_;  // value -> distinct senders
-  NodeSet decision_voters_;                  // senders already counted
   std::optional<Value> decided_;
   SimTime decision_time_ = kTimeInfinity;
 };

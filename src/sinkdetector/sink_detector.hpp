@@ -3,9 +3,9 @@
 //  - direct discovery: run the SINK algorithm (cup::SinkDiscovery); sink
 //    members terminate it with ⟨true, V_sink⟩ (Lemma 6);
 //  - indirect discovery: flood ⟨GET_SINK, i⟩ over the knowledge edges
-//    (reachable-reliable broadcast); sink members that have finished SINK
-//    answer every requester in `asked` with ⟨SINK, V_sink⟩; a requester
-//    adopts a value repeated by more than f distinct senders.
+//    (reachable-reliable broadcast); sink members that know V_sink answer
+//    every requester with ⟨SINK, V_sink⟩; a requester adopts a value
+//    repeated by more than f distinct senders (FloodQuery).
 //
 // get_sink's result is ⟨true, V⟩ for sink members and ⟨false, V⟩ for
 // non-sink members, where V contains at least f+1 correct sink members
@@ -13,13 +13,13 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 
 #include "common/node_set.hpp"
 #include "cup/messages.hpp"
 #include "cup/sink_discovery.hpp"
 #include "sim/host.hpp"
+#include "sinkdetector/flood_query.hpp"
 
 namespace scup::sinkdetector {
 
@@ -42,7 +42,7 @@ class SinkDetector {
 
   /// Feeds a timer firing; returns true if consumed (the discovery requery
   /// timer). On a requery tick a requester without a result also re-floods
-  /// its GET_SINK — receivers re-add the origin to `asked` and re-answer,
+  /// its GET_SINK — receivers record the origin again and re-answer,
   /// which recovers lost ⟨SINK, V⟩ replies under pre-GST message loss.
   bool on_timer(int timer_id);
 
@@ -63,23 +63,15 @@ class SinkDetector {
 
   /// Distinct ⟨SINK, V⟩ values voted for so far (at most one per sender),
   /// for tests.
-  std::size_t vote_values() const { return value_senders_.size(); }
+  std::size_t vote_values() const { return query_.vote_values(); }
 
  private:
   void complete(NodeSet sink);
-  void answer_pending_requests();
 
   sim::ProtocolHost& host_;
-  NodeSet pd_;
-  std::size_t f_;
   cup::SinkDiscovery discovery_;
-
-  NodeSet asked_;          // processes that asked us for the sink (line 2)
-  NodeSet forwarded_for_;  // GET_SINK origins already flooded (dedup)
-  std::map<NodeSet, NodeSet> value_senders_;  // value -> senders (line 3)
-  NodeSet voted_;                             // senders already counted
-  std::optional<NodeSet> sink_;               // line 1
-  std::optional<GetSinkResult> result_;
+  FloodQuery<cup::GetSinkMsg, cup::SinkValueMsg, NodeSet> query_;
+  std::optional<GetSinkResult> result_;  // holds line 1's sink
 };
 
 }  // namespace scup::sinkdetector

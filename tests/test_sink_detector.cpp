@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bftcup/bftcup_node.hpp"
 #include "core/adversaries.hpp"
 #include "core/experiment.hpp"
 #include "graph/kosr.hpp"
@@ -245,6 +246,85 @@ TEST(SinkDetectorTest, OneVotePerSenderBoundsTheValueTable) {
   EXPECT_EQ(detector.result().sink, sink);
   EXPECT_FALSE(detector.result().is_sink_member);
   EXPECT_EQ(detector.vote_values(), 2u);
+}
+
+/// DetachedHost that records every send.
+class RecordingHost : public DetachedHost {
+ public:
+  using DetachedHost::DetachedHost;
+  void host_send(ProcessId to, sim::MessagePtr msg) override {
+    sent_.emplace_back(to, msg->encode_frame());
+  }
+
+  using Sends = std::vector<std::pair<ProcessId, std::vector<std::uint8_t>>>;
+  /// The sends since the last call, as (destination, frame) pairs.
+  Sends take() { return std::exchange(sent_, {}); }
+
+ private:
+  Sends sent_;
+};
+
+/// Drives one FloodQuery by hand at process 0 with PD = {1, 2, 3}, f = 1.
+template <typename Request, typename Answer, typename Value>
+void check_flood_query(const Value& a, const Value& b) {
+  const std::size_t n = 8;
+  RecordingHost host(0, n, 1);
+  FloodQuery<Request, Answer, Value> query(host, NodeSet(n, {1, 2, 3}));
+  const auto request = [](ProcessId origin) {
+    return sim::make_message<Request>(origin)->encode_frame();
+  };
+  const auto answer = [](const Value& v) {
+    return sim::make_message<Answer>(v)->encode_frame();
+  };
+  using Sends = RecordingHost::Sends;
+
+  // Our own request goes to all of PD; its echo is neither forwarded nor
+  // recorded as a requester.
+  query.ask();
+  query.on_request(1, 0);
+  EXPECT_EQ(host.take(),
+            (Sends{{1, request(0)}, {2, request(0)}, {3, request(0)}}));
+
+  // Forwarded once per origin, never back to the sender; an origin outside
+  // the universe is dropped.
+  query.on_request(1, 5);
+  query.on_request(2, 5);
+  query.on_request(2, static_cast<ProcessId>(n));
+  EXPECT_EQ(host.take(), (Sends{{2, request(5)}, {3, request(5)}}));
+
+  // 5 asked twice and is answered once; 6 asks after the answer is known
+  // and is answered at once; our own origin never is.
+  query.answer(a);
+  query.on_request(3, 6);
+  query.on_request(2, 0);
+  EXPECT_EQ(host.take(), (Sends{{5, answer(a)},
+                                {1, request(6)},
+                                {2, request(6)},
+                                {6, answer(a)}}));
+  // A requery re-flood from 5 is answered again, once.
+  query.on_request(1, 5);
+  EXPECT_EQ(host.take(), (Sends{{5, answer(a)}}));
+
+  // One vote per sender: 4's repeat and its second value do not count.
+  EXPECT_EQ(query.on_answer(4, a), nullptr);
+  EXPECT_EQ(query.on_answer(4, a), nullptr);
+  EXPECT_EQ(query.on_answer(4, b), nullptr);
+  EXPECT_EQ(query.vote_values(), 1u);
+  EXPECT_EQ(query.on_answer(5, b), nullptr);
+  // The second distinct sender naming a (f+1 = 2) adopts it, and only it.
+  const Value* adopted = query.on_answer(6, a);
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_EQ(*adopted, a);
+  EXPECT_EQ(query.on_answer(7, a), nullptr);
+  EXPECT_EQ(query.vote_values(), 2u);
+  EXPECT_TRUE(host.take().empty());
+}
+
+TEST(FloodQueryTest, ForwardsOnceAnswersOnceAndCountsOneVotePerSender) {
+  check_flood_query<cup::GetSinkMsg, cup::SinkValueMsg, NodeSet>(
+      NodeSet(8, {1, 2, 3}), NodeSet(8, {1, 2}));
+  check_flood_query<bftcup::DecisionRequestMsg, bftcup::DecisionMsg, Value>(
+      Value{7}, Value{9});
 }
 
 // Property sweep: random k-OSR graphs, random safe failure placements,
