@@ -299,17 +299,14 @@ void PbftConsensus::enter_view(std::uint32_t view) {
     // their growth without any GC.
     view_changes_.erase(view_changes_.begin(),
                         view_changes_.lower_bound(view_));
-    view_change_sent_.erase(view_change_sent_.begin(),
-                            view_change_sent_.lower_bound(view_));
-    new_view_sent_.erase(new_view_sent_.begin(),
-                         new_view_sent_.lower_bound(view_));
   }
   arm_timer();
 }
 
 void PbftConsensus::send_view_change(std::uint32_t new_view) {
-  if (decided_ || new_view <= view_ || view_change_sent_[new_view]) return;
-  view_change_sent_[new_view] = true;
+  // Sending enters new_view and view_ never decreases, so this also stops
+  // a second ViewChange for the same view.
+  if (decided_ || new_view <= view_) return;
 
   ViewChangeRecord r;
   r.sender = host_.self();
@@ -327,12 +324,14 @@ void PbftConsensus::send_view_change(std::uint32_t new_view) {
 }
 
 void PbftConsensus::try_lead_new_view(std::uint32_t view) {
-  if (decided_ || leader_of(view) != host_.self() || new_view_sent_[view]) {
+  // Every call names a view >= view_, and leading a view enters it, so a
+  // view we led before is the last one.
+  if (decided_ || leader_of(view) != host_.self() || led_view_ == view) {
     return;
   }
   const auto it = view_changes_.find(view);
   if (it == view_changes_.end() || it->second.size() < q_) return;
-  new_view_sent_[view] = true;
+  led_view_ = view;
 
   std::vector<ViewChangeRecord> justification;
   std::uint32_t best_view = 0;
@@ -356,8 +355,7 @@ void PbftConsensus::on_view_timer() {
 }
 
 std::size_t PbftConsensus::bookkeeping_size() const {
-  std::size_t n = slots_.size() + first_vote_.size() + view_changes_.size() +
-                  new_view_sent_.size() + view_change_sent_.size();
+  std::size_t n = slots_.size() + first_vote_.size() + view_changes_.size();
   for (const auto& [key, slot] : slots_) {
     n += slot.prepares.size() + slot.commits.size();
   }

@@ -267,6 +267,7 @@ class PbftConsensus {
   Value prepared_value_ = kNoValue;
   std::vector<SignedToken> prepared_cert_;
   std::optional<Value> decided_;
+  std::optional<std::uint32_t> led_view_;  // last view we sent a NewView for
 
   // Byzantine-memory bounds on the vote bookkeeping below (this was an
   // unbounded-allocation hole: every signed prepare/commit/view-change for
@@ -281,14 +282,14 @@ class PbftConsensus {
   //     slots and each slot at most |S| entries per phase;
   //   * view-change records below view_ are useless and GC'd (enter_view).
   //     Vote slots for older views are kept — a late commit quorum for a
-  //     view we already left is still a legitimate, safe decision.
+  //     view we already left is still a legitimate, safe decision;
+  //   * our own ViewChange and NewView guards hold no per-view entries:
+  //     they read view_ and led_view_.
   // Net: O((view_ + view_window) × |S|²) tokens, bounded by elapsed
   // protocol time instead of by attacker message volume.
   std::map<std::pair<std::uint32_t, Value>, Slot> slots_;
   std::map<std::uint32_t, std::map<ProcessId, Value>> first_vote_;
   std::map<std::uint32_t, std::map<ProcessId, ViewChangeRecord>> view_changes_;
-  std::map<std::uint32_t, bool> new_view_sent_;
-  std::map<std::uint32_t, bool> view_change_sent_;
 };
 
 }  // namespace scup::bftcup
