@@ -6,7 +6,7 @@
 namespace scup::graph {
 
 Digraph::Digraph(std::size_t n)
-    : n_(n), succ_(n), succ_set_(n, NodeSet(n)), pred_(n, NodeSet(n)) {}
+    : n_(n), succ_(n), pred_(n, NodeSet(n)) {}
 
 void Digraph::check_node(ProcessId u) const {
   if (u >= n_) {
@@ -18,9 +18,7 @@ void Digraph::check_node(ProcessId u) const {
 void Digraph::add_edge(ProcessId u, ProcessId v) {
   check_node(u);
   check_node(v);
-  if (u == v) return;
-  if (succ_set_[u].contains(v)) return;
-  succ_set_[u].add(v);
+  if (u == v || pred_[v].contains(u)) return;
   succ_[u].push_back(v);
   pred_[v].add(u);
   ++edge_count_;
@@ -31,15 +29,16 @@ void Digraph::add_edges(ProcessId u, const NodeSet& targets) {
   if (targets.universe_size() != n_) {
     throw std::invalid_argument("add_edges: universe mismatch");
   }
-  NodeSet& row = succ_set_[u];
-  std::size_t added = targets.count() - targets.intersection_count(row);
-  if (targets.contains(u)) --added;  // row never holds u
+  const auto is_new = [&](ProcessId v) {
+    return v != u && !pred_[v].contains(u);
+  };
+  std::size_t added = 0;
+  for (ProcessId v : targets) added += is_new(v);
   if (added == 0) return;
   std::vector<ProcessId>& succ = succ_[u];
   succ.reserve(succ.size() + added);
   for (ProcessId v : targets) {
-    if (v == u || row.contains(v)) continue;
-    row.add(v);
+    if (!is_new(v)) continue;
     succ.push_back(v);
     pred_[v].add(u);
   }
@@ -49,7 +48,7 @@ void Digraph::add_edges(ProcessId u, const NodeSet& targets) {
 bool Digraph::has_edge(ProcessId u, ProcessId v) const {
   check_node(u);
   check_node(v);
-  return succ_set_[u].contains(v);
+  return pred_[v].contains(u);
 }
 
 const std::vector<ProcessId>& Digraph::successors(ProcessId u) const {
@@ -64,7 +63,9 @@ const NodeSet& Digraph::predecessors(ProcessId u) const {
 
 NodeSet Digraph::successor_set(ProcessId u) const {
   check_node(u);
-  return succ_set_[u];
+  NodeSet s(n_);
+  for (ProcessId v : succ_[u]) s.add(v);
+  return s;
 }
 
 NodeSet Digraph::predecessor_set(ProcessId u) const {

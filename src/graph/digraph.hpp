@@ -68,9 +68,9 @@ class Digraph {
   std::size_t n_ = 0;
   std::size_t edge_count_ = 0;
   std::vector<std::vector<ProcessId>> succ_;
-  std::vector<NodeSet> succ_set_;  // for O(1) has_edge
-  // Predecessor rows: a NodeSet keeps up to NodeSet::kInlineUniverse ids
-  // inside the object, so adding an edge allocates nothing here.
+  // Predecessor rows, which also answer has_edge: a NodeSet keeps up to
+  // NodeSet::kInlineUniverse ids inside the object, so adding an edge
+  // allocates nothing here.
   std::vector<NodeSet> pred_;
 };
 
