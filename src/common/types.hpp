@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 namespace scup {
 
@@ -28,7 +27,5 @@ inline constexpr SimTime kTimeInfinity =
 using Value = std::uint64_t;
 
 inline constexpr Value kNoValue = 0;
-
-std::string process_name(ProcessId id);
 
 }  // namespace scup

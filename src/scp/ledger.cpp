@@ -156,10 +156,6 @@ bool LedgerMultiplexer::on_timer(int timer_id) {
   return true;
 }
 
-bool LedgerMultiplexer::slot_decided(std::uint64_t slot) const {
-  return decisions_.count(slot) > 0;
-}
-
 Value LedgerMultiplexer::slot_decision(std::uint64_t slot) const {
   const auto it = decisions_.find(slot);
   if (it == decisions_.end()) {

@@ -115,7 +115,6 @@ class LedgerMultiplexer {
   /// Number of consecutively decided slots (1..k all externalized).
   /// O(1): maintained incrementally as decisions land.
   std::uint64_t decided_slots() const { return decided_prefix_; }
-  bool slot_decided(std::uint64_t slot) const;
   Value slot_decision(std::uint64_t slot) const;
 
   /// Running hash of decisions 1..decided_slots(), for chain-equality

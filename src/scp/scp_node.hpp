@@ -190,7 +190,6 @@ class ScpNode {
   std::function<void(Value)> on_decide;
 
   // ---- Introspection for tests and experiments ----
-  std::uint32_t ballot_counter() const { return b_.n; }
   const ValueSet& candidates() const { return candidates_; }
   std::size_t envelopes_emitted() const { return seq_; }
 
