@@ -55,12 +55,9 @@ bool SinkDetector::handle(ProcessId from, const sim::Message& msg) {
 }
 
 void SinkDetector::complete(NodeSet sink) {
-  GetSinkResult r;
-  r.is_sink_member = sink.contains(host_.self());
-  r.sink = std::move(sink);
-  result_ = std::move(r);
+  result_ = GetSinkResult{sink.contains(host_.self()), std::move(sink)};
   // Lines 18-21: only sink members answer. The oracle's guarantee for
-  // non-sink members rests on the >f matching rule, and answers from
+  // non-sink members rests on the >f matching rule, so answers from
   // non-sink members (which learned the sink indirectly) would be
   // redundant.
   if (result_->is_sink_member) query_.answer(result_->sink);
