@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "bftcup/bftcup_node.hpp"
 #include "core/adversaries.hpp"
 #include "core/experiment.hpp"
