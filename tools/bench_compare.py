@@ -27,11 +27,12 @@ decreasing order of trust:
     (default 25%) of the reference.
 
  3. Normalized wall time. Raw wall comparisons across machines are
-    meaningless, so each row's real_time is normalized by a baseline row
-    *within the same file* (--wall-baseline); the normalized ratio must
-    not regress more than --wall-tolerance (default 25%). Skipped when
-    either file lacks the baseline row (E11, E12 and E13 have none, so
-    their gates check counters only).
+    meaningless, so each row's real_time, converted to nanoseconds by its
+    time_unit, is normalized by a baseline row *within the same file*
+    (--wall-baseline); the normalized ratio must not regress more than
+    --wall-tolerance (default 25%). Skipped when either file lacks the
+    baseline row (E11, E12 and E13 have none, so their gates check
+    counters only).
 
 Counters derived from wall time (items_per_second, E13's slots_per_sec,
 E11's nodes_per_sec, E12's speedup_8t, any *_ms breakdown) and harness
@@ -77,6 +78,14 @@ SKIP_COUNTERS = {
     "nodes_per_sec",  # E11 throughput, derived from wall time
     "speedup_8t",  # E12 serial_ms / parallel8_ms, both wall times
 }
+
+
+# Google Benchmark's time units, in nanoseconds.
+NS_PER_TIME_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def real_time_ns(row):
+    return row["real_time"] * NS_PER_TIME_UNIT[row.get("time_unit", "ns")]
 
 
 def skipped_counter(name):
@@ -189,8 +198,9 @@ def main():
         for name in shared:
             if name == args.wall_baseline:
                 continue
-            ref_norm = ref_rows[name]["real_time"] / ref_base["real_time"]
-            cand_norm = cand_rows[name]["real_time"] / cand_base["real_time"]
+            ref_norm = real_time_ns(ref_rows[name]) / real_time_ns(ref_base)
+            cand_norm = (real_time_ns(cand_rows[name])
+                         / real_time_ns(cand_base))
             if cand_norm > ref_norm * (1 + args.wall_tolerance):
                 failures.append(
                     f"{name}: normalized wall time {cand_norm:.3g}x baseline "

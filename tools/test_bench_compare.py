@@ -7,7 +7,11 @@ files pass, and a changed deterministic counter, a deleted counter, a
 ratio below its floor, a deleted row, a Debug build type or a missing
 build type fails. Two cases on
 tools/bench_reference_e12.json check that a wall-derived counter
-(speedup_8t) is skipped while a deterministic one is not.
+(speedup_8t) is skipped while a deterministic one is not. Two cases on
+tools/bench_reference_e16.json check that the wall gate compares
+durations, not raw numbers: a row reported in another time unit with an
+equal duration passes, and a 2x regression reported in another unit
+fails.
 
 Run directly (python3 tools/test_bench_compare.py) or through CTest
 (bench_compare_selftest).
@@ -25,10 +29,12 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 GATE = os.path.join(TOOLS, "bench_compare.py")
 REFERENCE = os.path.join(TOOLS, "bench_reference_e11.json")
 REFERENCE_E12 = os.path.join(TOOLS, "bench_reference_e12.json")
+REFERENCE_E16 = os.path.join(TOOLS, "bench_reference_e16.json")
 SWEEP = "BM_ScaleDiscovery_Sweep/64/1"
 FULL_STACK = "BM_ScaleDiscovery_FullStack/n:64/threads:1"
 SPEEDUP = "BM_E12_SpeedupProof/20"
 E12_SWEEP = "BM_E12_Sweep/proto:1/n:20/threads:8"
+ENCODE = "BM_EncodeOnce/cached:0"
 
 
 class GateCase(unittest.TestCase):
@@ -130,6 +136,29 @@ class BenchCompareE12Test(GateCase):
         result = self.gate(cand)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("messages", result.stdout)
+
+
+class BenchCompareE16Test(GateCase):
+    reference_path = REFERENCE_E16
+
+    def test_equal_duration_in_another_unit_passes(self):
+        cand = self.candidate()
+        row = self.row(cand, ENCODE)
+        self.assertEqual(row["time_unit"], "us")
+        row["real_time"] *= 1e3
+        row["time_unit"] = "ns"
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_doubled_duration_in_another_unit_fails(self):
+        cand = self.candidate()
+        row = self.row(cand, ENCODE)
+        self.assertEqual(row["time_unit"], "us")
+        row["real_time"] *= 2 / 1e3
+        row["time_unit"] = "ms"
+        result = self.gate(cand)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn(ENCODE, result.stdout)
 
 
 if __name__ == "__main__":
