@@ -1,15 +1,22 @@
 // PBFT under active Byzantine behaviour: equivocating leaders and forged
 // view-change justifications. The Notary-based certificates must make the
 // classic attacks fail exactly as signed certificates do in real PBFT.
-// BFT-CUP's decision dissemination must count one vote per sender, and the
-// PBFT traffic it buffers before its sink detector returns stays bounded.
+// BFT-CUP's decision dissemination must count one vote per sender, the
+// PBFT traffic it buffers before its sink detector returns stays bounded,
+// and a process that lost every decision sent to it still gets one.
 #include "bftcup/pbft.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "bftcup/bftcup_node.hpp"
 #include "core/adversaries.hpp"
+#include "graph/generators.hpp"
 #include "sim/composed.hpp"
+#include "sim/network_model.hpp"
 #include "sim/simulation.hpp"
 
 namespace scup::bftcup {
@@ -288,6 +295,76 @@ TEST(BftCupDisseminationTest, PreDetectionPbftBufferIsBounded) {
   ASSERT_FALSE(node.sink_detected());
   const std::size_t per_sender = 5 * (PbftConfig{}.view_window + 1);
   EXPECT_EQ(node.pending_pbft_size(), 2 * per_sender);
+}
+
+/// UniformModel that drops every send to `victim` made once the victim's
+/// sink detector has a result and before tick `close`.
+class CutOffModel final : public sim::NetworkModel {
+ public:
+  CutOffModel(const sim::NetworkConfig& config, ProcessId victim,
+              SimTime close)
+      : inner_(config), victim_(victim), close_(close) {}
+
+  Verdict on_send(ProcessId from, ProcessId to, SimTime now,
+                  StreamRng& rng) override {
+    Verdict v = inner_.on_send(from, to, now, rng);
+    if (to == victim_ && now < close_ && victim_node->sink_detected()) {
+      v.dropped = true;
+      ++drops;
+    }
+    return v;
+  }
+
+  /// The victim's node, set before the run starts.
+  const BftCupNode* victim_node = nullptr;
+  std::size_t drops = 0;
+
+ private:
+  sim::UniformModel inner_;
+  ProcessId victim_;
+  SimTime close_;
+};
+
+TEST(BftCupDisseminationTest, RequeryAfterSinkResultDeliversTheDecision) {
+  // Fig. 2 with every process correct, f = 1. Non-sink process 4 loses
+  // every message sent to it from its sink result until tick 600, long
+  // after the sink decides, so every decision answering its first request
+  // is lost, and its detector no longer re-floods once it has a result.
+  // Only a re-flood on a requery tick after the sink result gets it the
+  // decision.
+  const graph::Digraph g = graph::fig2_graph();
+  const std::size_t n = g.node_count();
+  const ProcessId victim = 4;
+  const SimTime close = 600;
+  sim::NetworkConfig net;
+  net.min_delay = 1;
+  net.max_delay = 10;
+  auto model = std::make_unique<CutOffModel>(net, victim, close);
+  CutOffModel& cut = *model;
+  sim::Simulation sim(n, net, std::move(model));
+  cup::DiscoveryConfig discovery;
+  discovery.requery_interval = 50;
+  std::vector<BftCupNode*> nodes;
+  for (ProcessId i = 0; i < n; ++i) {
+    nodes.push_back(&sim.emplace_process<BftCupNode>(
+        i, g.pd_of(i), 1, Value{100 + i}, PbftConfig{}, discovery));
+  }
+  cut.victim_node = nodes[victim];
+  sim.start();
+  sim.run_for(2'000);
+
+  SimTime sink_decided = 0;
+  for (ProcessId i : graph::fig2_sink()) {
+    ASSERT_TRUE(nodes[i]->decided()) << "i=" << i;
+    sink_decided = std::max(sink_decided, nodes[i]->decision_time());
+  }
+  EXPECT_LT(2 * sink_decided, close);
+  EXPECT_GT(cut.drops, 0u);
+  ASSERT_TRUE(nodes[victim]->sink_detected());
+  EXPECT_FALSE(nodes[victim]->sink_result().is_sink_member);
+  ASSERT_TRUE(nodes[victim]->decided());
+  EXPECT_GE(nodes[victim]->decision_time(), close);
+  EXPECT_EQ(nodes[victim]->decision(), nodes[0]->decision());
 }
 
 }  // namespace
