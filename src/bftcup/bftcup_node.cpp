@@ -16,13 +16,7 @@ BftCupNode::BftCupNode(NodeSet pd, std::size_t f, Value value,
   };
 }
 
-void BftCupNode::start() {
-  // Flood the decision request immediately (like GET_SINK); only non-sink
-  // members will end up needing the answers, but flooding is idempotent and
-  // membership is unknown at this point.
-  dissemination_.ask();
-  detector_.start();
-}
+void BftCupNode::start() { detector_.start(); }
 
 void BftCupNode::on_sink(const sinkdetector::GetSinkResult& result) {
   if (!result.is_sink_member) {
@@ -42,13 +36,20 @@ void BftCupNode::decide(Value v) {
   if (decided_) return;
   decided_ = v;
   decision_time_ = now();
-  // Decided: nothing left to retransmit for (incoming requests are still
+  // Decided: nothing left to retransmit for (GET_SINK deliveries are still
   // answered from on_message).
   detector_.stop_requery();
   dissemination_.answer(v);
 }
 
 void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
+  if (const auto* get_sink = sim::message_as<cup::GetSinkMsg>(msg.get())) {
+    // The detector forwards the request and answers it with the sink if it
+    // can; `origin` asks for our decision too.
+    detector_.handle(from, *msg);
+    dissemination_.record(get_sink->origin);
+    return;
+  }
   if (detector_.handle(from, *msg)) return;
   if (pbft_) {
     if (pbft_->handle(from, *msg)) return;
@@ -60,11 +61,6 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
         pending_keys_.emplace(from, msg->wire_type(), view).second) {
       pending_pbft_.emplace_back(from, msg);
     }
-    return;
-  }
-
-  if (const auto* req = sim::message_as<DecisionRequestMsg>(msg.get())) {
-    dissemination_.on_request(from, req->origin);
     return;
   }
 
@@ -86,10 +82,11 @@ void BftCupNode::on_message(ProcessId from, const sim::MessagePtr& msg) {
 
 void BftCupNode::on_timer(int timer_id) {
   if (detector_.on_timer(timer_id)) {
-    // Requery tick: our DecisionRequest flood (or its answers) may have
-    // been lost pre-GST; re-flood until a decision arrives. Receivers
-    // record us again and re-answer once decided.
-    if (!decided_) dissemination_.ask();
+    // Requery tick: the detector re-floods GET_SINK until it has a result.
+    // After that our GET_SINK (or the decisions answering it) may still
+    // have been lost pre-GST, so re-flood it until a decision arrives.
+    // Receivers record us again and re-answer once decided.
+    if (!decided_ && detector_.has_result()) dissemination_.ask();
     return;
   }
   if (timer_id == kPbftTimerId && pbft_) pbft_->on_view_timer();

@@ -4,7 +4,8 @@
 //   2. running PBFT among the sink members,
 //   3. disseminating the decision to non-sink members, who accept a value
 //      vouched for by more than f distinct senders: the sink detector's
-//      flood-and-vote (FloodQuery) over a decision request and its answer.
+//      ⟨GET_SINK, i⟩ flood doubles as the decision request, and decided
+//      processes answer it through a FloodQuery of their own.
 #pragma once
 
 #include <memory>
@@ -16,30 +17,15 @@
 
 #include "bftcup/pbft.hpp"
 #include "common/node_set.hpp"
+#include "cup/messages.hpp"
 #include "sim/composed.hpp"
 #include "sinkdetector/flood_query.hpp"
 #include "sinkdetector/sink_detector.hpp"
 
 namespace scup::bftcup {
 
-/// Frame ids 48/49 (see the allocation table in sim/wire.hpp callers).
-inline constexpr std::uint16_t kWireTypeDecisionRequest = 48;
+/// Frame id 49 (see the allocation table in sim/wire.hpp callers).
 inline constexpr std::uint16_t kWireTypeDecision = 49;
-
-/// Flooded request: `origin` wants the decided value.
-struct DecisionRequestMsg final : sim::Message {
-  explicit DecisionRequestMsg(ProcessId o) : origin(o) {}
-  ProcessId origin;
-  std::string_view type_name() const override { return "bftcup.decision_req"; }
-  static constexpr std::uint16_t kWireType = kWireTypeDecisionRequest;
-  std::uint16_t wire_type() const override { return kWireType; }
-  void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
-  static sim::MessagePtr wire_decode(sim::WireReader& r) {
-    const ProcessId origin = r.u32();
-    if (!r.ok()) return nullptr;
-    return sim::make_message<DecisionRequestMsg>(origin);
-  }
-};
 
 /// A (claimed) decided value; non-sink members require > f matching senders.
 struct DecisionMsg final : sim::Message {
@@ -84,10 +70,11 @@ class BftCupNode : public sim::ComposedNode {
   Value value_;
   PbftConfig pbft_config_;
   sinkdetector::SinkDetector detector_;
-  /// Decision dissemination: a node answers once it has decided. Only
-  /// sink members' answers carry the >f guarantee, but a node cannot know
-  /// the requester's view, and answering is harmless either way.
-  sinkdetector::FloodQuery<DecisionRequestMsg, DecisionMsg, Value>
+  /// Decision dissemination: every ⟨GET_SINK, i⟩ the detector forwards is
+  /// recorded here too, and answered with DecisionMsg once we have decided.
+  /// Only sink members' answers carry the >f guarantee, but a node cannot
+  /// know the requester's view, and answering is harmless either way.
+  sinkdetector::FloodQuery<cup::GetSinkMsg, DecisionMsg, Value>
       dissemination_;
   std::unique_ptr<PbftConsensus> pbft_;
 

@@ -28,7 +28,6 @@ constexpr WireCodec kWireCodecs[] = {
     codec_of<bftcup::CommitMsg>(),
     codec_of<bftcup::ViewChangeMsg>(),
     codec_of<bftcup::NewViewMsg>(),
-    codec_of<bftcup::DecisionRequestMsg>(),
     codec_of<bftcup::DecisionMsg>(),
 };
 

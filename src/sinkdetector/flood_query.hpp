@@ -1,6 +1,7 @@
-// FloodQuery: Algorithm 3's flood-and-vote, shared by the sink detector
-// (⟨GET_SINK, i⟩ → ⟨SINK, V⟩) and BFT-CUP's decision dissemination
-// (decision request → decided value). A request is flooded along the
+// FloodQuery: Algorithm 3's flood-and-vote. The sink detector floods
+// ⟨GET_SINK, i⟩ and answers it with ⟨SINK, V⟩; BFT-CUP answers the same
+// flood with its decided value through a second FloodQuery that only
+// records the origins the detector forwards. A request is flooded along the
 // knowledge edges, forwarded once per origin (reachable_bcast, line 5);
 // once the answer is known, every origin that asked gets it, once per
 // request delivery (lines 18-21); a requester adopts a value named by more
@@ -37,11 +38,18 @@ class FloodQuery {
   /// `from` delivered a request for `origin` (line 17).
   void on_request(ProcessId from, ProcessId origin) {
     if (origin >= host_.universe()) return;  // malformed
-    if (origin != host_.self()) pending_.add(origin);
     if (!forwarded_.contains(origin)) {
       forwarded_.add(origin);
       flood(origin, from);
     }
+    record(origin);
+  }
+
+  /// Records a delivered request for `origin` without forwarding it (the
+  /// FloodQuery that received it forwards it); answers it if it can.
+  void record(ProcessId origin) {
+    if (origin >= host_.universe() || origin == host_.self()) return;
+    pending_.add(origin);
     flush();
   }
 

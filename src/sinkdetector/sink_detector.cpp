@@ -28,7 +28,8 @@ void SinkDetector::start() {
 bool SinkDetector::on_timer(int timer_id) {
   if (!discovery_.on_timer(timer_id)) return false;
   // Piggyback on the requery tick: without a result yet, our GET_SINK (or
-  // a sink member's answer) may have been lost — re-flood it.
+  // a sink member's answer) may have been lost — re-flood it. With a
+  // result, re-flooding is the owner's call (BFT-CUP's dissemination).
   if (!result_) query_.ask();
   return true;
 }

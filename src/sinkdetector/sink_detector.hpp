@@ -44,12 +44,14 @@ class SinkDetector {
   /// timer). On a requery tick a requester without a result also re-floods
   /// its GET_SINK — receivers record the origin again and re-answer,
   /// which recovers lost ⟨SINK, V⟩ replies under pre-GST message loss.
+  /// Once it has a result the detector stops re-flooding; its owner may
+  /// keep doing so on the same tick.
   bool on_timer(int timer_id);
 
   /// Stops the requery retransmissions for good. Nodes call this once they
   /// have decided (the sink result alone is not enough: e.g. a BFT-CUP
-  /// non-sink member still relies on the tick to re-flood its decision
-  /// request while answers can be lost).
+  /// non-sink member still relies on the tick to re-flood its GET_SINK,
+  /// which asks for the decision too, while answers can be lost).
   void stop_requery() { discovery_.stop_requery(); }
 
   bool has_result() const { return result_.has_value(); }

@@ -209,11 +209,11 @@ TEST(ProtocolGoldenTest, BftCupChurnLossDuplicationCrash) {
   params.with_crash = true;
   ScenarioConfig config = churn_partition_scenario(params);
   config.net.pre_gst_duplicate = 0.2;
-  const Pin expected = {5000, 221360, 3638, 141,
-      624, 580, 2034, 0x0af780c6d39a0761ULL,
-      {{0, 0, 0, 0, 0, 0, 0, 0, 215, 1175, 1187, 3813}},
-      {2030, 2030, 2028, 2029, 2027, 2030, 2030, 2030, 2033, 2031,
-       2032, 2029, 2032, 2032, 2032, 2031, 2034, kInf, 2034, 2032},
+  const Pin expected = {3461, 206842, 2524, 141,
+      391, 382, 2036, 0xce9fb8c526160253ULL,
+      {{0, 0, 0, 0, 0, 0, 0, 0, 219, 1162, 820, 2641}},
+      {2033, 2032, 2033, 2031, 2032, 2034, 2031, 2033, 2035, 2035,
+       2034, 2033, 2035, 2034, 2034, 2035, 2036, kInf, 2035, 2034},
       0ULL};
   expect_pinned(one_shot(config), expected);
 }

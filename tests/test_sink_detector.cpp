@@ -268,6 +268,24 @@ class RecordingHost : public DetachedHost {
   Sends sent_;
 };
 
+/// Feeds answers to a FloodQuery at process 0 with f = 1 that has no votes
+/// yet; `a` and `b` are distinct values.
+template <typename Query, typename Value>
+void check_votes(Query& query, const Value& a, const Value& b) {
+  // One vote per sender: 4's repeat and its second value do not count.
+  EXPECT_EQ(query.on_answer(4, a), nullptr);
+  EXPECT_EQ(query.on_answer(4, a), nullptr);
+  EXPECT_EQ(query.on_answer(4, b), nullptr);
+  EXPECT_EQ(query.vote_values(), 1u);
+  EXPECT_EQ(query.on_answer(5, b), nullptr);
+  // The second distinct sender naming a (f+1 = 2) adopts it, and only it.
+  const Value* adopted = query.on_answer(6, a);
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_EQ(*adopted, a);
+  EXPECT_EQ(query.on_answer(7, a), nullptr);
+  EXPECT_EQ(query.vote_values(), 2u);
+}
+
 /// Drives one FloodQuery by hand at process 0 with PD = {1, 2, 3}, f = 1.
 template <typename Request, typename Answer, typename Value>
 void check_flood_query(const Value& a, const Value& b) {
@@ -309,26 +327,59 @@ void check_flood_query(const Value& a, const Value& b) {
   query.on_request(1, 5);
   EXPECT_EQ(host.take(), (Sends{{5, answer(a)}}));
 
-  // One vote per sender: 4's repeat and its second value do not count.
-  EXPECT_EQ(query.on_answer(4, a), nullptr);
-  EXPECT_EQ(query.on_answer(4, a), nullptr);
-  EXPECT_EQ(query.on_answer(4, b), nullptr);
-  EXPECT_EQ(query.vote_values(), 1u);
-  EXPECT_EQ(query.on_answer(5, b), nullptr);
-  // The second distinct sender naming a (f+1 = 2) adopts it, and only it.
-  const Value* adopted = query.on_answer(6, a);
-  ASSERT_NE(adopted, nullptr);
-  EXPECT_EQ(*adopted, a);
-  EXPECT_EQ(query.on_answer(7, a), nullptr);
-  EXPECT_EQ(query.vote_values(), 2u);
+  check_votes(query, a, b);
   EXPECT_TRUE(host.take().empty());
 }
 
 TEST(FloodQueryTest, ForwardsOnceAnswersOnceAndCountsOneVotePerSender) {
   check_flood_query<cup::GetSinkMsg, cup::SinkValueMsg, NodeSet>(
       NodeSet(8, {1, 2, 3}), NodeSet(8, {1, 2}));
-  check_flood_query<bftcup::DecisionRequestMsg, bftcup::DecisionMsg, Value>(
-      Value{7}, Value{9});
+}
+
+TEST(FloodQueryTest, RecordAnswersWithoutForwarding) {
+  // BFT-CUP's dissemination: the sink detector forwards each GET_SINK, and
+  // this query only records its origin and answers it with the decision.
+  const std::size_t n = 8;
+  RecordingHost host(0, n, 1);
+  FloodQuery<cup::GetSinkMsg, bftcup::DecisionMsg, Value> query(
+      host, NodeSet(n, {1, 2, 3}));
+  const auto get_sink = [](ProcessId origin) {
+    return sim::make_message<cup::GetSinkMsg>(origin)->encode_frame();
+  };
+  const auto decision = [](Value v) {
+    return sim::make_message<bftcup::DecisionMsg>(v)->encode_frame();
+  };
+  using Sends = RecordingHost::Sends;
+  const auto outside = static_cast<ProcessId>(n);
+
+  // A recorded origin is never forwarded; our own origin and one outside
+  // the universe are dropped.
+  query.record(5);
+  query.record(5);
+  query.record(0);
+  query.record(outside);
+  EXPECT_TRUE(host.take().empty());
+
+  // The answer goes to every origin recorded so far, once.
+  query.answer(Value{7});
+  EXPECT_EQ(host.take(), (Sends{{5, decision(7)}}));
+
+  // After it, once per delivery; still never to us or outside the universe.
+  query.record(6);
+  query.record(5);
+  query.record(5);
+  query.record(0);
+  query.record(outside);
+  EXPECT_EQ(host.take(),
+            (Sends{{6, decision(7)}, {5, decision(7)}, {5, decision(7)}}));
+
+  // ask() is the requery re-flood: our own GET_SINK to all of PD.
+  query.ask();
+  EXPECT_EQ(host.take(),
+            (Sends{{1, get_sink(0)}, {2, get_sink(0)}, {3, get_sink(0)}}));
+
+  check_votes(query, Value{7}, Value{9});
+  EXPECT_TRUE(host.take().empty());
 }
 
 // Property sweep: random k-OSR graphs, random safe failure placements,

@@ -118,14 +118,13 @@ std::vector<MessagePtr> sample_messages() {
   empty_rec.token = 5;
   out.push_back(sim::make_message<bftcup::NewViewMsg>(
       3, Value{1004}, std::vector<bftcup::ViewChangeRecord>{rec, empty_rec}));
-  out.push_back(sim::make_message<bftcup::DecisionRequestMsg>(ProcessId{8}));
   out.push_back(sim::make_message<bftcup::DecisionMsg>(Value{1004}));
   return out;
 }
 
 TEST_F(WireCodecTest, RegistryCoversEveryFamily) {
   const auto codecs = core::wire_codecs();
-  EXPECT_EQ(codecs.size(), 14u);
+  EXPECT_EQ(codecs.size(), 13u);
   std::set<std::uint16_t> types;
   for (const core::WireCodec& codec : codecs) {
     EXPECT_NE(codec.decode, nullptr);
@@ -430,7 +429,7 @@ std::vector<std::uint16_t> routes_of(const sim::Message& m) {
                       scp::SlotEnvelope, bftcup::PrePrepareMsg,
                       bftcup::PrepareMsg, bftcup::CommitMsg,
                       bftcup::ViewChangeMsg, bftcup::NewViewMsg,
-                      bftcup::DecisionRequestMsg, bftcup::DecisionMsg>(m);
+                      bftcup::DecisionMsg>(m);
 }
 
 TEST_F(WireCodecTest, DeliveriesRouteByWireTypeId) {
@@ -439,7 +438,7 @@ TEST_F(WireCodecTest, DeliveriesRouteByWireTypeId) {
     SCOPED_TRACE(msg->type_name());
     const MessagePtr decoded = core::decode_frame(frame_of(*msg));
     ASSERT_NE(decoded, nullptr);
-    // Its own class, and none of the other 13.
+    // Its own class, and none of the other 12.
     EXPECT_EQ(routes_of(*decoded),
               std::vector<std::uint16_t>{decoded->wire_type()});
     covered.insert(decoded->wire_type());
