@@ -19,6 +19,7 @@ BftCupNode::BftCupNode(NodeSet pd, std::size_t f, Value value,
 void BftCupNode::start() { detector_.start(); }
 
 void BftCupNode::on_sink(const sinkdetector::GetSinkResult& result) {
+  sd_time_ = now();
   if (!result.is_sink_member) {
     pending_pbft_.clear();  // we will never run PBFT
     pending_keys_.clear();

@@ -55,6 +55,7 @@ class BftCupNode : public sim::ComposedNode {
   const sinkdetector::GetSinkResult& sink_result() const {
     return detector_.result();
   }
+  SimTime sink_detect_time() const { return sd_time_; }
 
   bool decided() const { return decided_.has_value(); }
   Value decision() const;
@@ -89,6 +90,7 @@ class BftCupNode : public sim::ComposedNode {
   std::set<std::tuple<ProcessId, std::uint16_t, std::uint32_t>> pending_keys_;
 
   std::optional<Value> decided_;
+  SimTime sd_time_ = kTimeInfinity;
   SimTime decision_time_ = kTimeInfinity;
 };
 

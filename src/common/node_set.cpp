@@ -68,19 +68,6 @@ ProcessId NodeSet::min_member() const {
   return first == universe_ ? kInvalidProcess : first;
 }
 
-std::size_t NodeSet::hash() const {
-  // FNV-1a over the words plus the universe size.
-  std::size_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(universe_);
-  const std::uint64_t* w = data();
-  for (std::size_t i = 0; i < words(); ++i) mix(w[i]);
-  return h;
-}
-
 std::string NodeSet::to_string() const {
   std::ostringstream os;
   os << *this;

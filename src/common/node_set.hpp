@@ -20,7 +20,6 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <iosfwd>
 #include <string>
@@ -207,8 +206,6 @@ class NodeSet {
   /// Smallest member, or kInvalidProcess when empty.
   ProcessId min_member() const;
 
-  std::size_t hash() const;
-
   /// Iteration over members in increasing id order.
   class const_iterator {
    public:
@@ -291,8 +288,3 @@ class NodeSet {
 std::ostream& operator<<(std::ostream& os, const NodeSet& set);
 
 }  // namespace scup
-
-template <>
-struct std::hash<scup::NodeSet> {
-  std::size_t operator()(const scup::NodeSet& s) const { return s.hash(); }
-};

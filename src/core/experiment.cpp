@@ -106,14 +106,18 @@ ScenarioReport run_scenario(const ScenarioConfig& config) {
   for (const auto& [who, when] : config.crashes) sim.crash_at(who, when);
 
   const NodeSet correct = config.faulty.complement();
+  // Calls fn on correct process i's node, whichever protocol it runs.
+  const auto on_node = [&](ProcessId i, const auto& fn) {
+    return stellar[i] != nullptr ? fn(*stellar[i]) : fn(*bft[i]);
+  };
   // Termination is owed by correct processes that have not crash-stopped;
   // a crashed process may still have decided before its crash.
   auto all_decided = [&] {
     for (ProcessId i : correct) {
       if (sim.crashed(i)) continue;
-      const bool decided = stellar[i] != nullptr ? stellar[i]->decided()
-                                                 : bft[i]->decided();
-      if (!decided) return false;
+      if (!on_node(i, [](const auto& node) { return node.decided(); })) {
+        return false;
+      }
     }
     return true;
   };
@@ -133,43 +137,36 @@ ScenarioReport run_scenario(const ScenarioConfig& config) {
 
   std::optional<Value> agreed;
   for (ProcessId i : correct) {
-    const bool decided =
-        stellar[i] != nullptr ? stellar[i]->decided() : bft[i]->decided();
-    if (!decided) {
-      // Crash-stopped processes owe nothing further; everyone else does.
-      if (!sim.crashed(i)) report.all_decided = false;
-      continue;
-    }
-    const Value v =
-        stellar[i] != nullptr ? stellar[i]->decision() : bft[i]->decision();
-    const SimTime t = stellar[i] != nullptr ? stellar[i]->decision_time()
-                                            : bft[i]->decision_time();
-    report.decision_times[i] = t;
-    report.first_decision = std::min(report.first_decision, t);
-    if (report.last_decision == kTimeInfinity) report.last_decision = t;
-    report.last_decision = std::max(report.last_decision, t);
-    if (!agreed) {
-      agreed = v;
-    } else if (*agreed != v) {
-      report.agreement = false;
-    }
+    on_node(i, [&](const auto& node) {
+      if (!node.decided()) {
+        // Crash-stopped processes owe nothing further; everyone else does.
+        if (!sim.crashed(i)) report.all_decided = false;
+        return;
+      }
+      const Value v = node.decision();
+      const SimTime t = node.decision_time();
+      report.decision_times[i] = t;
+      report.first_decision = std::min(report.first_decision, t);
+      if (report.last_decision == kTimeInfinity) report.last_decision = t;
+      report.last_decision = std::max(report.last_decision, t);
+      if (!agreed) {
+        agreed = v;
+      } else if (*agreed != v) {
+        report.agreement = false;
+      }
 
-    const bool sd_done = stellar[i] != nullptr ? stellar[i]->sink_detected()
-                                               : bft[i]->sink_detected();
-    if (!sd_done) {
-      report.sd_all_returned = false;
-    } else {
-      const auto& r = stellar[i] != nullptr ? stellar[i]->sink_result()
-                                            : bft[i]->sink_result();
-      if (!(r.sink == report.true_sink)) report.sd_sink_exact = false;
-      if (r.is_sink_member != report.true_sink.contains(i)) {
-        report.sd_flags_correct = false;
-      }
-      if (stellar[i] != nullptr) {
+      if (!node.sink_detected()) {
+        report.sd_all_returned = false;
+      } else {
+        const auto& r = node.sink_result();
+        if (!(r.sink == report.true_sink)) report.sd_sink_exact = false;
+        if (r.is_sink_member != report.true_sink.contains(i)) {
+          report.sd_flags_correct = false;
+        }
         report.sd_last_return =
-            std::max(report.sd_last_return, stellar[i]->sink_detect_time());
+            std::max(report.sd_last_return, node.sink_detect_time());
       }
-    }
+    });
   }
   if (agreed) {
     report.decided_value = *agreed;

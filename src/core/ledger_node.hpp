@@ -39,7 +39,8 @@ class LedgerNode : public sim::ComposedNode {
     return ledger_.engine().stats();
   }
   const scp::LedgerMultiplexer& ledger() const { return ledger_; }
-  /// Mutable access for the determinism regression suite's rehash hook.
+  /// Mutable access, so a host can chain its own on_slot_decided handler
+  /// after the one this node installs.
   scp::LedgerMultiplexer& ledger() { return ledger_; }
 
  private:

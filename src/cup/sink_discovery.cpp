@@ -328,20 +328,13 @@ void SinkDiscovery::check_match() {
   if (finished_ || !published_once_) return;
 
   // Step 3: count members of our candidate set whose latest KNOWN equals
-  // it (ourselves included) and members that disagree. Outsider echoes
-  // are meaningless either way: the claim is that the candidate set is a
-  // self-contained sink, so only its members' views matter — in particular
-  // f+1 chatty non-members must not be able to raise probably_non_sink_.
+  // it (ourselves included). Outsider echoes are meaningless: the claim is
+  // that the candidate set is a self-contained sink, so only its members'
+  // views matter.
   std::size_t matching = 1;  // self
-  std::size_t different = 0;
   for (ProcessId sender : known_senders_ & candidate_) {
-    if (latest_known_[sender] == candidate_) {
-      ++matching;
-    } else {
-      ++different;
-    }
+    if (latest_known_[sender] == candidate_) ++matching;
   }
-  if (different >= f_ + 1) probably_non_sink_ = true;
 
   // The sink is guaranteed to hold >= 2f+1 correct members (Theorem 1's
   // precondition), so smaller candidates can never be the sink; requiring

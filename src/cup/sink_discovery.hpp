@@ -131,13 +131,6 @@ class SinkDiscovery {
   bool finished() const { return finished_; }
   const NodeSet& sink() const { return candidate_; }
 
-  /// True once >= f+1 *candidate members* published KNOWN sets different
-  /// from ours — strong evidence of being a non-sink member (informational;
-  /// the indirect path provides the actual sink). Non-members' reports are
-  /// ignored: the claim under test is that the candidate set is a
-  /// self-contained sink, so only its members' views bear on it.
-  bool probably_non_sink() const { return probably_non_sink_; }
-
   const NodeSet& candidate_set() const { return candidate_; }
   const graph::Digraph& certified_graph() const { return cert_graph_; }
   const DiscoveryStats& stats() const { return stats_; }
@@ -215,7 +208,6 @@ class SinkDiscovery {
   NodeSet last_published_;
   bool published_once_ = false;
   bool finished_ = false;
-  bool probably_non_sink_ = false;
   bool requery_stopped_ = false;
 
   graph::DisjointPathEngine path_engine_;  // scratch reused across updates

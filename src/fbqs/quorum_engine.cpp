@@ -4,34 +4,15 @@
 
 namespace scup::fbqs {
 
-std::size_t qset_hash(const QSet& q) {
-  // Iterative pre-order walk; mixes thresholds, validators and tree shape.
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  std::vector<const QSet*> stack{&q};
-  while (!stack.empty()) {
-    const QSet* cur = stack.back();
-    stack.pop_back();
-    h = hash_mix(h, cur->threshold(), cur->validators().size());
-    h = hash_mix(h, cur->inner_sets().size());
-    for (ProcessId v : cur->validators()) h = hash_mix(h, v);
-    for (const QSet& inner : cur->inner_sets()) stack.push_back(&inner);
-  }
-  return static_cast<std::size_t>(h);
-}
-
 QSetId QuorumEngine::intern(const QSet& q) {
-  const std::size_t h = qset_hash(q);
-  auto& bucket = by_hash_[h];
-  for (QSetId id : bucket) {
+  for (QSetId id = 0; id < interned_.size(); ++id) {
     if (interned_[id] == q) {
       ++stats_.intern_hits;
       return id;
     }
   }
-  const auto id = static_cast<QSetId>(interned_.size());
   interned_.push_back(q);
-  bucket.push_back(id);
-  return id;
+  return static_cast<QSetId>(interned_.size() - 1);
 }
 
 bool QuorumEngine::eval_satisfied(QSetId id, const NodeSet& nodes) {

@@ -6,10 +6,12 @@
 // expensive transitive checks. This engine provides the same three services
 // to every SCP slot of a process:
 //
-//  1. Hash-consed QSet interning: structurally identical QSets get one
-//     QSetId; "did this sender's qset change?" becomes an id compare, and a
-//     LedgerMultiplexer running hundreds of slots stores each distinct qset
-//     once instead of once per (slot, sender).
+//  1. QSet interning: structurally identical QSets get one QSetId, in
+//     first-intern order; "did this sender's qset change?" becomes an id
+//     compare, and a LedgerMultiplexer running hundreds of slots stores
+//     each distinct qset once instead of once per (slot, sender). The list
+//     is scanned linearly: it holds a few qsets per honest replica, and at
+//     most ScpNode::kMaxQsetRebinds + 1 per rotating sender and slot.
 //  2. Evaluation on the interned QSet itself: satisfied_by / blocked_by
 //     run QSet::satisfied_by / QSet::blocked_by on the stored copy, as
 //     stellar-core's LocalNode checks slices and v-blocking sets on the
@@ -31,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/node_set.hpp"
@@ -67,8 +68,9 @@ class QuorumEngine {
  public:
   QuorumEngine() = default;
 
-  /// Hash-conses `q`: returns the existing id when a structurally equal
-  /// QSet was interned before, otherwise stores a copy under a new id.
+  /// Returns the id of the first interned QSet structurally equal to `q`
+  /// (one QSet::operator== per interned qset), otherwise stores a copy
+  /// under the next id.
   QSetId intern(const QSet& q);
 
   const QSet& qset(QSetId id) const { return interned_[id]; }
@@ -111,13 +113,6 @@ class QuorumEngine {
   void count_support_update() { ++stats_.support_updates; }
   void count_support_rebuild() { ++stats_.support_rebuilds; }
 
-  /// Test hook for the determinism regression suite: force every unordered
-  /// table to rehash, scrambling bucket order. All observable behaviour
-  /// (verdicts, stats, emissions) must be identical afterwards — nothing
-  /// here may depend on hash-table iteration order. Enforced by
-  /// scup-lint's det-unordered-iter rule and tests/test_determinism_rehash.
-  void debug_rehash(std::size_t bucket_count) { by_hash_.rehash(bucket_count); }
-
  private:
   // Raw evaluations: count one qset_eval, no baseline.
   bool eval_satisfied(QSetId id, const NodeSet& nodes);
@@ -130,7 +125,6 @@ class QuorumEngine {
                                      const std::vector<QSetId>& qset_ids);
 
   std::vector<QSet> interned_;
-  std::unordered_map<std::size_t, std::vector<QSetId>> by_hash_;
 
   std::vector<QSetId> qid_scratch_;  // distinct ids per closure pass
 
@@ -149,8 +143,5 @@ class QuorumEngine {
 
   QuorumEngineStats stats_;
 };
-
-/// Structural hash of a QSet (iterative; used by interning and tests).
-std::size_t qset_hash(const QSet& q);
 
 }  // namespace scup::fbqs

@@ -131,17 +131,6 @@ class LedgerMultiplexer {
   /// The shared quorum-evaluation layer (stats aggregate across slots).
   const fbqs::QuorumEngine& engine() const { return engine_; }
 
-  /// Test hook: rehash every unordered table under this replica (the
-  /// shared engine plus each live slot's support index), scrambling
-  /// iteration orders mid-run. The determinism regression suite calls this
-  /// between events and requires bit-identical chains and sign logs.
-  void debug_rehash(std::size_t bucket_count) {
-    engine_.debug_rehash(bucket_count);
-    for (auto& [slot, entry] : slots_) {
-      if (entry.node) entry.node->debug_rehash(bucket_count);
-    }
-  }
-
  private:
   /// Per-slot host shim: namespaces messages and timers by slot.
   ///

@@ -7,16 +7,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "fbqs/quorum.hpp"
 
 namespace scup::scp {
 
 namespace {
-/// Tracked-predicate cap: past this many materialized views the table is
-/// dropped and rebuilt on demand (bounds memory against ballot churn; never
-/// hit in healthy runs).
-constexpr std::size_t kMaxTrackedPredicates = 4096;
+/// Where `key` sits, or would be inserted, in a support table.
+template <class Table, class Key>
+auto table_slot(Table& table, const Key& key) {
+  return std::ranges::lower_bound(table, key, {}, &Table::value_type::first);
+}
 
 /// True iff both lists of `nom` are strictly ascending (the NominateStmt
 /// invariant the merge walk below relies on).
@@ -206,11 +206,6 @@ bool ScpNode::handle(ProcessId from, const sim::MessagePtr& msg) {
 
 // ---------------------------------------------------------------- federated
 
-std::size_t ScpNode::PredKeyHash::operator()(const PredKey& k) const {
-  return static_cast<std::size_t>(
-      hash_mix(static_cast<std::uint64_t>(k.cls), k.n, k.x));
-}
-
 bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
   switch (key.cls) {
     case PredClass::kNomVote:
@@ -235,9 +230,9 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
 
 ScpNode::SupportView& ScpNode::support_view(const PredKey& key) const {
   const bool nomination = is_nomination_pred(key.cls);
-  auto& table = nomination ? nom_support_ : ballot_support_;
-  const auto it = table.find(key);
-  if (it != table.end()) return it->second;
+  SupportTable& table = nomination ? nom_support_ : ballot_support_;
+  const auto it = table_slot(table, key);
+  if (it != table.end() && it->first == key) return it->second;
   // First query of this predicate: one scan over its stream (a sender
   // supports it if its current statement there implies it; the other
   // stream never does), then the view stays fresh via
@@ -250,7 +245,7 @@ ScpNode::SupportView& ScpNode::support_view(const PredKey& key) const {
     }
   }
   engine_->count_support_rebuild();
-  return table.emplace(key, std::move(view)).first->second;
+  return table.emplace(it, key, std::move(view))->second;
 }
 
 ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
@@ -278,7 +273,6 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
   };
   if (ballot) {
     candidate_ballots_stale_ = true;
-    // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
     for (auto& [key, view] : ballot_support_) {
       set_member(view, pred_holds(key, stored.statement));
     }
@@ -288,14 +282,18 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     const NominateStmt* was = nullptr;
     if (prev != nullptr) was = &std::get<NominateStmt>(prev->statement);
     const auto& now = std::get<NominateStmt>(stored.statement);
+    const auto update = [&](const PredKey& key, bool member) {
+      const auto it = table_slot(nom_support_, key);
+      if (it != nom_support_.end() && it->first == key) {
+        set_member(it->second, member);
+      }
+    };
     diff_nominations(was, now, [&](Value x, Naming before, Naming after) {
       if (before.named != after.named) {
-        const auto it = nom_support_.find({PredClass::kNomVote, 0, x});
-        if (it != nom_support_.end()) set_member(it->second, after.named);
+        update({PredClass::kNomVote, 0, x}, after.named);
       }
       if (before.accepted != after.accepted) {
-        const auto it = nom_support_.find({PredClass::kNomAccept, 0, x});
-        if (it != nom_support_.end()) set_member(it->second, after.accepted);
+        update({PredClass::kNomAccept, 0, x}, after.accepted);
       }
     });
   }
@@ -313,7 +311,7 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
 void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
   const fbqs::QSetId cur = sender_qset_id_[id];
   // Cheap change test first: structural equality against the currently
-  // bound qset avoids re-hashing the common unchanged case.
+  // bound qset skips the intern scan in the common unchanged case.
   if (cur != fbqs::kNoQSetId && engine_->qset(cur) == q) return;
   // Rebind budget: each intern() of an unseen qset is permanent engine
   // memory, and the sender chooses the qset — so a rotating-qset adversary
@@ -339,8 +337,10 @@ bool ScpNode::support_views_consistent() const {
       bound.set_slices(m, engine_->qset(sender_qset_id_[m]));
     }
   }
-  // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
-  for (const auto* table : {&nom_support_, &ballot_support_}) {
+  for (const SupportTable* table : {&nom_support_, &ballot_support_}) {
+    const auto unsorted = std::ranges::adjacent_find(
+        *table, std::greater_equal<>(), &SupportTable::value_type::first);
+    if (unsorted != table->end()) return false;
     for (const auto& [key, view] : *table) {
       if (is_nomination_pred(key.cls) != (table == &nom_support_)) {
         return false;

@@ -39,7 +39,9 @@
 // predicates (nominate(x) votes/accepts) and ballot predicates (prepare,
 // commit, ballot-stream membership). A NOMINATE never implies a ballot
 // predicate and a ballot statement never implies a nomination one, so a
-// stream's update re-evaluates only its own table, exactly.
+// stream's update re-evaluates only its own table, exactly. Each table is a
+// vector sorted by predicate: a lookup is a binary search, a predicate's
+// first query inserts its view in place, and walks run in predicate order.
 //
 // Nomination keeps its work list as state: `nom_open_` holds every value
 // named by a stored NOMINATE, plus our own proposal, that is not yet a
@@ -75,7 +77,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/node_set.hpp"
@@ -206,6 +208,12 @@ class ScpNode {
   /// sender keeps its current binding.
   static constexpr std::size_t kMaxQsetRebinds = 8;
 
+  /// Cap on materialized support views (both tables together): past it the
+  /// next stored statement drops every view, and each is rebuilt on its
+  /// next query (bounds memory against ballot churn; never hit in healthy
+  /// runs).
+  static constexpr std::size_t kMaxTrackedPredicates = 4096;
+
   /// Latest ballot-protocol envelope of each sender (self included),
   /// indexed by sender id, null where none is stored — lets tests audit
   /// every statement this node currently believes / has emitted (e.g. the
@@ -218,15 +226,17 @@ class ScpNode {
     return latest_nom_;
   }
 
-  /// Debug: rebuilds every materialized support view from scratch (over
-  /// both streams, so it also checks that a view's table is the only one
-  /// its predicate can depend on) and compares against the incrementally
-  /// maintained one, then recomputes every verdict the view would serve
-  /// without touching the engine or its counters: a quorum verdict as
+  /// Debug: checks that each support table is strictly ascending by
+  /// predicate (what its binary searches assume), rebuilds every
+  /// materialized support view from scratch (over both streams, so it also
+  /// checks that a view's table is the only one its predicate can depend
+  /// on) and compares against the incrementally maintained one, then
+  /// recomputes every verdict the view would serve without touching the
+  /// engine or its counters: a quorum verdict as
   /// fbqs::FbqsSystem::quorum_closure over each member's bound qset
   /// (unbound members dropped), a v-blocking verdict as QSet::blocked_by on
-  /// our own qset. True iff all agree (the from-scratch
-  /// equivalence the unit suite pins).
+  /// our own qset. True iff all agree (the from-scratch equivalence the
+  /// unit suite pins).
   bool support_views_consistent() const;
 
   /// Debug: recomputes from the envelope maps the set S that `nom_open_`
@@ -238,16 +248,6 @@ class ScpNode {
   /// after start() is in our votes (the echo). The list is empty once
   /// decided: nomination stops there.
   bool nomination_worklist_consistent() const;
-
-  /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the
-  /// support tables' bucket order. Behaviour must be unchanged — the loops
-  /// over them are annotated order-insensitive and the determinism
-  /// regression suite pins it. const because the tables are a mutable cache
-  /// and the ledger hands out const slot pointers.
-  void debug_rehash(std::size_t bucket_count) const {
-    nom_support_.rehash(bucket_count);
-    ballot_support_.rehash(bucket_count);
-  }
 
  private:
   // -- federated voting over stored envelopes (self included) --
@@ -267,10 +267,7 @@ class ScpNode {
     PredClass cls = PredClass::kBallotStream;
     std::uint32_t n = 0;
     Value x = 0;
-    bool operator==(const PredKey&) const = default;
-  };
-  struct PredKeyHash {
-    std::size_t operator()(const PredKey& k) const;
+    auto operator<=>(const PredKey&) const = default;
   };
 
   static bool pred_holds(const PredKey& key, const Statement& s);
@@ -290,6 +287,8 @@ class ScpNode {
     /// `members` without self v-block our own qset.
     std::optional<bool> vblocking;
   };
+  /// One stream's support views, strictly ascending by predicate.
+  using SupportTable = std::vector<std::pair<PredKey, SupportView>>;
 
   bool is_quorum_satisfying(const PredKey& pred) const;
   bool is_vblocking(const PredKey& pred) const;
@@ -298,8 +297,9 @@ class ScpNode {
   bool federated_ratify(const PredKey& accepts) const;
 
   /// The materialized support view for a predicate. Built by one scan of
-  /// the predicate's stream on first query, then kept fresh by
-  /// store_statement().
+  /// the predicate's stream on first query and inserted at its sorted
+  /// position, then kept fresh by store_statement(). That insert can move
+  /// the table, so use the reference before the next table access.
   SupportView& support_view(const PredKey& key) const;
 
   /// Makes `env` its sender's latest statement of its stream, refreshes
@@ -397,9 +397,8 @@ class ScpNode {
   /// Materialized support views, one table per stream (nomination
   /// predicates / everything else); `mutable` because they are a cache
   /// over the envelope maps, lazily extended by const query paths.
-  mutable std::unordered_map<PredKey, SupportView, PredKeyHash> nom_support_;
-  mutable std::unordered_map<PredKey, SupportView, PredKeyHash>
-      ballot_support_;
+  mutable SupportTable nom_support_;
+  mutable SupportTable ballot_support_;
   /// is_vblocking()'s scratch copy of a support view without ourselves.
   mutable NodeSet vblock_scratch_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).

@@ -100,28 +100,13 @@ class CalendarQueue {
     return time_of(peeked_slot_);
   }
 
-  /// The earliest event, without consuming it (same contract as
-  /// next_time(): the cursor does not move). The pointer is valid only
-  /// until the next queue operation. Requires !empty().
-  const Event* peek() {
-    if (ring_count_ == 0) {
-      // The ring drains only through pop(), which re-migrates after every
-      // cursor advance — so with an empty ring, every overflow tick lies
-      // beyond the horizon and the first one's first event is the global
-      // minimum.
-      return &overflow_.begin()->second.front();
-    }
-    if (peeked_slot_ == kNoPeek) next_time();
-    return &ring_[peeked_slot_][heads_[peeked_slot_]];
-  }
-
   /// Pops the earliest event and moves the cursor to its time. Requires
   /// !empty().
   Event pop() {
     std::size_t slot;
     if (peeked_slot_ != kNoPeek) {
-      // The usual run-loop shape is peek-then-pop with nothing in between;
-      // reuse the peek's scan.
+      // The usual run-loop shape is next_time-then-pop with nothing in
+      // between; reuse next_time's scan.
       slot = peeked_slot_;
     } else {
       if (ring_count_ == 0) {

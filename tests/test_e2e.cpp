@@ -47,6 +47,8 @@ TEST(EndToEndTest, BftCupOnFig1) {
   const auto report = run_scenario(cfg);
   expect_consensus(report, "fig1 bftcup");
   EXPECT_TRUE(report.sd_sink_exact);
+  EXPECT_GT(report.sd_last_return, 0);
+  EXPECT_LE(report.sd_last_return, report.end_time);
 }
 
 TEST(EndToEndTest, StellarSdOnFig2AllFailurePlacements) {
@@ -66,6 +68,8 @@ TEST(EndToEndTest, BftCupOnFig2) {
   cfg.protocol = ProtocolKind::kBftCup;
   const auto report = run_scenario(cfg);
   expect_consensus(report, "fig2 bftcup");
+  EXPECT_GT(report.sd_last_return, 0);
+  EXPECT_LE(report.sd_last_return, report.end_time);
 }
 
 TEST(EndToEndTest, StellarSdUnderPreGstAsynchrony) {

@@ -1,13 +1,15 @@
-// QuorumEngine unit suite: hash-consed interning, engine evaluation of
-// randomized nested qsets against QSet's own and against the v-blocking
-// duality, with one counted evaluation per call, the closure against
-// FbqsSystem's (the paper's Algorithm 1) under random rebinds, on random
-// nested qsets and on Algorithm 2's, its failed-support tier (hits,
-// invalidation), and — at the ScpNode level — from-scratch
-// equivalence of the incrementally maintained support views and their
-// cached verdicts against the historical gather path and of the nomination
-// work list against the value set recomputed from the envelope maps, plus
-// the PREPARE commit-range statement invariant (c_n != 0 ⇒ c_n ≤ h_n).
+// QuorumEngine unit suite: interning by structural equality in
+// first-intern order, engine evaluation of randomized nested qsets against
+// QSet's own and against the v-blocking duality, with one counted
+// evaluation per call, the closure against FbqsSystem's (the paper's
+// Algorithm 1) under random rebinds, on random nested qsets and on
+// Algorithm 2's, its failed-support tier (hits, invalidation), and — at
+// the ScpNode level — from-scratch equivalence of the incrementally
+// maintained support views (across the view cap's drop and rebuild too)
+// and their cached verdicts against the historical gather path and of the
+// nomination work list against the value set recomputed from the envelope
+// maps, plus the PREPARE commit-range statement invariant
+// (c_n != 0 ⇒ c_n ≤ h_n).
 #include "fbqs/quorum_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -442,6 +444,40 @@ TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
   EXPECT_EQ(prep.p_prime, (Ballot{1, 102}));
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_TRUE(node.nomination_worklist_consistent());
+}
+
+TEST(ScpNodeEngineTest, SupportViewCapDropsAndRebuildsTheViews) {
+  // Past ScpNode::kMaxTrackedPredicates views, the next stored statement
+  // drops both support tables and each view is rebuilt on its next query.
+  // Peers 1 and 2 move the node to PREPARE; peer 3 then streams PREPAREs
+  // with a fresh ballot each, and every ballot it names gets views of its
+  // own, so the count crosses the cap. The rebuilt tables must stay sorted
+  // and match the from-scratch views.
+  constexpr std::size_t kN = 5;
+  const fbqs::QSet q =
+      fbqs::QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3, 4});
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, q, /*own_value=*/42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  for (ProcessId p = 1; p <= 2; ++p) {
+    PrepareStmt s;
+    s.b = Ballot{1, 103};
+    s.p = Ballot{1, 103};
+    node.handle(p, sim::make_message<Envelope>(p, 1, q, Statement{s}));
+  }
+  ASSERT_EQ(node.phase(), ScpNode::Phase::kPrepare);
+  for (std::uint32_t k = 1; k <= 2'200; ++k) {
+    PrepareStmt s;
+    s.b = Ballot{k, 1000 + k};
+    node.handle(3, sim::make_message<Envelope>(3, k, q, Statement{s}));
+    if (k % 64 == 0) {
+      ASSERT_TRUE(node.support_views_consistent()) << "after PREPARE " << k;
+    }
+  }
+  EXPECT_TRUE(node.support_views_consistent());
+  EXPECT_GT(node.engine().stats().support_rebuilds,
+            ScpNode::kMaxTrackedPredicates);
 }
 
 TEST(ScpNodeEngineTest, MalformedNominateIsDroppedBeforeAnyStateChanges) {

@@ -144,14 +144,13 @@ struct TriangleFixture {
   }
 };
 
-TEST(SinkDiscoveryMatch, OutsiderDisagreementDoesNotFlipProbablyNonSink) {
+TEST(SinkDiscoveryMatch, OutsiderDisagreementDoesNotBlockTheMatch) {
   TriangleFixture fx;
   // f+1 = 2 chatty outsiders report KNOWN sets different from our
   // candidate. Only candidate members' views bear on whether the candidate
   // is a self-contained sink; outsiders must be ignored.
   fx.discovery.handle(5, KnownMsg(NodeSet(TriangleFixture::kN, {5, 6})));
   fx.discovery.handle(6, KnownMsg(NodeSet(TriangleFixture::kN, {5, 6, 7})));
-  EXPECT_FALSE(fx.discovery.probably_non_sink());
 
   // The direct match must still complete from the members' reports.
   fx.discovery.handle(1, KnownMsg(NodeSet(TriangleFixture::kN, {0, 1, 2})));
@@ -160,12 +159,12 @@ TEST(SinkDiscoveryMatch, OutsiderDisagreementDoesNotFlipProbablyNonSink) {
   EXPECT_EQ(fx.discovery.sink(), NodeSet(TriangleFixture::kN, {0, 1, 2}));
 }
 
-TEST(SinkDiscoveryMatch, MemberDisagreementStillFlipsProbablyNonSink) {
+TEST(SinkDiscoveryMatch, MemberDisagreementPreventsTheMatch) {
   TriangleFixture fx;
-  // Both *members* report supersets: strong evidence we are not in a sink.
+  // Both *members* report supersets: the candidate is not a sink they
+  // agree on, so the direct match must not complete.
   fx.discovery.handle(1, KnownMsg(NodeSet(TriangleFixture::kN, {0, 1, 2, 3})));
   fx.discovery.handle(2, KnownMsg(NodeSet(TriangleFixture::kN, {0, 1, 2, 3})));
-  EXPECT_TRUE(fx.discovery.probably_non_sink());
   EXPECT_FALSE(fx.discovery.finished());
 }
 
