@@ -54,12 +54,14 @@ void QuorumEngine::insert_failed(MonotoneEntry entry) {
 }
 
 void QuorumEngine::count_cached_verdict(const NodeSet& support, bool quorum) {
-  if (quorum) {
-    ++stats_.closure_cache_hits;
-    stats_.qset_evals_baseline += support.count();
-  } else {
-    ++stats_.qset_evals_baseline;
-  }
+  ServedVerdicts served;
+  served.add(support, quorum);
+  count_served(served);
+}
+
+void QuorumEngine::count_served(const ServedVerdicts& served) {
+  stats_.closure_cache_hits += served.closure_hits;
+  stats_.qset_evals_baseline += served.baseline_evals;
 }
 
 std::uint64_t QuorumEngine::assignment_fp(const NodeSet& set,

@@ -23,7 +23,9 @@
 //     and keeps a few failed supports (FALSE for every subset), engine-wide
 //     and shared by every slot of a replica. Repeats of one unchanged
 //     question never get here: each ScpNode support view caches its own
-//     verdicts and reports a served one through count_cached_verdict().
+//     verdicts and reports a served one through count_cached_verdict(),
+//     and a check ScpNode knows would be served whole reports its
+//     verdicts in one batch through count_served().
 //
 // All work is counted in QuorumEngineStats, E11-style: `qset_evals` is what
 // we actually paid, `qset_evals_baseline` is what the rescan-everything
@@ -52,7 +54,7 @@ struct QuorumEngineStats {
   /// Algorithm-1 closures executed (cache misses).
   std::uint64_t closure_runs = 0;
   /// Closure verdicts served without a run: from the failed-support tier,
-  /// or from a caller's cached verdict (count_cached_verdict).
+  /// or from a caller's cached verdict (count_cached_verdict, count_served).
   std::uint64_t closure_cache_hits = 0;
   /// intern() calls resolved to an already-interned id.
   std::uint64_t intern_hits = 0;
@@ -62,6 +64,31 @@ struct QuorumEngineStats {
   std::uint64_t support_rebuilds = 0;
 
   bool operator==(const QuorumEngineStats&) const = default;
+};
+
+/// Verdicts a caller served from its own cache, as the engine's counters
+/// charge them: a quorum_contains() verdict is a closure cache hit and
+/// charges the baseline a first pass, |support| evaluations, as a tier hit
+/// does; a blocked_by() verdict charges the baseline's one evaluation per
+/// check.
+struct ServedVerdicts {
+  std::uint64_t closure_hits = 0;
+  std::uint64_t baseline_evals = 0;
+
+  void add(const NodeSet& support, bool quorum) {
+    if (quorum) {
+      ++closure_hits;
+      baseline_evals += support.count();
+    } else {
+      ++baseline_evals;
+    }
+  }
+  ServedVerdicts& operator+=(const ServedVerdicts& other) {
+    closure_hits += other.closure_hits;
+    baseline_evals += other.baseline_evals;
+    return *this;
+  }
+  bool operator==(const ServedVerdicts&) const = default;
 };
 
 class QuorumEngine {
@@ -103,11 +130,12 @@ class QuorumEngine {
                        const std::vector<QSetId>& qset_ids);
 
   /// Accounts a verdict the caller served from its own cache instead of
-  /// asking again. A quorum_contains() verdict (`quorum`) counts as a
-  /// closure cache hit and charges the baseline a first pass, |support|
-  /// evaluations, as a tier hit does; a blocked_by() verdict charges the
-  /// baseline's one evaluation per check. Nothing is evaluated.
+  /// asking again, charged as ServedVerdicts::add charges it (`quorum`: a
+  /// quorum_contains() verdict, else a blocked_by() one). Nothing is
+  /// evaluated.
   void count_cached_verdict(const NodeSet& support, bool quorum);
+  /// The same for a batch of served verdicts.
+  void count_served(const ServedVerdicts& served);
 
   const QuorumEngineStats& stats() const { return stats_; }
   void count_support_update() { ++stats_.support_updates; }

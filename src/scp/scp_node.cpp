@@ -147,7 +147,11 @@ void ScpNode::start() {
   }
   started_ = true;
   nom_voted_.insert(own_value_);
-  nom_open_.insert(own_value_);
+  const auto slot =
+      std::ranges::lower_bound(nom_open_, own_value_, {}, &NomEntry::x);
+  if (slot == nom_open_.end() || slot->x != own_value_) {
+    nom_open_.emplace(slot, own_value_);
+  }
   emit_nomination();
   advance();
   flush_counters();
@@ -164,41 +168,12 @@ bool ScpNode::handle(ProcessId from, const sim::MessagePtr& msg) {
   if (stream[from] != nullptr && stream[from]->seq >= env->seq) return true;
   // Malformed NOMINATE: drop before it can touch any state.
   if (nom != nullptr && !well_formed(*nom)) return true;
+  // A NOMINATE's values are listed and echoed by the merge walk that
+  // updates the views.
   // scup-sanitize: msg holds env, whose sender was checked against from
-  const EnvelopePtr prev = store_statement(EnvelopePtr(msg, env));
-
-  // Every value a NOMINATE names joins the work list (until we have decided
-  // — nomination stops there). Before start() it is only buffered there;
-  // after, echo-all nomination also votes for it, and a value we already
-  // vote for is already listed or a candidate. So only values the sender
-  // did not name before can change anything: the rest were listed, and
-  // voted for if we had started, when its previous NOMINATE arrived. The
-  // exception is a previous NOMINATE buffered before start(): its values
-  // were never voted for, so the first one after start() walks them all.
-  if (nom != nullptr) {
-    const bool walk_all = started_ && nom_unechoed_.contains(from);
-    if (started_) {
-      nom_unechoed_.remove(from);
-    } else {
-      nom_unechoed_.add(from);
-    }
-    if (!decided_) {
-      const NominateStmt* seen = nullptr;
-      if (prev != nullptr && !walk_all) {
-        seen = &std::get<NominateStmt>(prev->statement);
-      }
-      bool grew = false;
-      diff_nominations(seen, *nom, [&](Value v, Naming before, Naming after) {
-        if (!after.named || before.named) return;
-        if (!started_ || nom_voted_.insert(v)) {
-          nom_open_.insert(v);
-          grew = true;
-        }
-      });
-      if (started_ && grew) emit_nomination();
-    }
-  }
+  const bool voted_more = store_statement(EnvelopePtr(msg, env), true);
   if (!started_) return true;  // buffered; acted on at start
+  if (voted_more) emit_nomination();
   advance();
   flush_counters();
   return true;
@@ -228,36 +203,52 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
   return false;
 }
 
-ScpNode::SupportView& ScpNode::support_view(const PredKey& key) const {
-  const bool nomination = is_nomination_pred(key.cls);
-  SupportTable& table = nomination ? nom_support_ : ballot_support_;
-  const auto it = table_slot(table, key);
-  if (it != table.end() && it->first == key) return it->second;
-  // First query of this predicate: one scan over its stream (a sender
-  // supports it if its current statement there implies it; the other
-  // stream never does), then the view stays fresh via
-  // store_statement().
+ScpNode::SupportView ScpNode::build_view(const PredKey& key) {
+  // One scan over the predicate's stream (a sender supports it if its
+  // current statement there implies it; the other stream never does), then
+  // the view stays fresh via store_statement().
   SupportView view;
   view.members = NodeSet(peers_.universe_size());
+  const bool nomination = is_nomination_pred(key.cls);
   for (const EnvelopePtr& env : nomination ? latest_nom_ : latest_ballot_) {
     if (env != nullptr && pred_holds(key, env->statement)) {
       view.members.add(env->sender);
     }
   }
   engine_->count_support_rebuild();
-  return table.emplace(it, key, std::move(view))->second;
+  return view;
 }
 
-ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
+ScpNode::SupportView& ScpNode::support_view(const PredKey& key) {
+  const auto it = table_slot(ballot_support_, key);
+  if (it != ballot_support_.end() && it->first == key) return it->second;
+  return ballot_support_.emplace(it, key, build_view(key))->second;
+}
+
+ScpNode::SupportView& ScpNode::nomination_view(
+    std::optional<SupportView>& slot, PredClass cls, Value x) {
+  if (!slot) {
+    slot = build_view(PredKey{cls, 0, x});
+    ++nom_views_;
+  }
+  return *slot;
+}
+
+bool ScpNode::store_statement(EnvelopePtr env, bool received) {
   const Envelope& stored = *env;  // owned by its map entry from here on
   const ProcessId id = stored.sender;
   const bool ballot = is_ballot_statement(stored.statement);
   auto& entry = (ballot ? latest_ballot_ : latest_nom_)[id];
-  EnvelopePtr prev = std::exchange(entry, std::move(env));
-  if (nom_support_.size() + ballot_support_.size() > kMaxTrackedPredicates) {
+  const EnvelopePtr prev = std::exchange(entry, std::move(env));
+  if (nom_views_ + ballot_support_.size() > kMaxTrackedPredicates) {
     // Rebuilt lazily; counted per-view as rebuilds.
-    nom_support_.clear();
     ballot_support_.clear();
+    for (NomEntry& open : nom_open_) {
+      open.votes.reset();
+      open.accepts.reset();
+    }
+    nom_views_ = 0;
+    reopen_all();
   }
   // Of what a view's verdicts read, only its membership changes here (qset
   // bindings are bind_qset()'s), so a flip drops them.
@@ -271,30 +262,58 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     view.quorum.reset();
     view.vblocking.reset();
   };
+  bool voted_more = false;
   if (ballot) {
     candidate_ballots_stale_ = true;
+    ballot_dirty_ = true;
     for (auto& [key, view] : ballot_support_) {
       set_member(view, pred_holds(key, stored.statement));
     }
   } else {
+    // Every value a received NOMINATE names joins the work list (until we
+    // have decided — nomination stops there). Before start() it is only
+    // buffered there; after, echo-all nomination also votes for it, and a
+    // value we already vote for is already listed or a candidate. So only
+    // values the sender did not name before can change anything: the rest
+    // were listed, and voted for if we had started, when its previous
+    // NOMINATE arrived. The exception is a previous NOMINATE buffered
+    // before start(): its values were never voted for, so the first one
+    // after start() echoes them all.
+    bool echo_all = false;
+    if (received) {
+      echo_all = started_ && nom_unechoed_.contains(id);
+      if (started_) {
+        nom_unechoed_.remove(id);
+      } else {
+        nom_unechoed_.add(id);
+      }
+    }
     // A nomination view's membership for this sender can only change at a
-    // value its previous or new NOMINATE names.
+    // value its previous or new NOMINATE names. The walk and the work list
+    // are both ascending, so one cursor finds each value's entry.
     const NominateStmt* was = nullptr;
     if (prev != nullptr) was = &std::get<NominateStmt>(prev->statement);
     const auto& now = std::get<NominateStmt>(stored.statement);
-    const auto update = [&](const PredKey& key, bool member) {
-      const auto it = table_slot(nom_support_, key);
-      if (it != nom_support_.end() && it->first == key) {
-        set_member(it->second, member);
-      }
-    };
+    std::size_t at = 0;
     diff_nominations(was, now, [&](Value x, Naming before, Naming after) {
-      if (before.named != after.named) {
-        update({PredClass::kNomVote, 0, x}, after.named);
+      while (at < nom_open_.size() && nom_open_[at].x < x) ++at;
+      const bool listed = at < nom_open_.size() && nom_open_[at].x == x;
+      if (listed && (before.named != after.named ||
+                     before.accepted != after.accepted)) {
+        NomEntry& open = nom_open_[at];
+        if (open.votes) set_member(*open.votes, after.named);
+        if (open.accepts) set_member(*open.accepts, after.accepted);
+        open.dirty = true;
       }
-      if (before.accepted != after.accepted) {
-        update({PredClass::kNomAccept, 0, x}, after.accepted);
+      if (!received || decided_ || !after.named ||
+          (before.named && !echo_all)) {
+        return;
       }
+      if (started_) {
+        if (!nom_voted_.insert(x)) return;  // already listed, or a candidate
+        voted_more = true;
+      }
+      if (!listed) nom_open_.emplace(nom_open_.begin() + at, x);
     });
   }
   engine_->count_support_update();
@@ -305,7 +324,7 @@ ScpNode::EnvelopePtr ScpNode::store_statement(EnvelopePtr env) {
     effective = latest_ballot_[id].get();
   }
   bind_qset(id, effective->qset);
-  return prev;
+  return voted_more;
 }
 
 void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
@@ -325,6 +344,12 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
   sender_qset_id_[id] = engine_->intern(q);
   // Every cached quorum verdict read the old assignment.
   ++rebind_epoch_;
+  reopen_all();
+}
+
+void ScpNode::reopen_all() {
+  for (NomEntry& open : nom_open_) open.dirty = true;
+  ballot_dirty_ = true;
 }
 
 bool ScpNode::support_views_consistent() const {
@@ -337,39 +362,60 @@ bool ScpNode::support_views_consistent() const {
       bound.set_slices(m, engine_->qset(sender_qset_id_[m]));
     }
   }
-  for (const SupportTable* table : {&nom_support_, &ballot_support_}) {
-    const auto unsorted = std::ranges::adjacent_find(
-        *table, std::greater_equal<>(), &SupportTable::value_type::first);
-    if (unsorted != table->end()) return false;
-    for (const auto& [key, view] : *table) {
-      if (is_nomination_pred(key.cls) != (table == &nom_support_)) {
-        return false;
-      }
-      NodeSet fresh(peers_.universe_size());
-      for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
-        for (const EnvelopePtr& env : *stream) {
-          if (env != nullptr && pred_holds(key, env->statement)) {
-            fresh.add(env->sender);
-          }
+  const auto view_ok = [&](const PredKey& key, const SupportView& view) {
+    NodeSet fresh(peers_.universe_size());
+    for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
+      for (const EnvelopePtr& env : *stream) {
+        if (env != nullptr && pred_holds(key, env->statement)) {
+          fresh.add(env->sender);
         }
       }
-      if (!(fresh == view.members)) return false;
-      if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_ &&
-          *view.quorum != bound.quorum_closure(view.members).contains(self)) {
-        return false;
-      }
-      if (view.vblocking.has_value()) {
-        NodeSet others = view.members;
-        others.remove(self);
-        if (*view.vblocking != qset_.blocked_by(others)) return false;
-      }
+    }
+    if (!(fresh == view.members)) return false;
+    if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_ &&
+        *view.quorum != bound.quorum_closure(view.members).contains(self)) {
+      return false;
+    }
+    if (view.vblocking.has_value()) {
+      NodeSet others = view.members;
+      others.remove(self);
+      if (*view.vblocking != qset_.blocked_by(others)) return false;
+    }
+    return true;
+  };
+  const auto unsorted =
+      std::ranges::adjacent_find(ballot_support_, std::greater_equal<>(),
+                                 &SupportTable::value_type::first);
+  if (unsorted != ballot_support_.end()) return false;
+  for (const auto& [key, view] : ballot_support_) {
+    if (is_nomination_pred(key.cls) || !view_ok(key, view)) return false;
+  }
+  std::size_t built = 0;
+  const auto entry_view_ok = [&](PredClass cls, Value x,
+                                 const std::optional<SupportView>& view) {
+    if (!view) return true;
+    ++built;
+    return view_ok(PredKey{cls, 0, x}, *view);
+  };
+  for (const NomEntry& open : nom_open_) {
+    if (!entry_view_ok(PredClass::kNomVote, open.x, open.votes) ||
+        !entry_view_ok(PredClass::kNomAccept, open.x, open.accepts)) {
+      return false;
     }
   }
-  return true;
+  return built <= nom_views_;
 }
 
 bool ScpNode::nomination_worklist_consistent() const {
   if (decided_) return nom_open_.empty();
+  if (std::ranges::adjacent_find(nom_open_, std::greater_equal<>(),
+                                 &NomEntry::x) != nom_open_.end()) {
+    return false;
+  }
+  const auto listed = [this](Value v) {
+    const auto it = std::ranges::lower_bound(nom_open_, v, {}, &NomEntry::x);
+    return it != nom_open_.end() && it->x == v;
+  };
   // S: our votes plus every value a stored NOMINATE names. A NOMINATE
   // handled after start() has been echoed: all it names is in our votes.
   ValueSet seen = nom_voted_;
@@ -387,28 +433,57 @@ bool ScpNode::nomination_worklist_consistent() const {
     }
   }
   for (Value v : seen) {
-    if (!candidates_.contains(v) && !nom_open_.contains(v)) return false;
+    if (!candidates_.contains(v) && !listed(v)) return false;
   }
-  for (Value v : nom_open_) {
-    if (candidates_.contains(v)) return false;
-    if (seen.contains(v)) continue;
-    // Listed but outside S: nobody may vote for or accept it.
-    const PredKey votes{PredClass::kNomVote, 0, v};
-    for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
-      for (const EnvelopePtr& env : *stream) {
-        if (env != nullptr && pred_holds(votes, env->statement)) return false;
+  const ProcessId self = host_.self();
+  for (const NomEntry& open : nom_open_) {
+    if (candidates_.contains(open.x)) return false;
+    if (!seen.contains(open.x)) {
+      // Listed but outside S: nobody may vote for or accept it.
+      const PredKey votes{PredClass::kNomVote, 0, open.x};
+      for (const auto* stream : {&latest_nom_, &latest_ballot_}) {
+        for (const EnvelopePtr& env : *stream) {
+          if (env != nullptr && pred_holds(votes, env->statement)) {
+            return false;
+          }
+        }
       }
     }
+    if (open.dirty) continue;
+    // A clean entry's next check replays its last one from the views: each
+    // verdict it reads must be cached and current (nullopt: it is not) and
+    // false, and together they must charge what the entry recorded.
+    fbqs::ServedVerdicts replay;
+    const auto served = [&](const std::optional<SupportView>& view,
+                            bool quorum) -> std::optional<bool> {
+      if (!view) return std::nullopt;
+      if (quorum && !view->members.contains(self)) return false;
+      const std::optional<bool>& verdict =
+          quorum ? view->quorum : view->vblocking;
+      if (!verdict || (quorum && view->quorum_epoch != rebind_epoch_)) {
+        return std::nullopt;
+      }
+      replay.add(view->members, quorum);
+      return verdict;
+    };
+    if (nom_accepted_.contains(open.x)) {
+      if (served(open.accepts, true) != false) return false;
+    } else if (served(open.accepts, false) != false ||
+               served(open.votes, true) != false) {
+      return false;
+    }
+    if (!(replay == open.charge)) return false;
   }
   return true;
 }
 
-bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
+bool ScpNode::is_quorum_satisfying(SupportView& view,
+                                   fbqs::ServedVerdicts& replay) {
   // The Algorithm-1 closure (drop members whose quorum set is not satisfied
   // by the remaining support) runs in the engine once per view and
   // assignment; repeats are served from the view.
-  SupportView& view = support_view(pred);
   if (!view.members.contains(host_.self())) return false;
+  replay.add(view.members, /*quorum=*/true);
   if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_) {
     engine_->count_cached_verdict(view.members, /*quorum=*/true);
     return *view.quorum;
@@ -419,8 +494,8 @@ bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
   return *view.quorum;
 }
 
-bool ScpNode::is_vblocking(const PredKey& pred) const {
-  SupportView& view = support_view(pred);
+bool ScpNode::is_vblocking(SupportView& view, fbqs::ServedVerdicts& replay) {
+  replay.add(view.members, /*quorum=*/false);
   if (view.vblocking.has_value()) {
     engine_->count_cached_verdict(view.members, /*quorum=*/false);
     return *view.vblocking;
@@ -431,13 +506,14 @@ bool ScpNode::is_vblocking(const PredKey& pred) const {
   return *view.vblocking;
 }
 
-bool ScpNode::federated_accept(const PredKey& votes_or_accepts,
-                               const PredKey& accepts) const {
-  return is_vblocking(accepts) || is_quorum_satisfying(votes_or_accepts);
+bool ScpNode::ballot_accept(const PredKey& votes_or_accepts,
+                            const PredKey& accepts) {
+  return is_vblocking(support_view(accepts), ballot_charge_) ||
+         is_quorum_satisfying(support_view(votes_or_accepts), ballot_charge_);
 }
 
-bool ScpNode::federated_ratify(const PredKey& accepts) const {
-  return is_quorum_satisfying(accepts);
+bool ScpNode::ballot_ratify(const PredKey& accepts) {
+  return is_quorum_satisfying(support_view(accepts), ballot_charge_);
 }
 
 void ScpNode::flush_counters() {
@@ -464,7 +540,13 @@ void ScpNode::advance() {
       changed |= maybe_start_ballot();
     }
     if (phase_ == Phase::kPrepare || phase_ == Phase::kConfirm) {
-      changed |= step_ballot();
+      if (ballot_dirty_) {
+        changed |= step_ballot();
+      } else {
+        // Nothing the last pass read has changed, and it changed nothing:
+        // a rerun would be served every verdict it counted.
+        engine_->count_served(ballot_charge_);
+      }
     }
   }
 }
@@ -473,24 +555,53 @@ bool ScpNode::step_nomination() {
   bool changed = false;
   // Candidate values: everything anyone has mentioned that is not yet
   // confirmed (the work list; see the class comment). A value leaves the
-  // list once confirmed.
-  nom_open_.retain([&](Value v) {
-    if (!nom_accepted_.contains(v)) {
-      const bool accepted =
-          federated_accept(PredKey{PredClass::kNomVote, 0, v},
-                           PredKey{PredClass::kNomAccept, 0, v});
-      if (!accepted) return true;
-      nom_accepted_.insert(v);
-      nom_voted_.insert(v);
-      changed = true;
+  // list once confirmed; a clean entry is only charged.
+  fbqs::ServedVerdicts clean;
+  auto kept = nom_open_.begin();
+  for (auto it = nom_open_.begin(); it != nom_open_.end(); ++it) {
+    if (!it->dirty) {
+      clean += it->charge;
+    } else if (check_entry(*it, changed)) {
+      continue;
     }
-    if (!federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) return true;
-    candidates_.insert(v);
-    changed = true;
-    return false;
-  });
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
+  }
+  nom_open_.erase(kept, nom_open_.end());
+  engine_->count_served(clean);
   if (changed) emit_nomination();
   return changed;
+}
+
+bool ScpNode::check_entry(NomEntry& entry, bool& changed) {
+  const Value x = entry.x;
+  const bool was_accepted = nom_accepted_.contains(x);
+  fbqs::ServedVerdicts replay;
+  if (!was_accepted) {
+    if (!is_vblocking(
+            nomination_view(entry.accepts, PredClass::kNomAccept, x),
+            replay) &&
+        !is_quorum_satisfying(
+            nomination_view(entry.votes, PredClass::kNomVote, x), replay)) {
+      entry.dirty = false;
+      entry.charge = replay;
+      return false;
+    }
+    nom_accepted_.insert(x);
+    nom_voted_.insert(x);
+    changed = true;
+  }
+  if (is_quorum_satisfying(
+          nomination_view(entry.accepts, PredClass::kNomAccept, x), replay)) {
+    candidates_.insert(x);
+    changed = true;
+    return true;
+  }
+  // A value accepted just now is in our next NOMINATE, which moves us into
+  // its kNomAccept view: the entry stays dirty.
+  entry.dirty = !was_accepted;
+  entry.charge = replay;
+  return false;
 }
 
 Value ScpNode::composite_candidate() const {
@@ -506,8 +617,11 @@ bool ScpNode::maybe_start_ballot() {
     value = composite_candidate();
   } else {
     // Catch-up: if a v-blocking set has moved to the ballot protocol, adopt
-    // the value of the highest working ballot among them.
-    if (!is_vblocking(PredKey{PredClass::kBallotStream, 0, 0})) {
+    // the value of the highest working ballot among them. (This check runs
+    // on every pass in this phase, so there is no replay to record.)
+    fbqs::ServedVerdicts replay;
+    if (!is_vblocking(support_view(PredKey{PredClass::kBallotStream, 0, 0}),
+                      replay)) {
       return false;
     }
     Ballot best;
@@ -528,6 +642,11 @@ bool ScpNode::maybe_start_ballot() {
 }
 
 bool ScpNode::step_ballot() {
+  // A pass that changes something stores our ballot statement, which marks
+  // the step dirty again; one that does not is replayed by advance() from
+  // the charge its checks leave in ballot_charge_.
+  ballot_dirty_ = false;
+  ballot_charge_ = {};
   bool changed = false;
   changed |= attempt_accept_prepared();
   changed |= attempt_confirm_prepared();
@@ -575,8 +694,8 @@ bool ScpNode::attempt_accept_prepared() {
     // Skip if already covered by p_ or p_prime_.
     if (le_compatible(beta, p_) || le_compatible(beta, p_prime_)) continue;
     const bool accepted =
-        federated_accept(PredKey{PredClass::kPrepareVote, beta.n, beta.x},
-                         PredKey{PredClass::kPrepareAccept, beta.n, beta.x});
+        ballot_accept(PredKey{PredClass::kPrepareVote, beta.n, beta.x},
+                      PredKey{PredClass::kPrepareAccept, beta.n, beta.x});
     if (!accepted) continue;
     // Update (p, p') = two highest accepted-prepared, mutually incompatible.
     if (!p_.valid() || p_ < beta) {
@@ -611,8 +730,7 @@ bool ScpNode::attempt_confirm_prepared() {
     // Can only confirm what we have accepted.
     if (!le_compatible(beta, p_) && !le_compatible(beta, p_prime_)) continue;
     if (le_compatible(beta, h_)) continue;  // already confirmed higher
-    if (federated_ratify(
-            PredKey{PredClass::kPrepareAccept, beta.n, beta.x})) {
+    if (ballot_ratify(PredKey{PredClass::kPrepareAccept, beta.n, beta.x})) {
       if (!h_.valid() || h_ < beta) {
         h_ = beta;
         changed = true;
@@ -638,8 +756,9 @@ bool ScpNode::attempt_confirm_prepared() {
   return true;
 }
 
-std::vector<std::uint32_t> ScpNode::commit_boundaries(Value x) const {
-  std::vector<std::uint32_t> ns;
+const std::vector<std::uint32_t>& ScpNode::commit_boundaries(Value x) {
+  std::vector<std::uint32_t>& ns = commit_boundaries_;
+  ns.clear();
   auto push = [&ns](std::uint32_t n) {
     if (n > 0) ns.push_back(n);
   };
@@ -678,8 +797,8 @@ bool ScpNode::attempt_accept_commit() {
   for (std::uint32_t n : commit_boundaries(x)) {
     if (commit_c_n_ != 0 && commit_c_n_ <= n && n <= commit_h_n_) continue;
     const bool accepted =
-        federated_accept(PredKey{PredClass::kCommitVote, n, x},
-                         PredKey{PredClass::kCommitAccept, n, x});
+        ballot_accept(PredKey{PredClass::kCommitVote, n, x},
+                      PredKey{PredClass::kCommitAccept, n, x});
     if (!accepted) continue;
     if (commit_c_n_ == 0) {
       commit_c_n_ = commit_h_n_ = n;
@@ -705,9 +824,7 @@ bool ScpNode::attempt_confirm_commit() {
   bool changed = false;
   for (std::uint32_t n : commit_boundaries(x)) {
     if (ext_c_n_ != 0 && ext_c_n_ <= n && n <= ext_h_n_) continue;
-    if (!federated_ratify(PredKey{PredClass::kCommitAccept, n, x})) {
-      continue;
-    }
+    if (!ballot_ratify(PredKey{PredClass::kCommitAccept, n, x})) continue;
     if (ext_c_n_ == 0) {
       ext_c_n_ = ext_h_n_ = n;
     } else {
@@ -723,10 +840,10 @@ bool ScpNode::attempt_confirm_commit() {
   emit_ballot();
   // No federated check runs after externalization (nomination and ballot
   // steps are both gated on !decided_ / phase); drop the support views and
-  // the nomination work list.
-  nom_support_.clear();
+  // the nomination work list with its views.
   ballot_support_.clear();
   nom_open_.clear();
+  nom_views_ = 0;
   if (on_decide) on_decide(x);
   return true;
 }
@@ -773,7 +890,7 @@ void ScpNode::emit_nomination() {
   NominateStmt nom{nom_voted_.values(), nom_accepted_.values()};
   const auto msg = sim::make_message<Envelope>(host_.self(), seq_, qset_,
                                                Statement{std::move(nom)});
-  store_statement(std::static_pointer_cast<const Envelope>(msg));
+  store_statement(std::static_pointer_cast<const Envelope>(msg), false);
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
 
@@ -781,7 +898,7 @@ void ScpNode::emit_ballot() {
   ++seq_;
   const auto msg = sim::make_message<Envelope>(host_.self(), seq_, qset_,
                                                ballot_statement());
-  store_statement(std::static_pointer_cast<const Envelope>(msg));
+  store_statement(std::static_pointer_cast<const Envelope>(msg), false);
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
 

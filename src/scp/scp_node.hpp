@@ -22,40 +22,55 @@
 // re-gathering supporters from the envelope maps on every check, the node
 // maintains materialized support sets per queried predicate — refreshed
 // incrementally as envelopes arrive — and each view caches its two
-// verdicts: "a quorum for self" and "v-blocking for our qset". A check
-// whose inputs have not changed since the view last asked costs one view
-// lookup; only a view whose membership flipped, or (for the quorum
-// verdict) a member whose qset binding changed, asks the engine again. The
-// quorum verdict depends only on the view, self and the qsets bound to its
-// members, so any rebind drops every quorum verdict at once (an epoch
-// stamp, not a loop over the tables); the v-blocking verdict depends only
-// on the view and our own qset, fixed from start(), so it survives
-// rebinds. A served verdict is still reported to the engine's counters,
-// so closure runs plus cache hits keep counting the node's quorum checks.
-// The ballot candidates the ballot steps walk are likewise a member list,
-// rebuilt only after a ballot statement was stored or b_ changed.
+// verdicts: "a quorum for self" and "v-blocking for our qset". Only a view
+// whose membership flipped, or (for the quorum verdict) a member whose qset
+// binding changed, asks the engine again. The quorum verdict depends only
+// on the view, self and the qsets bound to its members, so any rebind drops
+// every quorum verdict at once (an epoch stamp, not a loop over the views);
+// the v-blocking verdict depends only on the view and our own qset, fixed
+// from start(), so it survives rebinds. A served verdict is still reported
+// to the engine's counters, so closure runs plus cache hits keep counting
+// the node's quorum checks. The ballot candidates the ballot steps walk are
+// likewise a member list, rebuilt only after a ballot statement was stored
+// or b_ changed.
 //
-// Support views live in two tables, one per message stream: nomination
-// predicates (nominate(x) votes/accepts) and ballot predicates (prepare,
-// commit, ballot-stream membership). A NOMINATE never implies a ballot
-// predicate and a ballot statement never implies a nomination one, so a
-// stream's update re-evaluates only its own table, exactly. Each table is a
-// vector sorted by predicate: a lookup is a binary search, a predicate's
-// first query inserts its view in place, and walks run in predicate order.
+// A check whose inputs have not changed since it last ran is not re-run at
+// all: it would ask the same views the same questions and be served every
+// answer. Each nomination work-list entry, and the ballot step as a whole,
+// keeps a dirty bit and the served verdicts of its last run
+// (fbqs::ServedVerdicts); a clean one reports those to the engine in one
+// batch without reading a view. So every engine evaluation runs in the
+// order a full re-walk runs it, and every verdict a full re-walk would
+// serve is still counted. The ballot step is dirty after a ballot statement
+// was stored (ours included), a rebind or the view-cap drop.
 //
-// Nomination keeps its work list as state: `nom_open_` holds every value
-// named by a stored NOMINATE, plus our own proposal, that is not yet a
-// confirmed candidate. handle() and start() add to it, and each
-// step_nomination() walks it in ascending order and drops a value once it
-// is ratified. It equals the non-candidate part of S = our votes plus
-// every value any stored NOMINATE names, so the walk issues the same engine
-// queries in the same order as a walk over S recomputed from the envelope
-// maps: values are only removed once confirmed, correct senders'
-// NOMINATEs only grow, and every value named after start() is echoed into
-// our own votes. The one exception is a Byzantine sender whose later
-// NOMINATE drops a value we only saw before start(): it stays listed, but
-// no stored statement supports it any more, so it can never be accepted
-// (nomination_worklist_consistent() checks both properties).
+// Support views live with their stream: a nomination predicate's
+// (nominate(x) votes/accepts) in the work-list entry of x, ballot
+// predicates' (prepare, commit, ballot-stream membership) in one table. A
+// NOMINATE never implies a ballot predicate and a ballot statement never
+// implies a nomination one, so a stream's update re-evaluates only its own
+// views, exactly. The ballot table is a vector sorted by predicate: a
+// lookup is a binary search, a predicate's first query inserts its view in
+// place, and walks run in predicate order.
+//
+// Nomination keeps its work list as state: `nom_open_` has an entry for
+// every value named by a stored NOMINATE, plus our own proposal, that is
+// not yet a confirmed candidate. handle() and start() add to it, and each
+// step_nomination() walks it in ascending order, re-checks the dirty
+// entries and drops a value once it is ratified. An entry is dirty from
+// when it is listed until a check of it changes nothing, and again once a
+// stored NOMINATE changes whether its sender names or accepts the value,
+// or (every entry) after a rebind from either stream or the view-cap drop.
+// The list equals the non-candidate part of S = our votes plus every value
+// any stored NOMINATE names, so the walk issues the same engine queries in
+// the same order as a walk over S recomputed from the envelope maps:
+// values are only removed once confirmed, correct senders' NOMINATEs only
+// grow, and every value named after start() is echoed into our own votes.
+// The one exception is a Byzantine sender whose later NOMINATE drops a
+// value we only saw before start(): it stays listed, but no stored
+// statement supports it any more, so it can never be accepted
+// (nomination_worklist_consistent() checks both properties, and that a
+// clean entry's next check would be served whole for its recorded charge).
 //
 // A received NOMINATE costs what it changes. Stored envelopes are shared
 // pointers to the delivered messages (our own: to the message we send), not
@@ -64,13 +79,14 @@
 // ascending sender order, and handle() drops a stale envelope on that
 // lookup before it reads anything else. A NOMINATE's lists are strictly
 // ascending, so the sender's previous and new statement diff in one merge
-// walk: only the nomination views whose membership changed are touched,
-// and only values the sender did not name before are echoed. Views depend
-// only on each sender's latest statement, so this leaves every view, and
-// hence every engine query, exactly as a full re-test would. The echo is
-// exact because every value of a NOMINATE handled after start() is already
-// in our votes; a sender whose stored NOMINATE was buffered before start()
-// gets one full walk instead.
+// walk that steps through the (equally ascending) work list: only the
+// entries of values whose naming or acceptance changed are touched, and
+// only values the sender did not name before are echoed. Views depend only
+// on each sender's latest statement, so this leaves every view, and hence
+// every engine query, exactly as a full re-test would. The echo is exact
+// because every value of a NOMINATE handled after start() is already in our
+// votes; a sender whose stored NOMINATE was buffered before start() gets
+// one full walk instead.
 #pragma once
 
 #include <algorithm>
@@ -121,17 +137,6 @@ class ValueSet {
     values_.insert(it, v);
     return true;
   }
-  /// Calls keep(v) once per value in ascending order and drops the values
-  /// it returns false for.
-  template <class Keep>
-  void retain(Keep keep) {
-    auto out = values_.begin();
-    for (const Value v : values_) {
-      if (keep(v)) *out++ = v;
-    }
-    values_.erase(out, values_.end());
-  }
-  void clear() { values_.clear(); }
   bool empty() const { return values_.empty(); }
   /// The highest value; the set must not be empty.
   Value max() const { return values_.back(); }
@@ -208,10 +213,10 @@ class ScpNode {
   /// sender keeps its current binding.
   static constexpr std::size_t kMaxQsetRebinds = 8;
 
-  /// Cap on materialized support views (both tables together): past it the
-  /// next stored statement drops every view, and each is rebuilt on its
-  /// next query (bounds memory against ballot churn; never hit in healthy
-  /// runs).
+  /// Cap on materialized support views (both streams together, a retired
+  /// work-list entry's views included): past it the next stored statement
+  /// drops every view, and each is rebuilt on its next query (bounds memory
+  /// against ballot churn; never hit in healthy runs).
   static constexpr std::size_t kMaxTrackedPredicates = 4096;
 
   /// Latest ballot-protocol envelope of each sender (self included),
@@ -226,27 +231,29 @@ class ScpNode {
     return latest_nom_;
   }
 
-  /// Debug: checks that each support table is strictly ascending by
-  /// predicate (what its binary searches assume), rebuilds every
-  /// materialized support view from scratch (over both streams, so it also
-  /// checks that a view's table is the only one its predicate can depend
-  /// on) and compares against the incrementally maintained one, then
-  /// recomputes every verdict the view would serve without touching the
-  /// engine or its counters: a quorum verdict as
-  /// fbqs::FbqsSystem::quorum_closure over each member's bound qset
-  /// (unbound members dropped), a v-blocking verdict as QSet::blocked_by on
-  /// our own qset. True iff all agree (the from-scratch equivalence the
-  /// unit suite pins).
+  /// Debug: checks that the ballot table is strictly ascending by predicate
+  /// (what its binary searches assume), rebuilds every materialized support
+  /// view from scratch (over both streams, so it also checks that a view's
+  /// stream is the only one its predicate can depend on) and compares
+  /// against the incrementally maintained one, then recomputes every
+  /// verdict the view would serve without touching the engine or its
+  /// counters: a quorum verdict as fbqs::FbqsSystem::quorum_closure over
+  /// each member's bound qset (unbound members dropped), a v-blocking
+  /// verdict as QSet::blocked_by on our own qset. True iff all agree (the
+  /// from-scratch equivalence the unit suite pins).
   bool support_views_consistent() const;
 
-  /// Debug: recomputes from the envelope maps the set S that `nom_open_`
-  /// stands for (our votes plus every value a stored NOMINATE names),
-  /// without touching the support views. True iff every value of S that is
-  /// not a candidate is listed, no candidate is listed, every listed value
-  /// outside S has no supporter in either stream (so it can never be
-  /// accepted), and every value named by a stored NOMINATE that was handled
-  /// after start() is in our votes (the echo). The list is empty once
-  /// decided: nomination stops there.
+  /// Debug: checks that `nom_open_` is strictly ascending by value and
+  /// recomputes from the envelope maps the set S it stands for (our votes
+  /// plus every value a stored NOMINATE names). True iff every value of S
+  /// that is not a candidate is listed, no candidate is listed, every
+  /// listed value outside S has no supporter in either stream (so it can
+  /// never be accepted), and every value named by a stored NOMINATE that was
+  /// handled after start() is in our votes (the echo). The list is empty
+  /// once decided: nomination stops there. Then each clean entry's next
+  /// check is replayed from its views without touching the engine: false if
+  /// it would find a verdict missing or stale, accept or ratify the value,
+  /// or charge the engine anything but the entry's recorded charge.
   bool nomination_worklist_consistent() const;
 
  private:
@@ -287,37 +294,74 @@ class ScpNode {
     /// `members` without self v-block our own qset.
     std::optional<bool> vblocking;
   };
-  /// One stream's support views, strictly ascending by predicate.
+  /// The ballot stream's support views, strictly ascending by predicate.
   using SupportTable = std::vector<std::pair<PredKey, SupportView>>;
 
-  bool is_quorum_satisfying(const PredKey& pred) const;
-  bool is_vblocking(const PredKey& pred) const;
-  bool federated_accept(const PredKey& votes_or_accepts,
-                        const PredKey& accepts) const;
-  bool federated_ratify(const PredKey& accepts) const;
+  /// One value on the nomination work list and the state of its check.
+  struct NomEntry {
+    explicit NomEntry(Value value) : x(value) {}
 
-  /// The materialized support view for a predicate. Built by one scan of
-  /// the predicate's stream on first query and inserted at its sorted
-  /// position, then kept fresh by store_statement(). That insert can move
-  /// the table, so use the reference before the next table access.
-  SupportView& support_view(const PredKey& key) const;
+    Value x;
+    /// Its kNomVote / kNomAccept support views; empty until first queried,
+    /// and again after the view-cap drop.
+    std::optional<SupportView> votes;
+    std::optional<SupportView> accepts;
+    /// False while the entry's next check would be its last one replayed:
+    /// every verdict served from the views, nothing accepted or ratified.
+    bool dirty = true;
+    /// What that replay charges the engine's counters.
+    fbqs::ServedVerdicts charge;
+  };
+
+  /// The two federated-voting checks on one view: `view.members` is a
+  /// quorum for self, or without self v-blocks our qset. A cached verdict
+  /// is served (and counted), otherwise the engine is asked and the verdict
+  /// cached. Either way `replay` gains what asking again would charge once
+  /// the verdict is cached. (A view without self is no quorum for it, at no
+  /// charge.)
+  bool is_quorum_satisfying(SupportView& view, fbqs::ServedVerdicts& replay);
+  bool is_vblocking(SupportView& view, fbqs::ServedVerdicts& replay);
+  /// Accept / ratify over ballot predicates; `ballot_charge_` gains the
+  /// replay charges.
+  bool ballot_accept(const PredKey& votes_or_accepts, const PredKey& accepts);
+  bool ballot_ratify(const PredKey& accepts);
+
+  /// A fresh support view for `key`: one scan of the predicate's stream.
+  /// Counted as a support rebuild.
+  SupportView build_view(const PredKey& key);
+  /// The materialized support view for a ballot predicate. Built on first
+  /// query and inserted at its sorted position, then kept fresh by
+  /// store_statement(). That insert can move the table, so use the
+  /// reference before the next table access.
+  SupportView& support_view(const PredKey& key);
+  /// An entry's view in `slot` (kNomVote or kNomAccept of `x`), built on
+  /// first query.
+  SupportView& nomination_view(std::optional<SupportView>& slot,
+                               PredClass cls, Value x);
 
   /// Makes `env` its sender's latest statement of its stream, refreshes
-  /// that stream's support views, then the sender's effective qset id.
-  /// Returns the statement it replaced (null on the sender's first). A
-  /// NOMINATE touches only the views of values where it differs from the
-  /// one it replaced; a ballot statement re-tests every ballot view. A view
-  /// whose membership flips drops its verdicts.
-  EnvelopePtr store_statement(EnvelopePtr env);
+  /// that stream's support views, then the sender's effective qset id. A
+  /// NOMINATE touches only the work-list entries of values where it differs
+  /// from the one it replaced, and marks them dirty; a ballot statement
+  /// re-tests every ballot view. A view whose membership flips drops its
+  /// verdicts. For a `received` NOMINATE the same merge walk lists its
+  /// values and echoes them (see handle()); returns true iff that added a
+  /// value to our votes.
+  bool store_statement(EnvelopePtr env, bool received);
 
   /// Re-binds the sender's effective qset (ballot stream wins) when it
   /// differs structurally from the bound one. Any change, the first
   /// binding included, bumps rebind_epoch_, which drops every cached
-  /// quorum verdict.
+  /// quorum verdict, and marks every check dirty.
   void bind_qset(ProcessId id, const fbqs::QSet& q);
+  /// Marks every work-list entry and the ballot step dirty.
+  void reopen_all();
 
   void advance();          // run protocol steps to fixpoint
   bool step_nomination();  // returns true if state changed
+  /// Checks one dirty work-list entry: accept, then ratify. Returns true
+  /// iff the value was ratified; sets `changed` if anything changed.
+  bool check_entry(NomEntry& entry, bool& changed);
   bool step_ballot();
   bool attempt_accept_prepared();
   bool attempt_confirm_prepared();
@@ -332,7 +376,9 @@ class ScpNode {
   /// Every valid ballot named by b_ or a stored ballot statement, highest
   /// first, without repeats; rebuilt only when one of those changed.
   const std::vector<Ballot>& candidate_ballots();
-  std::vector<std::uint32_t> commit_boundaries(Value x) const;
+  /// Every counter our commit range or a stored ballot statement names for
+  /// value `x`, ascending, without repeats (a reused member list).
+  const std::vector<std::uint32_t>& commit_boundaries(Value x);
   void arm_ballot_timer();
   void flush_counters();
 
@@ -350,8 +396,12 @@ class ScpNode {
   ValueSet nom_accepted_;
   ValueSet candidates_;
   /// step_nomination()'s work list: values named by a stored NOMINATE, plus
-  /// our own proposal, that are not yet candidates (ascending, as walked).
-  ValueSet nom_open_;
+  /// our own proposal, that are not yet candidates (strictly ascending by
+  /// value, as walked).
+  std::vector<NomEntry> nom_open_;
+  /// Nomination views built since the last drop, a retired entry's
+  /// included: what kMaxTrackedPredicates counts for the nomination stream.
+  std::size_t nom_views_ = 0;
 
   // Ballot state.
   Phase phase_ = Phase::kNominate;
@@ -370,6 +420,12 @@ class ScpNode {
   std::vector<Ballot> candidate_ballots_;
   Ballot candidate_ballots_b_;
   bool candidate_ballots_stale_ = true;
+  std::vector<std::uint32_t> commit_boundaries_;
+  /// False while the next ballot step would replay its last pass, which
+  /// changed nothing; ballot_charge_ is what that pass charged (and what
+  /// the running pass has charged so far).
+  bool ballot_dirty_ = true;
+  fbqs::ServedVerdicts ballot_charge_;
 
   /// Senders whose stored NOMINATE was handled before start(), so was never
   /// echoed into our votes; their next NOMINATE echoes every value it names.
@@ -394,13 +450,11 @@ class ScpNode {
   /// Bumped by every change to sender_qset_id_; a quorum verdict stamped
   /// with an older value is unknown.
   std::uint64_t rebind_epoch_ = 0;
-  /// Materialized support views, one table per stream (nomination
-  /// predicates / everything else); `mutable` because they are a cache
-  /// over the envelope maps, lazily extended by const query paths.
-  mutable SupportTable nom_support_;
-  mutable SupportTable ballot_support_;
+  /// Materialized ballot-predicate support views (nomination ones live in
+  /// their work-list entries).
+  SupportTable ballot_support_;
   /// is_vblocking()'s scratch copy of a support view without ourselves.
-  mutable NodeSet vblock_scratch_;
+  NodeSet vblock_scratch_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).
   fbqs::QuorumEngineStats flushed_;
 };

@@ -411,6 +411,43 @@ TEST(ScpNodeEngineTest, RebindDropsCachedQuorumVerdicts) {
       << "a rebind must drop the quorum verdicts cached under the old qset";
 }
 
+TEST(ScpNodeEngineTest, BallotStreamRebindReopensNominationChecks) {
+  // Node 0 (qset 2-of-{0,1}) hears sender 1 vote for 42 under 2-of-{1,2}:
+  // the closure of the nominate(42) votes {0, 1} drops 1 and then 0, so 42
+  // is not accepted and its check has nothing left to change. Sender 1's
+  // PREPARE then announces 2-of-{0,1}. That rebinds sender 1 without
+  // changing the membership of any nomination view, yet {0, 1} is now a
+  // quorum for 0: the rebind must re-open every nomination check, so 0's
+  // next NOMINATE accepts 42.
+  constexpr std::size_t kN = 3;
+  const fbqs::QSet q01 =
+      fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1});
+  const fbqs::QSet q12 =
+      fbqs::QSet::threshold_of(2, std::vector<ProcessId>{1, 2});
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, q01, /*own_value=*/7);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  const auto own_nomination = [&node] {
+    return std::get<NominateStmt>(
+        node.nomination_envelopes().at(0)->statement);
+  };
+
+  node.handle(1, sim::make_message<Envelope>(
+                     1, 1, q12, Statement{NominateStmt{{42}, {}}}));
+  ASSERT_EQ(own_nomination().voted, (std::vector<Value>{7, 42}));
+  ASSERT_TRUE(own_nomination().accepted.empty());
+  ASSERT_TRUE(node.nomination_worklist_consistent());
+
+  PrepareStmt prep;
+  prep.b = Ballot{1, 42};
+  node.handle(1, sim::make_message<Envelope>(1, 2, q01, Statement{prep}));
+  EXPECT_EQ(own_nomination().accepted, (std::vector<Value>{42}))
+      << "a rebind must re-open the nomination checks it can change";
+  EXPECT_TRUE(node.support_views_consistent());
+  EXPECT_TRUE(node.nomination_worklist_consistent());
+}
+
 TEST(ScpNodeEngineTest, ThirdIncompatibleAcceptedPrepareIsDominated) {
   // With a 4-of-5 qset any two peers are v-blocking. Peers 1 and 2 make the
   // node accept prepared (1,103) and (1,102); peers 3 and 4 then make it
