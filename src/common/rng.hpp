@@ -1,8 +1,9 @@
 // Deterministic, seedable random number generation.
 //
-// All randomness in the library (graph generation, network delays, adversary
-// choices, SCP nomination priorities) flows through Rng so that every test,
-// bench and example is reproducible from a single seed.
+// All randomness in the library flows through this header, so that every
+// test, bench and example is reproducible from a single seed: Rng draws the
+// generated graphs, the faulty-set placements and the notary's keys, and
+// StreamRng each sender's network delays, drops and duplicates.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +87,10 @@ class StreamRng {
   std::uint64_t state_;
 };
 
-/// Stateless 64-bit mix; used for hash-based deterministic tie-breaking
-/// (e.g. SCP nomination leader priorities).
+/// Stateless 64-bit mix, for values derived deterministically from their
+/// inputs: QuorumEngine::assignment_fp's fingerprints, PBFT statement
+/// digests, notary signatures, default ledger proposals, chain digests and
+/// the per-sender network stream seeds.
 std::uint64_t hash_mix(std::uint64_t a, std::uint64_t b = 0,
                        std::uint64_t c = 0);
 

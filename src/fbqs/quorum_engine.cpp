@@ -53,12 +53,6 @@ void QuorumEngine::insert_failed(MonotoneEntry entry) {
   }
 }
 
-void QuorumEngine::count_cached_verdict(const NodeSet& support, bool quorum) {
-  ServedVerdicts served;
-  served.add(support, quorum);
-  count_served(served);
-}
-
 void QuorumEngine::count_served(const ServedVerdicts& served) {
   stats_.closure_cache_hits += served.closure_hits;
   stats_.qset_evals_baseline += served.baseline_evals;

@@ -23,9 +23,9 @@
 //     and keeps a few failed supports (FALSE for every subset), engine-wide
 //     and shared by every slot of a replica. Repeats of one unchanged
 //     question never get here: each ScpNode support view caches its own
-//     verdicts and reports a served one through count_cached_verdict(),
-//     and a check ScpNode knows would be served whole reports its
-//     verdicts in one batch through count_served().
+//     verdicts and reports served ones through count_served(), one at a
+//     time or, for a check ScpNode knows would be served whole, in one
+//     batch.
 //
 // All work is counted in QuorumEngineStats, E11-style: `qset_evals` is what
 // we actually paid, `qset_evals_baseline` is what the rescan-everything
@@ -54,7 +54,7 @@ struct QuorumEngineStats {
   /// Algorithm-1 closures executed (cache misses).
   std::uint64_t closure_runs = 0;
   /// Closure verdicts served without a run: from the failed-support tier,
-  /// or from a caller's cached verdict (count_cached_verdict, count_served).
+  /// or from a caller's cached verdict (count_served).
   std::uint64_t closure_cache_hits = 0;
   /// intern() calls resolved to an already-interned id.
   std::uint64_t intern_hits = 0;
@@ -75,14 +75,12 @@ struct ServedVerdicts {
   std::uint64_t closure_hits = 0;
   std::uint64_t baseline_evals = 0;
 
-  void add(const NodeSet& support, bool quorum) {
-    if (quorum) {
-      ++closure_hits;
-      baseline_evals += support.count();
-    } else {
-      ++baseline_evals;
-    }
-  }
+  ServedVerdicts() = default;
+  /// One verdict on `support`: a quorum_contains() one if `quorum`, else a
+  /// blocked_by() one.
+  ServedVerdicts(const NodeSet& support, bool quorum)
+      : closure_hits(quorum ? 1 : 0),
+        baseline_evals(quorum ? support.count() : 1) {}
   ServedVerdicts& operator+=(const ServedVerdicts& other) {
     closure_hits += other.closure_hits;
     baseline_evals += other.baseline_evals;
@@ -129,12 +127,8 @@ class QuorumEngine {
   bool quorum_contains(const NodeSet& support, ProcessId member,
                        const std::vector<QSetId>& qset_ids);
 
-  /// Accounts a verdict the caller served from its own cache instead of
-  /// asking again, charged as ServedVerdicts::add charges it (`quorum`: a
-  /// quorum_contains() verdict, else a blocked_by() one). Nothing is
-  /// evaluated.
-  void count_cached_verdict(const NodeSet& support, bool quorum);
-  /// The same for a batch of served verdicts.
+  /// Accounts verdicts the caller served from its own cache instead of
+  /// asking again. Nothing is evaluated.
   void count_served(const ServedVerdicts& served);
 
   const QuorumEngineStats& stats() const { return stats_; }

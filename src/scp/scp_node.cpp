@@ -463,7 +463,7 @@ bool ScpNode::nomination_worklist_consistent() const {
       if (!verdict || (quorum && view->quorum_epoch != rebind_epoch_)) {
         return std::nullopt;
       }
-      replay.add(view->members, quorum);
+      replay += fbqs::ServedVerdicts(view->members, quorum);
       return verdict;
     };
     if (nom_accepted_.contains(open.x)) {
@@ -483,9 +483,10 @@ bool ScpNode::is_quorum_satisfying(SupportView& view,
   // by the remaining support) runs in the engine once per view and
   // assignment; repeats are served from the view.
   if (!view.members.contains(host_.self())) return false;
-  replay.add(view.members, /*quorum=*/true);
+  const fbqs::ServedVerdicts served(view.members, /*quorum=*/true);
+  replay += served;
   if (view.quorum.has_value() && view.quorum_epoch == rebind_epoch_) {
-    engine_->count_cached_verdict(view.members, /*quorum=*/true);
+    engine_->count_served(served);
     return *view.quorum;
   }
   view.quorum =
@@ -495,9 +496,10 @@ bool ScpNode::is_quorum_satisfying(SupportView& view,
 }
 
 bool ScpNode::is_vblocking(SupportView& view, fbqs::ServedVerdicts& replay) {
-  replay.add(view.members, /*quorum=*/false);
+  const fbqs::ServedVerdicts served(view.members, /*quorum=*/false);
+  replay += served;
   if (view.vblocking.has_value()) {
-    engine_->count_cached_verdict(view.members, /*quorum=*/false);
+    engine_->count_served(served);
     return *view.vblocking;
   }
   vblock_scratch_ = view.members;

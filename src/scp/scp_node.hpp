@@ -85,8 +85,8 @@
 // on each sender's latest statement, so this leaves every view, and hence
 // every engine query, exactly as a full re-test would. The echo is exact
 // because every value of a NOMINATE handled after start() is already in our
-// votes; a sender whose stored NOMINATE was buffered before start() gets
-// one full walk instead.
+// votes; a sender whose stored NOMINATE was buffered before start() has all
+// the values of its next one echoed instead.
 #pragma once
 
 #include <algorithm>
