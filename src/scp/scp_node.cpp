@@ -12,12 +12,6 @@
 namespace scup::scp {
 
 namespace {
-/// Where `key` sits, or would be inserted, in a support table.
-template <class Table, class Key>
-auto table_slot(Table& table, const Key& key) {
-  return std::ranges::lower_bound(table, key, {}, &Table::value_type::first);
-}
-
 /// True iff both lists of `nom` are strictly ascending (the NominateStmt
 /// invariant the merge walk below relies on).
 bool well_formed(const NominateStmt& nom) {
@@ -220,7 +214,8 @@ ScpNode::SupportView ScpNode::build_view(const PredKey& key) {
 }
 
 ScpNode::SupportView& ScpNode::support_view(const PredKey& key) {
-  const auto it = table_slot(ballot_support_, key);
+  const auto it = std::ranges::lower_bound(ballot_support_, key, {},
+                                           &SupportTable::value_type::first);
   if (it != ballot_support_.end() && it->first == key) return it->second;
   return ballot_support_.emplace(it, key, build_view(key))->second;
 }
