@@ -34,9 +34,9 @@
 // likewise a member list, rebuilt only after a ballot statement was stored
 // or b_ changed.
 //
-// A check whose inputs have not changed since it last ran is not re-run at
-// all: it would ask the same views the same questions and be served every
-// answer. Each nomination work-list entry, and the ballot step as a whole,
+// A check that changed nothing when it last ran, and whose inputs have not
+// changed since, is not re-run at all: it would ask the same views the same
+// questions and be served every answer. Each nomination work-list entry, and the ballot step as a whole,
 // keeps a dirty bit and the served verdicts of its last run
 // (fbqs::ServedVerdicts); a clean one reports those to the engine in one
 // batch without reading a view. So every engine evaluation runs in the
